@@ -32,4 +32,4 @@ class NumericalError(RuntimeError):
 
 
 class ConvergenceError(NumericalError):
-    """Iterative refinement or an eigensolver failed to converge."""
+    """An eigensolver failed to converge."""

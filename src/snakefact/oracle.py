@@ -16,20 +16,21 @@ f = sum_a f_a z^a and g = sum_b g_b z^b is
 
     <f, g> = sum_{a,b} conj(f_a) g_b mu_{a-b},
 
-conjugate-linear in the first argument.  Laurent polynomials are passed
-around as plain mappings {exponent: coefficient}.
+conjugate-linear in the first argument.  Laurent polynomials cross the
+public API as plain mappings {exponent: coefficient}.  Internally the
+ordered monomials z^{e_0}, z^{e_1}, ... have the Gram matrix
+(mu_{e_a - e_b}), Gram-Schmidt on them is its Cholesky factorization
+G = R^H R, and column k of the upper-triangular C = R^{-1} holds the
+coefficients of psi_k.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from scipy.linalg import toeplitz
 
-from .errors import ConvergenceError, MomentError, NumericalError
-from .schur import SchurSequence, evaluate_phi
-from .snake import GeneratingSequence, hessenberg_shape
+from .errors import MomentError, NumericalError
+from .schur import PolynomialPair, SchurSequence, evaluate_phi, szego_step
+from .snake import GeneratingSequence
 
 __all__ = [
     "Lebesgue",
@@ -45,12 +46,9 @@ __all__ = [
     "multiplication_matrix",
 ]
 
-# Non-decaying Schur prefixes push polynomial zeros within ~1e-5 of the
-# circle, so the density can need a few million points before the trapezoid
-# rule certifies; the doubling ladder makes the wasted coarse grids cheap.
-_GRID_START = 4096
-_GRID_MAX = 1 << 22
-_GRID_TOL = 1e-11
+# Largest tolerated max|C^H G C - I|.  Past it the recovered parameters are
+# no longer trustworthy to the 1e-9 the oracle-equivalence checks demand.
+_ORTHONORMALITY_TOL = 1e-9
 
 
 class Lebesgue:
@@ -83,10 +81,9 @@ class BernsteinSzego:
 class Geronimus:
     """Measure whose Schur parameters are the constant sequence a, |a| < 1.
 
-    Realized through long Bernstein-Szego prefixes [a, a, ...] at moment
-    construction time: a prefix of length jmax + 1 pins every parameter a
-    moment table of range jmax can resolve, which is all this desk-scale
-    oracle needs.
+    Its moments up to jmax depend only on alpha_0 .. alpha_{jmax-1} = a, so
+    they are computed exactly from those.  The measure lives on an arc, so
+    its Gram matrices grow ill-conditioned exponentially in the degree.
     """
 
     def __init__(self, a: complex):
@@ -139,14 +136,17 @@ class MomentTable:
         vals = vals.copy()
         vals[0] = 1.0
         self._mu = np.concatenate((np.conj(vals[:0:-1]), vals))
-        gram = toeplitz(vals, np.conj(vals))  # gram[i, j] = mu_{i-j}
         try:
-            np.linalg.cholesky(gram)
+            np.linalg.cholesky(self._gram(np.arange(self.jmax + 1)))
         except np.linalg.LinAlgError as exc:
             raise MomentError(
                 "moment Toeplitz matrix is not positive definite; "
                 "the values do not come from a positive measure at this range"
             ) from exc
+
+    def _gram(self, exps: np.ndarray, shift: int = 0) -> np.ndarray:
+        """Matrix of <z^{e_a}, z^{e_b + shift}> = mu_{e_a - e_b - shift}."""
+        return self._mu[self.jmax + exps[:, None] - exps[None, :] - shift]
 
     def mu(self, j: int) -> complex:
         if abs(j) > self.jmax:
@@ -157,38 +157,29 @@ class MomentTable:
         return f"MomentTable(jmax={self.jmax})"
 
 
-def _grid_moments(density, jmax: int, npoints: int) -> np.ndarray:
-    # Uniform trapezoid rule over a full period; for these smooth periodic
-    # densities it converges geometrically in npoints.
-    thetas = 2.0 * np.pi * np.arange(npoints) / npoints
-    w = density(thetas)
-    return (2.0 * np.pi / npoints) * np.fft.rfft(w)[: jmax + 1]
+def _schur_moments(alphas, jmax: int) -> np.ndarray:
+    """mu_0 .. mu_jmax of the measure whose Schur parameters start with alphas.
 
-
-def _refined_moments(density, jmax: int) -> np.ndarray:
-    npoints = _GRID_START
-    prev = _grid_moments(density, jmax, npoints)
-    while npoints <= _GRID_MAX:
-        npoints *= 2
-        cur = _grid_moments(density, jmax, npoints)
-        if np.max(np.abs(cur - prev)) <= _GRID_TOL:
-            mass = cur[0].real
-            if abs(mass - 1.0) > 1e-8:
-                raise NumericalError(f"density integrates to {mass!r}, not 1")
-            return cur / mass
-        prev = cur
-    raise ConvergenceError(
-        f"moment integration did not stabilize to {_GRID_TOL:g} "
-        f"within {_GRID_MAX} grid points"
-    )
+    Inverse Szego recursion: phi_{k+1} = sum_i c_i z^i is orthogonal to 1,
+    so sum_i conj(c_i) mu_i = 0, which fixes mu_{k+1} from mu_0 .. mu_k.
+    """
+    vals = np.zeros(jmax + 1, dtype=complex)
+    vals[0] = 1.0
+    pair = PolynomialPair.initial()
+    for k in range(jmax):
+        pair = szego_step(pair, alphas[k])
+        c = np.conj(pair.phi)
+        vals[k + 1] = -(c[: k + 1] @ vals[: k + 1]) / c[k + 1]
+    return vals
 
 
 def moments(measure, jmax: int) -> MomentTable:
     """Trigonometric moments mu_0 .. mu_jmax of a measure, as a MomentTable.
 
-    Lebesgue and grid measures are summed exactly; the analytic families are
-    integrated on uniform theta grids of at least 4096 points, doubling until
-    two successive refinements agree to 1e-11.
+    Lebesgue and grid measures are summed exactly.  Bernstein-Szego and
+    Geronimus moments follow exactly from their Schur parameters by the
+    inverse Szego recursion; when float64 cannot resolve their Toeplitz
+    matrix at this range, ``NumericalError`` is raised.
     """
     if jmax < 0:
         raise ValueError("jmax must be nonnegative")
@@ -198,11 +189,18 @@ def moments(measure, jmax: int) -> MomentTable:
     elif isinstance(measure, GridMeasure):
         js = np.arange(jmax + 1)
         vals = np.exp(-1j * np.outer(js, measure.thetas)) @ measure.weights
-    elif isinstance(measure, Geronimus):
-        prefix = SchurSequence([measure.a] * (jmax + 1))
-        vals = _refined_moments(BernsteinSzego(prefix).density, jmax)
-    elif isinstance(measure, BernsteinSzego):
-        vals = _refined_moments(measure.density, jmax)
+    elif isinstance(measure, (Geronimus, BernsteinSzego)):
+        if isinstance(measure, Geronimus):
+            alphas = [measure.a] * jmax
+        else:
+            alphas = list(measure.prefix) + [0j] * jmax
+        try:
+            return MomentTable(_schur_moments(alphas, jmax))
+        except MomentError as exc:
+            raise NumericalError(
+                f"moment Toeplitz matrix numerically singular at jmax={jmax}; "
+                f"the moments of {measure!r} are exact but beyond float64 at this range"
+            ) from exc
     else:
         raise TypeError(f"unsupported measure {measure!r}")
     return MomentTable(vals)
@@ -225,42 +223,32 @@ def inner_product(table: MomentTable, f, g) -> complex:
     return complex(acc)
 
 
-def _shift(f, k: int):
-    """Coefficients of z^k * f."""
-    return {e + k: c for e, c in f.items()}
+def _exponents(gen: GeneratingSequence, n: int) -> np.ndarray:
+    """Exponents of the monomials at positions 0 .. n of the ordering."""
+    return np.array(
+        [0] + [-gen.p[k] if gen.s(k) == 1 else k - gen.p[k] for k in range(1, n + 1)]
+    )
 
 
-def _ordered_exponent(gen: GeneratingSequence, n: int) -> int:
-    """Exponent of the monomial that enters the ordering at position n."""
-    if n == 0:
-        return 0
-    return -gen.p[n] if gen.s(n) == 1 else n - gen.p[n]
+def _gram_schmidt(table: MomentTable, exps: np.ndarray) -> np.ndarray:
+    """Upper-triangular C; column k holds psi_k over the monomials z^{exps}.
 
-
-def _gram_schmidt(table: MomentTable, gen: GeneratingSequence, n: int):
-    # Classical Gram-Schmidt with one reorthogonalization pass; a single
-    # pass loses orthogonality at the conditioning these measures reach.
-    basis: list[dict] = []
-    for k in range(n + 1):
-        exp_k = _ordered_exponent(gen, k)
-        v = {exp_k: 1.0 + 0.0j}
-        for _ in range(2):
-            for psi in basis:
-                c = inner_product(table, psi, v)
-                for e, ce in psi.items():
-                    v[e] = v.get(e, 0j) - c * ce
-        norm_sq = inner_product(table, v, v).real
-        if norm_sq <= 1e-24:
-            raise NumericalError(
-                f"Gram matrix numerically singular at step {k}; "
-                "the measure or grid is too ill-conditioned for this degree"
-            )
-        scale = 1.0 / math.sqrt(norm_sq)
-        lead = v[exp_k] * scale
-        phase = np.conj(lead) / abs(lead)
-        v = {e: c * scale * phase for e, c in v.items()}
-        basis.append(v)
-    return basis
+    The coefficient of the monomial new at position k is C[k, k] = 1/R[k, k],
+    real and positive, which is the normalization of the Szego polynomials.
+    """
+    gram = table._gram(exps)
+    try:
+        r = np.linalg.cholesky(gram).conj().T
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"Gram matrix numerically singular at degree {len(exps) - 1}; "
+            "the measure or grid is too ill-conditioned for this degree"
+        ) from exc
+    c = np.linalg.inv(r)
+    defect = float(np.max(np.abs(c.conj().T @ gram @ c - np.eye(len(exps)))))
+    if defect > _ORTHONORMALITY_TOL:
+        raise NumericalError(f"Gram-Schmidt lost orthonormality (defect {defect:.3e})")
+    return c
 
 
 def gram_schmidt_laurent(table: MomentTable, gen: GeneratingSequence, n: int):
@@ -275,7 +263,11 @@ def gram_schmidt_laurent(table: MomentTable, gen: GeneratingSequence, n: int):
     needed = 2 * max(gen.p[n], n - gen.p[n]) + 2
     if table.jmax < needed:
         raise MomentError(f"need jmax >= {needed} for degree {n}, table has {table.jmax}")
-    return _gram_schmidt(table, gen, n)
+    exps = _exponents(gen, n)
+    c = _gram_schmidt(table, exps)
+    return [
+        {int(e): complex(c[a, k]) for a, e in enumerate(exps[: k + 1])} for k in range(n + 1)
+    ]
 
 
 def schur_from_moments(table: MomentTable, n: int) -> SchurSequence:
@@ -291,22 +283,13 @@ def schur_from_moments(table: MomentTable, n: int) -> SchurSequence:
         raise ValueError("need n >= 1 to recover at least one parameter")
     if table.jmax < n + 1:
         raise MomentError(f"need jmax >= {n + 1}, table has {table.jmax}")
-    basis = _gram_schmidt(table, hessenberg_shape(n), n)
-    alphas = []
-    for k in range(n):
-        phi_next = basis[k + 1]
-        kappa = phi_next[k + 1].real
-        alphas.append(-np.conj(phi_next.get(0, 0j)) / kappa)
-    return SchurSequence(alphas)
+    c = _gram_schmidt(table, np.arange(n + 1))
+    return SchurSequence(-np.conj(c[0, 1:]) / np.diag(c)[1:])
 
 
 def matrix_entry_oracle(table: MomentTable, gen: GeneratingSequence, i: int, j: int) -> complex:
     """Entry <psi_i, z psi_j> of the multiplication operator, from moments only."""
-    deg = max(i, j)
-    if table.jmax < deg + 1:
-        raise MomentError(f"need jmax >= {deg + 1}, table has {table.jmax}")
-    basis = _gram_schmidt(table, gen, deg)
-    return inner_product(table, basis[i], _shift(basis[j], 1))
+    return complex(multiplication_matrix(table, gen, max(i, j) + 1)[i, j])
 
 
 def multiplication_matrix(table: MomentTable, gen: GeneratingSequence, n: int) -> np.ndarray:
@@ -315,10 +298,6 @@ def multiplication_matrix(table: MomentTable, gen: GeneratingSequence, n: int) -
         raise ValueError("matrix size must be positive")
     if table.jmax < n:
         raise MomentError(f"need jmax >= {n}, table has {table.jmax}")
-    basis = _gram_schmidt(table, gen, n - 1)
-    shifted = [_shift(psi, 1) for psi in basis]
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = inner_product(table, basis[i], shifted[j])
-    return out
+    exps = _exponents(gen, n - 1)
+    c = _gram_schmidt(table, exps)
+    return c.conj().T @ table._gram(exps, shift=1) @ c

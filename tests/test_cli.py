@@ -145,6 +145,16 @@ class TestQuadrature:
         report = json.loads(out)
         assert report["exactness_defect"] <= 1e-10
 
+    def test_verify_geronimus(self, capsys):
+        descriptor = json.dumps({"type": "geronimus", "a": [0.5, 0.0]})
+        code, out, _ = run(
+            capsys, "quadrature", "--measure", descriptor, "--n", "11",
+            "--verify", "--format", "json",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["exactness_defect"] <= 1e-9
+
     def test_shape_invariant_output(self, capsys):
         alphas = "0.4,0.1-0.2j,0.3,0.2,0.1j,0.25,0.15,0.1,0.2,0.1,0.05,0.2"
         outputs = []
@@ -254,12 +264,14 @@ class TestVerify:
 
 class TestErrors:
     def test_numerical_failure_exit_code(self, capsys):
-        # a parameter this close to the circle puts a density spike beyond
-        # the refinement ladder, which must surface as a numerical failure
-        descriptor = json.dumps({"type": "bernstein-szego", "alphas": [[0.9999999, 0.0]]})
-        code, _, err = run(capsys, "quadrature", "--measure", descriptor, "--n", "4")
+        # a Geronimus measure lives on an arc, so at n = 30 its Gram matrix
+        # is too ill-conditioned for float64 and Gram-Schmidt loses
+        # orthonormality, which must surface as a numerical failure
+        descriptor = json.dumps({"type": "geronimus", "a": [0.5, 0.0]})
+        code, _, err = run(capsys, "quadrature", "--measure", descriptor, "--n", "30")
         assert code == 3
         assert "error:" in err
+        assert "defect" in err
 
     def test_unknown_measure(self, capsys):
         code, _, err = run(capsys, "quadrature", "--measure", "nope", "--n", "4")

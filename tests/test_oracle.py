@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from helpers import MIXED_BITS, random_bits, random_schur
-from snakefact.errors import MomentError, ShapeError
+from snakefact.errors import MomentError, NumericalError, ShapeError
 from snakefact.expand import entry, expand_dense, path
 from snakefact.oracle import (
     BernsteinSzego,
@@ -25,6 +25,9 @@ from snakefact.snake import (
     cmv_shape,
     hessenberg_shape,
 )
+
+
+SIX_PARAMETERS = [0.5, -0.3j, 0.4 + 0.2j, 0.1, -0.6, 0.25j]
 
 
 def szego_coefficients(schur, n):
@@ -51,7 +54,7 @@ class TestMoments:
 
     def test_bernstein_szego_vs_adaptive_quadrature(self):
         # independent oracle: adaptive quadrature of the density against
-        # cos/sin, rather than the uniform-grid rule used by moments()
+        # cos/sin, rather than the Schur-parameter recursion used by moments()
         prefix = SchurSequence([0.6])
         measure = BernsteinSzego(prefix)
         table = moments(measure, 3)
@@ -66,6 +69,32 @@ class TestMoments:
         # mu_1 for this measure equals alpha_0
         assert table.mu(1) == pytest.approx(0.6, abs=1e-10)
         assert schur_from_moments(table, 1).alpha(0) == pytest.approx(0.6, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "measure, jmax, prefix",
+        [
+            (BernsteinSzego(SIX_PARAMETERS), 12, SIX_PARAMETERS),
+            # the zeros of phi for the prefix [a] * (jmax + 1) approach the
+            # circle as it grows, so a fixed grid resolves only short ranges
+            (Geronimus(0.3 - 0.2j), 5, [0.3 - 0.2j] * 6),
+        ],
+    )
+    def test_exact_moments_vs_fixed_trapezoid(self, measure, jmax, prefix):
+        # second route to the moments: a 4096-point trapezoid sum of the
+        # Bernstein-Szego density, spectrally accurate for these prefixes
+        density = BernsteinSzego(prefix).density
+        npoints = 4096
+        thetas = 2.0 * np.pi * np.arange(npoints) / npoints
+        want = (2.0 * np.pi / npoints) * np.fft.fft(density(thetas))[: jmax + 1]
+        table = moments(measure, jmax)
+        got = np.array([table.mu(j) for j in range(jmax + 1)])
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_geronimus_past_float64_is_numerical(self):
+        # the moments are exact, but their Toeplitz matrix is singular to
+        # working precision: a numerical limit, not an invalid measure
+        with pytest.raises(NumericalError, match="numerically singular at jmax=60"):
+            moments(Geronimus(0.5), 60)
 
     def test_mass_is_one(self):
         for measure in (BernsteinSzego([0.5, -0.4j, 0.2]), Geronimus(0.3 - 0.2j)):
@@ -217,6 +246,11 @@ class TestSchurFromMoments:
         table = moments(Geronimus(a), 10)
         seq = schur_from_moments(table, 9)
         assert np.max(np.abs(np.array(seq.alphas) - a)) <= 1e-8
+
+    def test_geronimus_loss_of_orthonormality_raises(self):
+        table = moments(Geronimus(0.5), 31)
+        with pytest.raises(NumericalError, match="defect"):
+            schur_from_moments(table, 30)
 
     def test_round_trip_length_12(self):
         rng = np.random.default_rng(14)
