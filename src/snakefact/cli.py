@@ -4,8 +4,9 @@ Subcommands: build, entry, expand, bandwidth, quadrature, verify.  Shapes
 come from a named family (--shape hessenberg|cmv with --m giving the number
 of Givens factors), explicit bits (--shape bits --s 1,0,1) or a monomial
 order (--shape monomials --monomials 0,-1,1); Schur parameters come inline
-(--alphas) or from a measure descriptor (--measure), in which case they are
-recovered from moments.  Flags always win over anything a descriptor file
+(--alphas) or from a measure descriptor (--measure), which states them for
+Lebesgue, Bernstein-Szego and Geronimus measures; a grid measure has them
+recovered from its moments.  Flags always win over anything a descriptor file
 may carry.
 
 Output is human-readable text by default; --format json emits the fixed
@@ -89,17 +90,33 @@ def _load_measure(text: str):
     if kind == "lebesgue":
         return Lebesgue()
     if kind == "bernstein-szego":
-        alphas = [complex(re, im) for re, im in descriptor["alphas"]]
-        return BernsteinSzego(alphas)
+        return BernsteinSzego([complex(re, im) for re, im in _pairs(descriptor, "alphas")])
     if kind == "geronimus":
-        re, im = descriptor["a"]
+        re, im = _pairs(descriptor, "a", single=True)[0]
         return Geronimus(complex(re, im))
     if kind == "grid":
-        points = descriptor["points"]
-        thetas = [p[0] for p in points]
-        weights = [p[1] for p in points]
-        return GridMeasure(thetas, weights)
+        points = _pairs(descriptor, "points")
+        return GridMeasure([p[0] for p in points], [p[1] for p in points])
     raise ValueError(f"unknown measure type {kind!r}")
+
+
+def _pairs(descriptor: dict, field: str, single: bool = False) -> list:
+    """Field of a measure descriptor holding [x, y] number pairs.
+
+    With ``single`` the field is one pair, otherwise a list of them.
+    """
+    shape = "an [x, y] pair of numbers" if single else "a list of [x, y] pairs of numbers"
+    if field not in descriptor:
+        raise ValueError(f"{descriptor['type']} measure descriptor needs the field {field!r}")
+    value = descriptor[field]
+    pairs = [value] if single else value
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in p)
+        for p in pairs
+    ):
+        raise ValueError(f"field {field!r} of a {descriptor['type']} measure must be {shape}")
+    return pairs
 
 
 def _resolve_shape(args, factors_hint: int | None = None) -> GeneratingSequence:
@@ -146,9 +163,24 @@ def _resolve_schur(args, gen: GeneratingSequence) -> SchurSequence | None:
             )
         return SchurSequence(alphas)
     if args.measure is not None:
-        table = moments(_load_measure(args.measure), count + 1)
-        return schur_from_moments(table, count)
+        return _measure_schur(_load_measure(args.measure), count)
     return None
+
+
+def _measure_schur(measure, count: int) -> SchurSequence:
+    """First ``count`` Schur parameters of a measure.
+
+    Families parameterised by their Schur parameters state them directly;
+    only a grid measure recovers them from its moments.
+    """
+    if isinstance(measure, Lebesgue):
+        return SchurSequence([0j] * count)
+    if isinstance(measure, BernsteinSzego):
+        prefix = list(measure.prefix)[:count]
+        return SchurSequence(prefix + [0j] * (count - len(prefix)))
+    if isinstance(measure, Geronimus):
+        return SchurSequence([measure.a] * count)
+    return schur_from_moments(moments(measure, count + 1), count)
 
 
 def _emit(args, report: dict, text_lines: list[str], csv_text: str | None = None) -> None:
@@ -408,7 +440,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, IndexError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

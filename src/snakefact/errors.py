@@ -5,18 +5,24 @@ ranges) derive from ``ValueError``; failures of a numerical computation to
 meet its accuracy contract derive from ``NumericalError``.
 """
 
+import cmath
+
 
 class InvalidSchurParameter(ValueError):
-    """A Schur parameter lies on or outside the unit circle."""
+    """A Schur parameter is not finite or lies on or outside the unit circle."""
 
     def __init__(self, index, value):
         self.index = index
         self.value = value
         where = "parameter" if index is None else f"parameter {index}"
-        super().__init__(
-            f"|alpha| = {abs(value):.6g} >= 1; {where} must lie strictly "
-            "inside the open unit disk"
-        )
+        if not cmath.isfinite(value):
+            message = f"{where} = {value!r} is not finite"
+        else:
+            message = (
+                f"|alpha| = {abs(value):.6g} >= 1; {where} must lie strictly "
+                "inside the open unit disk"
+            )
+        super().__init__(message)
 
 
 class ShapeError(ValueError):

@@ -7,9 +7,15 @@ enters from the left at height i and leaves to the right at height j.  If
 the path fails to move monotonically from left to right the entry is zero.
 Otherwise only the two outermost segments, with indices r and t, contribute
 one of their block entries each, and every segment strictly between them
-contributes its rho; the entry is x_r * (prod of inner rhos) * y_t.  The
-computation is O(|i - j| + 1) and allocates nothing proportional to the
-path length.
+contributes its rho; the entry is x_r * (prod of inner rhos) * y_t.
+
+The path is monotone exactly when the bits strictly between i and j are
+all 0 (i < j) or all 1 (i > j), so the nonzeros of row i fill one
+contiguous column range bounded by the runs of equal bits next to i; the
+generating sequence's run table gives that range in O(1).  ``entry`` costs
+O(|i - j| + 1).  ``expand_dense`` walks each row's range outward from the
+diagonal with a running rho product, one factor per step, so it costs
+O(n + nnz) on top of the n^2 zero fill.
 """
 
 from __future__ import annotations
@@ -55,9 +61,9 @@ def path(gen: GeneratingSequence, i: int, j: int) -> PathDescriptor:
     if i == j:
         monotone = True
     elif i < j:
-        monotone = all(gen.s(k) == 0 for k in range(i + 1, j))
+        monotone = j <= gen._next_one[i + 1]
     else:
-        monotone = all(gen.s(k) == 1 for k in range(j + 1, i))
+        monotone = j >= gen._last_zero[i - 1]
     if r > t:
         inner = range(t + 1, r)
         b = 0
@@ -113,13 +119,67 @@ def bandwidths(gen: GeneratingSequence) -> tuple[int, int]:
 
 
 def expand_dense(snake: SnakeFactorization, n: int) -> np.ndarray:
-    """Dense n x n matrix of closed-form entries."""
-    if n - 1 > len(snake.gen):
+    """Dense n x n matrix of closed-form entries.
+
+    Only the structural nonzeros are visited.  Row i is walked from the
+    diagonal outward on each side; the rho product between the outermost
+    segments r and t gains one factor whenever t moves, so each entry is
+    x_r * y_t * P in O(1).  The products are always built by multiplication,
+    never as ratios of prefix products, which would underflow.
+    """
+    gen, schur = snake.gen, snake.schur
+    if n - 1 > len(gen):
         raise IndexError(
-            f"size {n} needs indices up to {n - 1}; shape covers 0..{len(snake.gen)}"
+            f"size {n} needs indices up to {n - 1}; shape covers 0..{len(gen)}"
         )
-    out = np.empty((n, n), dtype=complex)
+    out = np.zeros((n, n), dtype=complex)
+    rho = [schur.rho(k) for k in range(n)]
+    # block[k][row][col]: canonical block [[conj(a_k), rho_k], [rho_k, -a_k]].
+    block = [
+        ((schur.alpha(k).conjugate(), complex(rho[k])), (complex(rho[k]), -schur.alpha(k)))
+        for k in range(n)
+    ]
+    # Outermost segment on the row side (r) and on the column side (t), and
+    # the column's block entry when the path descends (b = 1, t > r) or
+    # climbs (b = 0, t < r).
+    bits = (0,) + gen.bits
+    seg_r = [k - 1 if k and not bits[k] else k for k in range(n)]
+    seg_t = [k - 1 if k and bits[k] else k for k in range(n)]
+    y_down = [block[t][0][j - t] for j, t in enumerate(seg_t)]
+    y_up = [block[t][1][j - t] for j, t in enumerate(seg_t)]
     for i in range(n):
-        for j in range(n):
-            out[i, j] = entry(snake, i, j)
+        r = seg_r[i]
+        x = block[r][i - r]
+        lo = gen._last_zero[max(i - 1, 0)]
+        hi = min(gen._next_one[i + 1], n - 1)
+        # Rightward: t >= r except for t = r - 1 on the diagonal, where no
+        # segment lies between them.
+        row = []
+        prod, k = 1.0, r + 1
+        for j in range(i, hi + 1):
+            t = seg_t[j]
+            if t > r:
+                while k < t:
+                    prod *= rho[k]
+                    k += 1
+                row.append(x[1] * y_down[j] * prod)
+            elif t == r:
+                row.append(x[j - t])
+            else:
+                row.append(x[0] * y_up[j])
+        out[i, i : hi + 1] = row
+        # Leftward: t <= r.
+        row = []
+        prod, k = 1.0, r - 1
+        for j in range(i - 1, lo - 1, -1):
+            t = seg_t[j]
+            if t < r:
+                while k > t:
+                    prod *= rho[k]
+                    k -= 1
+                row.append(x[0] * y_up[j] * prod)
+            else:
+                row.append(x[j - t])
+        if row:
+            out[i, lo:i] = row[::-1]
     return out

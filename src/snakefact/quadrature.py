@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceError, NumericalError, ShapeError
-from .snake import GivensFactor, SnakeFactorization, _apply_left, _apply_right
+from .snake import GivensFactor, SnakeFactorization, _snake_product
 
 __all__ = [
     "ParaUnitaryTruncation",
@@ -65,23 +65,11 @@ def _absorbed_block(snake: SnakeFactorization, n: int, corner: complex) -> np.nd
     return block @ absorb if snake.gen.s(n - 1) == 0 else absorb @ block
 
 
-def _truncated_product(snake: SnakeFactorization, n: int, last_block: np.ndarray) -> np.ndarray:
-    """Product of factors 0 .. n-2 in snake order, with the last block replaced."""
-    out = np.eye(n, dtype=complex)
-    for k in snake.right_order:
-        if k <= n - 2:
-            _apply_right(out, k, last_block if k == n - 2 else snake.factor(k).block)
-    for k in reversed(snake.left_order):
-        if k <= n - 2:
-            _apply_left(out, k, last_block if k == n - 2 else snake.factor(k).block)
-    return out
-
-
 def truncate_para_unitary(snake: SnakeFactorization, n: int, theta: float) -> ParaUnitaryTruncation:
     """Unitary n x n truncation with corner phase e^{i theta}."""
     corner = complex(np.exp(1j * float(theta)))
     last = GivensFactor(n - 2, _absorbed_block(snake, n, corner), canonical=False)
-    return ParaUnitaryTruncation(n, theta, _truncated_product(snake, n, last.block))
+    return ParaUnitaryTruncation(n, theta, _snake_product(snake, n - 2, n, last.block))
 
 
 def principal_truncation(snake: SnakeFactorization, n: int) -> np.ndarray:
@@ -93,7 +81,7 @@ def principal_truncation(snake: SnakeFactorization, n: int) -> np.ndarray:
     rather than unitary, so it is used raw instead of as a GivensFactor.
     """
     corner = np.conj(snake.schur.alpha(n - 1))
-    return _truncated_product(snake, n, _absorbed_block(snake, n, corner))
+    return _snake_product(snake, n - 2, n, _absorbed_block(snake, n, corner))
 
 
 def eigen_unitary(matrix: np.ndarray):

@@ -45,9 +45,10 @@ def _rho(alpha: complex) -> float:
 class SchurSequence:
     """Validated finite sequence of Schur parameters alpha_0 .. alpha_{m-1}.
 
-    Every parameter must satisfy |alpha_k| < 1 strictly; offending inputs are
-    rejected with the index of the first bad entry.  The complementary
-    parameters rho_k are always recomputed from the alphas, never stored.
+    Every parameter must be finite with |alpha_k| < 1 strictly; offending
+    inputs are rejected with the index of the first bad entry.  The
+    complementary parameters rho_k are always recomputed from the alphas,
+    never stored.
     """
 
     def __init__(self, alphas):
@@ -55,7 +56,7 @@ class SchurSequence:
         if not alphas:
             raise ValueError("a Schur sequence needs at least one parameter")
         for k, a in enumerate(alphas):
-            if abs(a) >= 1.0:
+            if not abs(a) < 1.0:
                 raise InvalidSchurParameter(k, a)
         self.alphas = alphas
 
@@ -130,7 +131,7 @@ class PolynomialPair:
 def szego_step(pair: PolynomialPair, alpha_k: complex) -> PolynomialPair:
     """Advance (phi_k, phi_k*) one degree for the next Schur parameter."""
     alpha_k = complex(alpha_k)
-    if abs(alpha_k) >= 1.0:
+    if not abs(alpha_k) < 1.0:
         raise InvalidSchurParameter(None, alpha_k)
     rho_k = _rho(alpha_k)
     z_phi = np.concatenate(([0.0j], pair.phi))

@@ -40,15 +40,30 @@ class GeneratingSequence:
 
     p_0 = 0 and p_n - p_{n-1} = s_n, so 0 <= p_n <= n and both p_n and
     n - p_n are non-decreasing by construction.
+
+    Two more prefix tables over k = 0 .. m + 1 hold the runs of equal bits:
+    ``_next_one[k]`` is the first index >= k with s = 1 (m + 1 when there is
+    none) and ``_last_zero[k]`` the last index <= k with s = 0 (0 when there
+    is none).  They give the zero pattern of the path rule in O(1).
     """
 
     def __init__(self, bits):
-        bits = tuple(int(b) for b in bits)
-        for n, b in enumerate(bits, start=1):
+        raw = tuple(bits)
+        for n, b in enumerate(raw, start=1):
             if b not in (0, 1):
-                raise ShapeError(f"shape bit s_{n} = {b}; bits must be 0 or 1")
-        self.bits = bits
+                raise ShapeError(f"shape bit s_{n} = {b!r}; bits must be 0 or 1")
+        self.bits = bits = tuple(int(b) for b in raw)
         self.p = tuple(itertools.accumulate(bits, initial=0))
+        m = len(bits)
+        next_one = [m + 1] * (m + 2)
+        for k in range(m, 0, -1):
+            next_one[k] = k if bits[k - 1] else next_one[k + 1]
+        next_one[0] = next_one[1]
+        last_zero = [0] * (m + 2)
+        for k in range(1, m + 2):
+            last_zero[k] = k if k <= m and not bits[k - 1] else last_zero[k - 1]
+        self._next_one = tuple(next_one)
+        self._last_zero = tuple(last_zero)
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -147,16 +162,6 @@ class GivensFactor:
         return f"GivensFactor(k={self.k}, {tag})"
 
 
-def _apply_left(matrix: np.ndarray, k: int, block: np.ndarray) -> None:
-    """matrix <- G_{k,k+1} @ matrix, updating rows k and k+1 in place."""
-    matrix[k : k + 2, :] = block @ matrix[k : k + 2, :]
-
-
-def _apply_right(matrix: np.ndarray, k: int, block: np.ndarray) -> None:
-    """matrix <- matrix @ G_{k,k+1}, updating columns k and k+1 in place."""
-    matrix[:, k : k + 2] = matrix[:, k : k + 2] @ block
-
-
 class SnakeFactorization:
     """Ordered product of canonical Givens factors G_{0,1} .. G_{m,m+1}.
 
@@ -203,6 +208,27 @@ class SnakeFactorization:
         )
 
 
+def _snake_product(snake: SnakeFactorization, last: int, size: int, last_block=None) -> np.ndarray:
+    """size x size product of the factors 0 .. last in snake order.
+
+    Right-hand factors update columns (k, k+1) and left-hand factors rows
+    (k, k+1) of a running identity.  When ``last_block`` is given it
+    replaces the block of factor ``last``; every other block comes from
+    ``snake.factor``.
+    """
+    def block(k: int) -> np.ndarray:
+        return last_block if k == last and last_block is not None else snake.factor(k).block
+
+    out = np.eye(size, dtype=complex)
+    for k in snake.right_order:
+        if k <= last:
+            out[:, k : k + 2] = out[:, k : k + 2] @ block(k)
+    for k in reversed(snake.left_order):
+        if k <= last:
+            out[k : k + 2, :] = block(k) @ out[k : k + 2, :]
+    return out
+
+
 def materialize_window(snake: SnakeFactorization, m: int) -> np.ndarray:
     """Dense (m+2) x (m+2) product of the factors G_{0,1} .. G_{m,m+1}.
 
@@ -215,12 +241,4 @@ def materialize_window(snake: SnakeFactorization, m: int) -> np.ndarray:
         raise ShapeError(
             f"window needs factors 0..{m} but only 0..{snake.num_factors - 1} exist"
         )
-    size = m + 2
-    window = np.eye(size, dtype=complex)
-    for k in snake.right_order:
-        if k <= m:
-            _apply_right(window, k, snake.factor(k).block)
-    for k in reversed(snake.left_order):
-        if k <= m:
-            _apply_left(window, k, snake.factor(k).block)
-    return window
+    return _snake_product(snake, m, m + 2)

@@ -74,6 +74,15 @@ class TestBuild:
         assert code == 2
         assert "exactly one Schur source" in err
 
+    def test_bernstein_szego_prefix_padded_with_zeros(self, capsys):
+        descriptor = json.dumps({"type": "bernstein-szego", "alphas": [[0.6, 0.0], [0.0, 0.2]]})
+        code, out, _ = run(
+            capsys, "build", "--shape", "cmv", "--m", "5", "--measure", descriptor,
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["alphas"] == [[0.6, 0.0], [0.0, 0.2], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+
 
 class TestEntry:
     def test_non_monotone_entry(self, capsys):
@@ -118,6 +127,13 @@ class TestEntry:
         )
         assert code == 2
         assert "outside" in err
+
+    def test_nan_alpha_rejected(self, capsys):
+        code, _, err = run(
+            capsys, "entry", "--s", "1,0", "--alphas", "0.1,nan,0.2", "--i", "1", "--j", "1",
+        )
+        assert code == 2
+        assert "not finite" in err
 
 
 class TestQuadrature:
@@ -194,6 +210,17 @@ class TestQuadrature:
         nodes = np.array([complex(re, im) for re, im in report["nodes"]])
         assert np.all(np.abs(np.abs(nodes) - 1.0) <= 1e-10)
 
+    def test_geronimus_parameters_taken_from_descriptor(self, capsys):
+        # every Schur parameter of Geronimus(0.5) is 0.5, so the rule builds
+        # past n of about 20, where recovering them from moments fails
+        descriptor = json.dumps({"type": "geronimus", "a": [0.5, 0.0]})
+        code, out, _ = run(
+            capsys, "quadrature", "--measure", descriptor, "--n", "30",
+            "--verify", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["exactness_defect"] <= 1e-9
+
 
 class TestExpandAndBandwidth:
     def test_expand_csv(self, capsys):
@@ -264,14 +291,31 @@ class TestVerify:
 
 class TestErrors:
     def test_numerical_failure_exit_code(self, capsys):
-        # a Geronimus measure lives on an arc, so at n = 30 its Gram matrix
-        # is too ill-conditioned for float64 and Gram-Schmidt loses
-        # orthonormality, which must surface as a numerical failure
-        descriptor = json.dumps({"type": "geronimus", "a": [0.5, 0.0]})
-        code, _, err = run(capsys, "quadrature", "--measure", descriptor, "--n", "30")
+        # half the atoms of this 48-point grid carry weight 1e-12, so the
+        # Gram matrix of the first 26 monomials is nearly singular; recovering
+        # the Schur parameters from the moments loses orthonormality, which
+        # must surface as a numerical failure
+        atoms = 48
+        weights = np.where(np.arange(atoms) % 2 == 0, 1e-12, 1.0)
+        weights /= weights.sum()
+        thetas = -np.pi + 2 * np.pi * (np.arange(atoms) + 0.5) / atoms
+        descriptor = json.dumps(
+            {"type": "grid", "points": [[float(t), float(w)] for t, w in zip(thetas, weights)]}
+        )
+        code, _, err = run(capsys, "quadrature", "--measure", descriptor, "--n", "26")
         assert code == 3
         assert "error:" in err
         assert "defect" in err
+
+    @pytest.mark.parametrize(
+        "descriptor, field",
+        [({"type": "geronimus"}, "'a'"), ({"type": "grid", "points": 5}, "'points'")],
+        ids=["geronimus-missing-a", "grid-points-not-a-list"],
+    )
+    def test_descriptor_field_named(self, capsys, descriptor, field):
+        code, _, err = run(capsys, "quadrature", "--measure", json.dumps(descriptor), "--n", "4")
+        assert code == 2
+        assert f"field {field}" in err
 
     def test_unknown_measure(self, capsys):
         code, _, err = run(capsys, "quadrature", "--measure", "nope", "--n", "4")

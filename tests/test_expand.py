@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -205,6 +205,49 @@ class TestZeroPattern:
         for i in range(m + 1):
             for j in range(m + 1):
                 assert path(gen, i, j).monotone == path(flipped, j, i).monotone
+
+
+def _scanned_monotone(bits, i, j):
+    """The path rule's monotonicity, read straight off the bits between i and j."""
+    if i == j:
+        return True
+    between = bits[min(i, j) : max(i, j) - 1]  # s_k for min(i, j) < k < max(i, j)
+    return all(b == (0 if i < j else 1) for b in between)
+
+
+class TestExpandDense:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=40),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example([0] * 40, 0)
+    @example([1] * 40, 0)
+    @example([0], 0)
+    @example([1], 0)
+    def test_every_size_matches_entry_window_and_pattern(self, bits, seed):
+        gen = GeneratingSequence(bits)
+        m = len(bits)
+        snake = SnakeFactorization(random_schur(np.random.default_rng(seed), m + 1, lo=0.2), gen)
+        window = materialize_window(snake, m)
+        entries = np.array([[entry(snake, i, j) for j in range(m + 1)] for i in range(m + 1)])
+        monotone = np.array([[path(gen, i, j).monotone for j in range(m + 1)] for i in range(m + 1)])
+        scanned = [[_scanned_monotone(bits, i, j) for j in range(m + 1)] for i in range(m + 1)]
+        assert monotone.tolist() == scanned
+        for n in range(1, m + 2):
+            dense = expand_dense(snake, n)
+            assert np.max(np.abs(dense - window[:n, :n])) <= 1e-13
+            assert np.max(np.abs(dense - entries[:n, :n])) <= 1e-15
+            assert np.array_equal(dense != 0, monotone[:n, :n])
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_long_runs_at_512(self, bit):
+        # Hessenberg (all zeros) and its transpose pattern (all ones): the
+        # longest rows, where the running rho product spans hundreds of factors
+        rng = np.random.default_rng(20 + bit)
+        snake = SnakeFactorization(random_schur(rng, 513), GeneratingSequence([bit] * 512))
+        dense = expand_dense(snake, 512)
+        assert np.max(np.abs(dense - materialize_window(snake, 511)[:512, :512])) <= 1e-13
 
 
 class TestUnitNorms:

@@ -49,6 +49,14 @@ class TestSchurSequence:
         with pytest.raises(ValueError):
             SchurSequence([])
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), complex(0.1, float("nan")), float("inf"), complex(0.0, -float("inf"))]
+    )
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidSchurParameter, match="not finite") as err:
+            SchurSequence([0.1, bad])
+        assert err.value.index == 1
+
     @settings(deadline=None)
     @given(st.lists(disk_alphas, min_size=1, max_size=8))
     def test_rho_alpha_identity(self, alphas):
@@ -108,6 +116,10 @@ class TestSzegoStep:
     def test_invalid_alpha_rejected(self):
         with pytest.raises(InvalidSchurParameter):
             szego_step(PolynomialPair.initial(), 1.0 + 0j)
+
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(InvalidSchurParameter, match="not finite"):
+            szego_step(PolynomialPair.initial(), complex(float("nan"), 0.0))
 
 
 class TestPolynomialPair:

@@ -31,6 +31,10 @@ class TestGeneratingSequence:
         with pytest.raises(ShapeError):
             GeneratingSequence([0, 2, 1])
 
+    def test_rejects_non_integral_bits(self):
+        with pytest.raises(ShapeError):
+            GeneratingSequence([1.7])
+
     @settings(deadline=None)
     @given(bit_lists)
     def test_prefix_invariants(self, bits):
