@@ -28,6 +28,7 @@ from .quadrature import (
     QuadratureRule,
     apply_rule,
     eigen_unitary,
+    exactness_defect,
     principal_truncation,
     szego_quadrature,
     truncate_para_unitary,

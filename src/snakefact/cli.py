@@ -29,7 +29,7 @@ from . import verify as verify_mod
 from .errors import NumericalError
 from .expand import bandwidths, entry, expand_dense, path
 from .oracle import BernsteinSzego, Geronimus, GridMeasure, Lebesgue, moments, schur_from_moments
-from .quadrature import apply_rule, szego_quadrature
+from .quadrature import exactness_defect, szego_quadrature
 from .schur import SchurSequence
 from .snake import (
     GeneratingSequence,
@@ -171,7 +171,8 @@ def _measure_schur(measure, count: int) -> SchurSequence:
     """First ``count`` Schur parameters of a measure.
 
     Families parameterised by their Schur parameters state them directly;
-    only a grid measure recovers them from its moments.
+    only a grid measure recovers them from its moments.  A grid of k
+    distinct atoms has only k - 1 parameters inside the unit disk.
     """
     if isinstance(measure, Lebesgue):
         return SchurSequence([0j] * count)
@@ -180,6 +181,12 @@ def _measure_schur(measure, count: int) -> SchurSequence:
         return SchurSequence(prefix + [0j] * (count - len(prefix)))
     if isinstance(measure, Geronimus):
         return SchurSequence([measure.a] * count)
+    atoms = np.unique(measure.thetas).size
+    if count >= atoms:
+        raise ValueError(
+            f"a grid measure with {atoms} distinct atoms has only {atoms - 1} Schur "
+            f"parameters inside the unit disk; {count} are needed"
+        )
     return schur_from_moments(moments(measure, count + 1), count)
 
 
@@ -319,11 +326,8 @@ def cmd_quadrature(args) -> int:
             measure = _load_measure(args.measure)
         else:
             measure = BernsteinSzego(snake.schur.alphas[: n - 1])
-        table = moments(measure, n - 1)
-        defect = max(
-            abs(apply_rule(rule, {j: 1.0}) - table.mu(-j)) for j in range(-(n - 1), n)
-        )
-        report["exactness_defect"] = float(defect)
+        defect = exactness_defect(rule, moments(measure, n - 1))
+        report["exactness_defect"] = defect
         text.append(f"exactness defect: {_fmt(defect)}")
         csv_lines.append(f"# exactness_defect,{_fmt(defect)}")
     _emit(args, report, text, csv_text="\n".join(csv_lines) + "\n")
@@ -447,3 +451,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -1,11 +1,16 @@
-"""Exception types shared across the package.
+"""Exception types and the numerical-contract check shared across the package.
 
 Validation problems (bad parameters, malformed shapes, insufficient moment
 ranges) derive from ``ValueError``; failures of a numerical computation to
-meet its accuracy contract derive from ``NumericalError``.
+meet its accuracy contract derive from ``NumericalError``.  A contract holds
+when its measured defect is ``<= bound``, a test that NaN fails.
 """
 
 import cmath
+import math
+from dataclasses import dataclass
+
+import numpy as np
 
 
 class InvalidSchurParameter(ValueError):
@@ -39,3 +44,34 @@ class NumericalError(RuntimeError):
 
 class ConvergenceError(NumericalError):
     """An eigensolver failed to converge."""
+
+
+def check(what: str, value, bound: float, exc: type = NumericalError) -> float:
+    """Return the measured ``value`` when it is within ``bound``.
+
+    Otherwise raise ``exc("<what> (defect <value> > <bound>)")``.  The test
+    is ``value <= bound``, so a NaN defect always fails.
+    """
+    value = float(value)
+    if not value <= bound:
+        raise exc(f"{what} (defect {value:.3e} > {bound:.3g})")
+    return value
+
+
+def unitarity_defect(m) -> float:
+    """max|M M^H - I| of a square array; NaN when an entry is not finite."""
+    if not np.isfinite(m).all():
+        return math.nan
+    return float(np.max(np.abs(m @ m.conj().T - np.eye(len(m)))))
+
+
+@dataclass
+class CaseResult:
+    suite: str
+    case: str
+    defect: float
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return self.defect <= self.tolerance

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MomentError, NumericalError
+from .errors import MomentError, NumericalError, check
 from .schur import PolynomialPair, SchurSequence, evaluate_phi, szego_step
 from .snake import GeneratingSequence
 
@@ -88,7 +88,7 @@ class Geronimus:
 
     def __init__(self, a: complex):
         a = complex(a)
-        if abs(a) >= 1.0:
+        if not abs(a) < 1.0:
             raise ValueError(f"|a| = {abs(a):.6g} must be < 1")
         self.a = a
 
@@ -104,12 +104,11 @@ class GridMeasure:
         weights = np.asarray(weights, dtype=float)
         if thetas.shape != weights.shape or thetas.ndim != 1:
             raise ValueError("thetas and weights must be 1-d arrays of equal length")
-        if np.any(weights <= 0.0):
+        if not np.all(weights > 0.0):
             raise ValueError("grid weights must be strictly positive")
-        if np.any(thetas < -np.pi) or np.any(thetas >= np.pi):
+        if not np.all((thetas >= -np.pi) & (thetas < np.pi)):
             raise ValueError("grid angles must lie in [-pi, pi)")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError(f"grid mass {weights.sum()!r} != 1; normalize the weights")
+        check("grid mass != 1; normalize the weights", abs(weights.sum() - 1.0), 1e-12, ValueError)
         self.thetas = thetas
         self.weights = weights
 
@@ -120,8 +119,8 @@ class GridMeasure:
 class MomentTable:
     """Moments mu_j for |j| <= jmax of a probability measure on the circle.
 
-    Constructed from the values for j >= 0; negative indices are filled by
-    conjugation, so conjugate symmetry holds exactly and mu_0 is pinned to 1.
+    Constructed from the finite values for j >= 0; negative indices are filled
+    by conjugation, so conjugate symmetry holds exactly and mu_0 is pinned to 1.
     Construction verifies positive definiteness of the Toeplitz matrix
     (mu_{i-j}) by attempting a Cholesky factorization.
     """
@@ -130,8 +129,9 @@ class MomentTable:
         vals = np.asarray(nonnegative_values, dtype=complex)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("need moments for j = 0..jmax as a 1-d array")
-        if abs(vals[0] - 1.0) > 1e-12:
-            raise MomentError(f"mu_0 = {vals[0]!r} but the measure must have mass 1")
+        if not np.isfinite(vals).all():
+            raise MomentError("moments must be finite")
+        check("mu_0 != 1 but the measure must have mass 1", abs(vals[0] - 1.0), 1e-12, MomentError)
         self.jmax = vals.size - 1
         vals = vals.copy()
         vals[0] = 1.0
@@ -140,8 +140,9 @@ class MomentTable:
             np.linalg.cholesky(self._gram(np.arange(self.jmax + 1)))
         except np.linalg.LinAlgError as exc:
             raise MomentError(
-                "moment Toeplitz matrix is not positive definite; "
-                "the values do not come from a positive measure at this range"
+                "moment Toeplitz matrix is not positive definite; the values do not come "
+                "from a positive measure at this range, or the measure has at most "
+                f"{self.jmax} atoms"
             ) from exc
 
     def _gram(self, exps: np.ndarray, shift: int = 0) -> np.ndarray:
@@ -245,9 +246,8 @@ def _gram_schmidt(table: MomentTable, exps: np.ndarray) -> np.ndarray:
             "the measure or grid is too ill-conditioned for this degree"
         ) from exc
     c = np.linalg.inv(r)
-    defect = float(np.max(np.abs(c.conj().T @ gram @ c - np.eye(len(exps)))))
-    if defect > _ORTHONORMALITY_TOL:
-        raise NumericalError(f"Gram-Schmidt lost orthonormality (defect {defect:.3e})")
+    check("Gram-Schmidt lost orthonormality",
+          np.max(np.abs(c.conj().T @ gram @ c - np.eye(len(exps)))), _ORTHONORMALITY_TOL)
     return c
 
 

@@ -18,10 +18,12 @@ the unit disk.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceError, NumericalError, ShapeError
+from .errors import ConvergenceError, NumericalError, ShapeError, check, unitarity_defect
 from .snake import GivensFactor, SnakeFactorization, _snake_product
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "eigen_unitary",
     "szego_quadrature",
     "apply_rule",
+    "exactness_defect",
 ]
 
 _MAX_EIG_SIZE = 256
@@ -41,9 +44,7 @@ class ParaUnitaryTruncation:
     """Result of breaking the snake at index n - 1 with a phase corner."""
 
     def __init__(self, n: int, theta: float, matrix: np.ndarray):
-        defect = np.max(np.abs(matrix @ matrix.conj().T - np.eye(n)))
-        if defect > 1e-12:
-            raise NumericalError(f"truncation is not unitary (defect {defect:.3e})")
+        check("truncation is not unitary", unitarity_defect(matrix), 1e-12)
         self.n = n
         self.theta = float(theta)
         self.matrix = matrix
@@ -67,7 +68,10 @@ def _absorbed_block(snake: SnakeFactorization, n: int, corner: complex) -> np.nd
 
 def truncate_para_unitary(snake: SnakeFactorization, n: int, theta: float) -> ParaUnitaryTruncation:
     """Unitary n x n truncation with corner phase e^{i theta}."""
-    corner = complex(np.exp(1j * float(theta)))
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta = {theta} is not finite")
+    corner = complex(np.exp(1j * theta))
     last = GivensFactor(n - 2, _absorbed_block(snake, n, corner), canonical=False)
     return ParaUnitaryTruncation(n, theta, _snake_product(snake, n - 2, n, last.block))
 
@@ -100,9 +104,7 @@ def eigen_unitary(matrix: np.ndarray):
         raise ValueError("input must be a square matrix")
     if n > _MAX_EIG_SIZE:
         raise ValueError(f"matrix size {n} exceeds the supported {_MAX_EIG_SIZE}")
-    defect = np.max(np.abs(matrix @ matrix.conj().T - np.eye(n)))
-    if defect > 1e-10:
-        raise ValueError(f"input is not unitary (defect {defect:.3e})")
+    check("input is not unitary", unitarity_defect(matrix), 1e-10, ValueError)
     try:
         tri, vecs = scipy.linalg.schur(matrix, output="complex")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -116,11 +118,8 @@ def eigen_unitary(matrix: np.ndarray):
                 vecs[:, col] *= np.conj(lead) / abs(lead)
                 break
     residual = np.linalg.norm(matrix @ vecs - vecs * values, axis=0)
-    if np.max(residual) > 1e-10:
-        raise NumericalError(f"eigenpair residual {np.max(residual):.3e} exceeds 1e-10")
-    ortho = np.max(np.abs(vecs.conj().T @ vecs - np.eye(n)))
-    if ortho > 1e-9:
-        raise NumericalError(f"eigenvector orthonormality defect {ortho:.3e}")
+    check("eigenpair residual too large", np.max(residual), 1e-10)
+    check("eigenvectors are not orthonormal", unitarity_defect(vecs.conj().T), 1e-9)
     return values, vecs
 
 
@@ -132,17 +131,15 @@ class QuadratureRule:
         weights = np.asarray(weights, dtype=float)
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if np.max(np.abs(np.abs(nodes) - 1.0)) > 1e-10:
-            raise NumericalError("quadrature nodes left the unit circle")
+        check("quadrature nodes left the unit circle", np.max(np.abs(np.abs(nodes) - 1.0)), 1e-10)
         sep = np.min(np.abs(nodes[:, None] - nodes[None, :]) + 2.0 * np.eye(nodes.size))
-        if sep <= 1e-8:
+        if not sep > 1e-8:
             raise NumericalError(
                 f"nodes nearly coincide (min separation {sep:.3e}); pick another theta"
             )
-        if np.any(weights <= 0.0):
+        if not np.all(weights > 0.0):
             raise NumericalError("quadrature weights must be strictly positive")
-        if abs(weights.sum() - 1.0) > 1e-10:
-            raise NumericalError(f"weights sum to {weights.sum()!r}, not 1")
+        check("quadrature weights do not sum to 1", abs(weights.sum() - 1.0), 1e-10)
         self.nodes = nodes
         self.weights = weights
 
@@ -180,3 +177,9 @@ def apply_rule(rule: QuadratureRule, f) -> complex:
     for e, c in f.items():
         values += c * rule.nodes**e
     return complex(np.dot(rule.weights, values))
+
+
+def exactness_defect(rule: QuadratureRule, table) -> float:
+    """Largest |rule(z^j) - mu_{-j}| over |j| <= n - 1 for a MomentTable of the measure."""
+    n = rule.n
+    return float(max(abs(apply_rule(rule, {j: 1.0}) - table.mu(-j)) for j in range(1 - n, n)))

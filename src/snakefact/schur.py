@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidSchurParameter
+from .errors import InvalidSchurParameter, check
 
 __all__ = [
     "SchurSequence",
@@ -96,7 +96,7 @@ class PolynomialPair:
     """A Szego polynomial and its dual at one degree, ascending coefficients.
 
     Invariants checked at construction: both coefficient vectors have length
-    degree + 1, ``phi_star`` is the dual of ``phi``, and the leading
+    degree + 1, ``phi`` is finite, ``phi_star`` is its dual, and the leading
     coefficient of ``phi`` is real and strictly positive (the orthonormal
     normalization, which the recursion preserves).
     """
@@ -106,11 +106,13 @@ class PolynomialPair:
         phi_star = np.asarray(phi_star, dtype=complex)
         if phi.ndim != 1 or phi.shape != phi_star.shape or phi.size == 0:
             raise ValueError("phi and phi_star must be 1-d arrays of equal length")
+        if not np.isfinite(phi).all():
+            raise ValueError("phi must be finite")
         scale = max(np.max(np.abs(phi)), 1.0)
-        if np.max(np.abs(phi_star - dual(phi))) > 1e-9 * scale:
-            raise ValueError("phi_star is not the dual of phi")
+        check("phi_star is not the dual of phi", np.max(np.abs(phi_star - dual(phi))),
+              1e-9 * scale, ValueError)
         lead = phi[-1]
-        if lead.real <= 0.0 or abs(lead.imag) > 1e-9 * lead.real:
+        if not (lead.real > 0.0 and abs(lead.imag) <= 1e-9 * lead.real):
             raise ValueError("leading coefficient of phi must be real positive")
         self.phi = phi
         self.phi_star = phi_star

@@ -21,7 +21,7 @@ import itertools
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, check, unitarity_defect
 from .schur import SchurSequence
 
 __all__ = [
@@ -143,9 +143,7 @@ class GivensFactor:
         block = np.asarray(block, dtype=complex)
         if block.shape != (2, 2):
             raise ValueError("a Givens block is a 2x2 matrix")
-        defect = np.max(np.abs(block @ block.conj().T - np.eye(2)))
-        if defect > 1e-14:
-            raise ValueError(f"block is not unitary (defect {defect:.3e})")
+        check("block is not unitary", unitarity_defect(block), 1e-14, ValueError)
         self.k = k
         self.block = block
         self.canonical = canonical

@@ -1,18 +1,18 @@
 """Batch invariant suites behind the command line verifier.
 
-Each suite returns a list of CaseResult records; a case passes when its
-defect is within tolerance.  All randomness flows through one seeded
+Each suite takes the keywords (rng, m, n, schur, measures), ignores those it
+does not use, and returns a list of CaseResult records; a case passes when
+its defect is within tolerance.  All randomness flows through one seeded
 generator so runs are reproducible (the CLI seeds it from SNAKE_SEED).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import CaseResult, NumericalError, unitarity_defect
 from .expand import bandwidths, expand_dense
 from .oracle import (
     BernsteinSzego,
@@ -21,7 +21,7 @@ from .oracle import (
     multiplication_matrix,
     schur_from_moments,
 )
-from .quadrature import apply_rule, szego_quadrature, truncate_para_unitary
+from .quadrature import exactness_defect, szego_quadrature, truncate_para_unitary
 from .schur import SchurSequence
 from .snake import (
     GeneratingSequence,
@@ -32,18 +32,6 @@ from .snake import (
 )
 
 __all__ = ["CaseResult", "SUITES", "run_suites", "measured_bandwidths"]
-
-
-@dataclass
-class CaseResult:
-    suite: str
-    case: str
-    defect: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.defect <= self.tolerance
 
 
 def _random_shape(rng, m: int) -> GeneratingSequence:
@@ -95,35 +83,25 @@ def measured_bandwidths(gen: GeneratingSequence, schur: SchurSequence | None = N
     return lower, upper
 
 
-def suite_unitarity(rng, m: int = 12, schur: SchurSequence | None = None):
+def suite_unitarity(rng, m=None, n=None, schur=None, measures=None):
     results = []
-    if schur is not None:
-        m = len(schur) - 1
+    m = len(schur) - 1 if schur is not None else m or 12
     for name, gen in _shape_set(rng, m).items():
         seq = schur if schur is not None else _random_schur(rng, m + 1)
         snake = SnakeFactorization(seq, gen)
-        window = materialize_window(snake, m)
-        defect = float(np.max(np.abs(window @ window.conj().T - np.eye(m + 2))))
+        defect = unitarity_defect(materialize_window(snake, m))
         results.append(CaseResult("unitarity", f"window/{name}/m={m}", defect, 1e-13))
-        for n in sorted({max(2, (m + 1) // 2), m + 1}):
+        for size in sorted({max(2, (m + 1) // 2), m + 1}):
             for theta in (0.0, 0.7):
-                trunc = truncate_para_unitary(snake, n, theta)
-                defect = float(
-                    np.max(np.abs(trunc.matrix @ trunc.matrix.conj().T - np.eye(n)))
-                )
-                results.append(
-                    CaseResult(
-                        "unitarity",
-                        f"truncation/{name}/n={n}/theta={theta}",
-                        defect,
-                        1e-12,
-                    )
-                )
+                defect = unitarity_defect(truncate_para_unitary(snake, size, theta).matrix)
+                case = f"truncation/{name}/n={size}/theta={theta}"
+                results.append(CaseResult("unitarity", case, defect, 1e-12))
     return results
 
 
-def suite_oracle_equivalence(rng, nmax: int = 8, measures=None):
+def suite_oracle_equivalence(rng, m=None, n=None, schur=None, measures=None):
     results = []
+    nmax = n or 8
     measures = measures or _default_measures()
     shapes = _shape_set(rng, nmax, extra=2)
     for mname, measure in measures.items():
@@ -140,8 +118,9 @@ def suite_oracle_equivalence(rng, nmax: int = 8, measures=None):
     return results
 
 
-def suite_bandwidth(rng, m: int = 8):
+def suite_bandwidth(rng, m=None, n=None, schur=None, measures=None):
     results = []
+    m = m or 8
     for bits in itertools.product((0, 1), repeat=m):
         gen = GeneratingSequence(bits)
         structural = bandwidths(gen)
@@ -161,9 +140,9 @@ def suite_bandwidth(rng, m: int = 8):
     return results
 
 
-def suite_round_trip(rng, lengths=(4, 8, 12)):
+def suite_round_trip(rng, m=None, n=None, schur=None, measures=None):
     results = []
-    for length in lengths:
+    for length in (4, 8, 12):
         seq = _random_schur(rng, length, lo=0.1, hi=0.9)
         table = moments(BernsteinSzego(seq), length + 1)
         recovered = schur_from_moments(table, length)
@@ -174,25 +153,22 @@ def suite_round_trip(rng, lengths=(4, 8, 12)):
     return results
 
 
-def suite_exactness(rng, sizes=(4, 8), thetas=(0.0, 0.7), measures=None):
+def suite_exactness(rng, m=None, n=None, schur=None, measures=None):
     results = []
+    sizes = (n,) if n else (4, 8)
     measures = measures or _default_measures()
     for mname, measure in measures.items():
         table = moments(measure, max(sizes) + 1)
-        for n in sizes:
-            seq = schur_from_moments(table, n)
-            snake = SnakeFactorization(seq, hessenberg_shape(n - 1))
-            for theta in thetas:
-                case = f"{mname}/n={n}/theta={theta}"
+        for size in sizes:
+            seq = schur_from_moments(table, size)
+            snake = SnakeFactorization(seq, hessenberg_shape(size - 1))
+            for theta in (0.0, 0.7):
+                case = f"{mname}/n={size}/theta={theta}"
                 try:
-                    rule = szego_quadrature(snake, n, theta)
-                    defect = max(
-                        abs(apply_rule(rule, {j: 1.0}) - table.mu(-j))
-                        for j in range(-(n - 1), n)
-                    )
+                    defect = exactness_defect(szego_quadrature(snake, size, theta), table)
                 except NumericalError:
                     defect = float("inf")
-                results.append(CaseResult("exactness", case, float(defect), 1e-9))
+                results.append(CaseResult("exactness", case, defect, 1e-9))
     return results
 
 
@@ -222,15 +198,5 @@ def run_suites(
     results: list[CaseResult] = []
     for name in names:
         rng = np.random.default_rng(seed)
-        if name == "unitarity":
-            results += suite_unitarity(rng, m=m or 12, schur=schur)
-        elif name == "oracle-equivalence":
-            results += suite_oracle_equivalence(rng, nmax=n or 8, measures=measures)
-        elif name == "bandwidth":
-            results += suite_bandwidth(rng, m=m or 8)
-        elif name == "round-trip":
-            results += suite_round_trip(rng)
-        elif name == "exactness":
-            sizes = (n,) if n else (4, 8)
-            results += suite_exactness(rng, sizes=sizes, measures=measures)
+        results += SUITES[name](rng, m=m, n=n, schur=schur, measures=measures)
     return results

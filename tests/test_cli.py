@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import snakefact
 from snakefact.cli import main
 from snakefact.expand import entry
 from snakefact.schur import SchurSequence
@@ -317,6 +322,22 @@ class TestErrors:
         assert code == 2
         assert f"field {field}" in err
 
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    def test_non_finite_theta_named(self, capsys, theta):
+        code, _, err = run(capsys, "quadrature", "--measure", "lebesgue", "--n", "4",
+                           f"--theta={theta}")
+        assert code == 2
+        assert "theta" in err
+
+    def test_grid_with_too_few_atoms(self, capsys):
+        # three atoms carry only alpha_0 and alpha_1 inside the unit disk
+        grid = '{"type":"grid","points":[[-2,0.25],[0,0.5],[2,0.25]]}'
+        code, _, err = run(capsys, "quadrature", "--measure", grid, "--n", "4")
+        assert code == 2
+        assert "3 distinct atoms" in err
+        code, _, _ = run(capsys, "quadrature", "--measure", grid, "--n", "2", "--verify")
+        assert code == 0
+
     def test_unknown_measure(self, capsys):
         code, _, err = run(capsys, "quadrature", "--measure", "nope", "--n", "4")
         assert code == 2
@@ -325,3 +346,14 @@ class TestErrors:
         code, _, err = run(capsys, "entry", "--shape", "cmv", "--m", "4", "--i", "0", "--j", "0")
         assert code == 2
         assert "alphas" in err or "measure" in err
+
+
+def test_module_runs_as_script():
+    src = str(Path(snakefact.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "snakefact.cli", "build", "--shape", "cmv", "--m", "4"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "s: 0,1,0" in proc.stdout

@@ -136,6 +136,13 @@ class TestMoments:
         with pytest.raises(MomentError, match="positive definite"):
             MomentTable([1.0, 1.5])
 
+    def test_grid_with_jmax_atoms_named(self):
+        # a measure of k atoms has a singular Toeplitz matrix from jmax = k
+        # on, though roundoff can hide it for the first few sizes
+        grid = GridMeasure([-2.0, 0.0, 2.0], [0.25, 0.5, 0.25])
+        with pytest.raises(MomentError, match="at most 8 atoms"):
+            moments(grid, 8)
+
     def test_negative_jmax_rejected(self):
         with pytest.raises(ValueError):
             moments(Lebesgue(), -1)
