@@ -29,7 +29,7 @@ from . import verify as verify_mod
 from .errors import NumericalError
 from .expand import bandwidths, entry, expand_dense, path
 from .oracle import BernsteinSzego, Geronimus, GridMeasure, Lebesgue, moments, schur_from_moments
-from .quadrature import exactness_defect, szego_quadrature
+from .quadrature import _principal_argument, exactness_defect, szego_quadrature
 from .schur import SchurSequence
 from .snake import (
     GeneratingSequence,
@@ -187,7 +187,7 @@ def _measure_schur(measure, count: int) -> SchurSequence:
             f"a grid measure with {atoms} distinct atoms has only {atoms - 1} Schur "
             f"parameters inside the unit disk; {count} are needed"
         )
-    return schur_from_moments(moments(measure, count + 1), count)
+    return schur_from_moments(moments(measure, count), count)
 
 
 def _emit(args, report: dict, text_lines: list[str], csv_text: str | None = None) -> None:
@@ -316,10 +316,7 @@ def cmd_quadrature(args) -> int:
     for z, w in zip(rule.nodes, rule.weights):
         text.append(f"node {_pair_text(z)}  weight {_fmt(w)}")
     csv_lines = ["arg,modulus,weight"]
-    for z, w in zip(rule.nodes, rule.weights):
-        ang = float(np.angle(z))
-        if ang >= np.pi:
-            ang -= 2.0 * np.pi
+    for ang, z, w in zip(_principal_argument(rule.nodes), rule.nodes, rule.weights):
         csv_lines.append(f"{_fmt(ang)},{_fmt(abs(z))},{_fmt(w)}")
     if args.verify:
         if args.measure is not None:

@@ -281,8 +281,8 @@ def schur_from_moments(table: MomentTable, n: int) -> SchurSequence:
     """
     if n < 1:
         raise ValueError("need n >= 1 to recover at least one parameter")
-    if table.jmax < n + 1:
-        raise MomentError(f"need jmax >= {n + 1}, table has {table.jmax}")
+    if table.jmax < n:
+        raise MomentError(f"need jmax >= {n}, table has {table.jmax}")
     c = _gram_schmidt(table, np.arange(n + 1))
     return SchurSequence(-np.conj(c[0, 1:]) / np.diag(c)[1:])
 

@@ -10,7 +10,9 @@ the block of G_{n-2,n-1} (from the right when s_{n-1} = 0, from the left
 when s_{n-1} = 1).  The second phase only multiplies the discarded tail and
 is never materialized.  The weights are the squared moduli of the first
 components of the orthonormal eigenvectors; taken unsquared they would not
-even sum to one.  Replacing e^{i theta} by conj(alpha_{n-1}), the parameter
+even sum to one.  The eigenvectors come from NumPy's dense eigensolver and
+are made orthonormal by one QR factorization, so no other library is
+needed.  Replacing e^{i theta} by conj(alpha_{n-1}), the parameter
 of the removed factor, yields the leading n x n block of the infinite matrix
 instead, whose eigenvalues are the zeros of phi_n and lie strictly inside
 the unit disk.
@@ -21,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, NumericalError, ShapeError, check, unitarity_defect
 from .snake import GivensFactor, SnakeFactorization, _snake_product
@@ -92,11 +93,14 @@ def eigen_unitary(matrix: np.ndarray):
     """Eigendecomposition of a small dense unitary matrix.
 
     Returns (eigenvalues, eigenvectors) with orthonormal eigenvector columns
-    scaled so that the first component of nonnegligible modulus in each
-    column is real and nonnegative.  Backed by the complex Schur
-    factorization, which for a unitary (hence normal) input is already the
-    spectral decomposition up to roundoff; residuals are verified against
-    the contract before returning.
+    scaled so that the first component of modulus above 1e-12 in each column
+    is real and nonnegative.  The eigenvectors V of the general dense solver
+    are orthonormalized by one QR factorization V = QR.  Each column of
+    Q = V R^-1 combines a column of V with earlier ones, and for a unitary
+    (hence normal) input only those of an equal or nearby eigenvalue are not
+    already orthogonal to it, so the columns stay eigenvectors while
+    becoming orthonormal, also when eigenvalues repeat or cluster.
+    Residuals are verified against the contract before returning.
     """
     matrix = np.asarray(matrix, dtype=complex)
     n = matrix.shape[0]
@@ -106,17 +110,13 @@ def eigen_unitary(matrix: np.ndarray):
         raise ValueError(f"matrix size {n} exceeds the supported {_MAX_EIG_SIZE}")
     check("input is not unitary", unitarity_defect(matrix), 1e-10, ValueError)
     try:
-        tri, vecs = scipy.linalg.schur(matrix, output="complex")
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(f"Schur iteration did not converge: {exc}") from exc
-    values = np.diag(tri).copy()
-    vecs = vecs.copy()
-    for col in range(n):
-        for row in range(n):
-            lead = vecs[row, col]
-            if abs(lead) > 1e-12:
-                vecs[:, col] *= np.conj(lead) / abs(lead)
-                break
+        values, vecs = np.linalg.eig(matrix)
+        vecs = np.linalg.qr(vecs)[0]
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
+    # A unit column has a component of modulus >= n**-0.5, so every column has a lead.
+    lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(n)]
+    vecs = vecs * (np.conj(lead) / np.abs(lead))
     residual = np.linalg.norm(matrix @ vecs - vecs * values, axis=0)
     check("eigenpair residual too large", np.max(residual), 1e-10)
     check("eigenvectors are not orthonormal", unitarity_defect(vecs.conj().T), 1e-9)
@@ -181,5 +181,6 @@ def apply_rule(rule: QuadratureRule, f) -> complex:
 
 def exactness_defect(rule: QuadratureRule, table) -> float:
     """Largest |rule(z^j) - mu_{-j}| over |j| <= n - 1 for a MomentTable of the measure."""
-    n = rule.n
-    return float(max(abs(apply_rule(rule, {j: 1.0}) - table.mu(-j)) for j in range(1 - n, n)))
+    exps = np.arange(1 - rule.n, rule.n)
+    power_sums = rule.weights @ rule.nodes[:, None] ** exps
+    return float(np.max(np.abs(power_sums - [table.mu(-j) for j in exps])))

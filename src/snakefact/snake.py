@@ -128,6 +128,13 @@ def shape_from_monomials(exponents) -> GeneratingSequence:
     return GeneratingSequence(bits)
 
 
+def _canonical_blocks(alphas) -> np.ndarray:
+    """(k, 2, 2) array of the canonical blocks [[conj(alpha), rho], [rho, -alpha]]."""
+    alphas = np.asarray(alphas, dtype=complex)
+    rhos = np.sqrt(1.0 - np.abs(alphas) ** 2)
+    return np.stack([np.conj(alphas), rhos, rhos, -alphas], axis=-1).reshape(-1, 2, 2)
+
+
 class GivensFactor:
     """Unitary transformation acting only on rows/columns (k, k+1).
 
@@ -150,10 +157,7 @@ class GivensFactor:
 
     @classmethod
     def from_schur(cls, k: int, alpha: complex) -> "GivensFactor":
-        alpha = complex(alpha)
-        rho = np.sqrt(1.0 - abs(alpha) ** 2)
-        block = np.array([[np.conj(alpha), rho], [rho, -alpha]], dtype=complex)
-        return cls(k, block, canonical=True)
+        return cls(k, _canonical_blocks([alpha])[0], canonical=True)
 
     def __repr__(self) -> str:
         tag = "canonical" if self.canonical else "modified"
@@ -211,19 +215,19 @@ def _snake_product(snake: SnakeFactorization, last: int, size: int, last_block=N
 
     Right-hand factors update columns (k, k+1) and left-hand factors rows
     (k, k+1) of a running identity.  When ``last_block`` is given it
-    replaces the block of factor ``last``; every other block comes from
-    ``snake.factor``.
+    replaces the block of factor ``last``; every other block is the
+    canonical block of its Schur parameter.
     """
-    def block(k: int) -> np.ndarray:
-        return last_block if k == last and last_block is not None else snake.factor(k).block
-
+    blocks = _canonical_blocks(snake.schur.alphas[: last + 1])
+    if last_block is not None:
+        blocks[last] = last_block
     out = np.eye(size, dtype=complex)
     for k in snake.right_order:
         if k <= last:
-            out[:, k : k + 2] = out[:, k : k + 2] @ block(k)
+            out[:, k : k + 2] = out[:, k : k + 2] @ blocks[k]
     for k in reversed(snake.left_order):
         if k <= last:
-            out[k : k + 2, :] = block(k) @ out[k : k + 2, :]
+            out[k : k + 2, :] = blocks[k] @ out[k : k + 2, :]
     return out
 
 

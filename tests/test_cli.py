@@ -338,6 +338,17 @@ class TestErrors:
         code, _, _ = run(capsys, "quadrature", "--measure", grid, "--n", "2", "--verify")
         assert code == 0
 
+    @pytest.mark.parametrize("atoms", [5, 8])
+    def test_grid_gives_one_parameter_fewer_than_atoms(self, capsys, atoms):
+        # k atoms carry k - 1 Schur parameters, read off moments up to k - 1
+        thetas = -np.pi + 2 * np.pi * (np.arange(atoms) + 0.5) / atoms
+        weights = np.arange(1, atoms + 1) / (atoms * (atoms + 1) / 2)
+        grid = json.dumps({"type": "grid", "points": np.column_stack([thetas, weights]).tolist()})
+        code, out, err = run(capsys, "quadrature", "--measure", grid, "--n", str(atoms - 1),
+                             "--verify", "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["exactness_defect"] <= 1e-9
+
     def test_unknown_measure(self, capsys):
         code, _, err = run(capsys, "quadrature", "--measure", "nope", "--n", "4")
         assert code == 2
@@ -348,12 +359,20 @@ class TestErrors:
         assert "alphas" in err or "measure" in err
 
 
-def test_module_runs_as_script():
+def _python(*args):
     src = str(Path(snakefact.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "snakefact.cli", "build", "--shape", "cmv", "--m", "4"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+def test_module_runs_as_script():
+    proc = _python("-m", "snakefact.cli", "build", "--shape", "cmv", "--m", "4")
     assert proc.returncode == 0, proc.stderr
     assert "s: 0,1,0" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_out():
+    proc = _python("-c", "import sys, snakefact.cli; assert 'scipy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr

@@ -67,13 +67,13 @@ def _gram_schmidt_site(value, monkeypatch):
 
 def _eigen_residual_site(value, monkeypatch):
     # The input check passes a finite unitary matrix, so the value reaches
-    # the residual check through a faulty Schur factorization.  Only NaN is
+    # the residual check through a faulty eigensolver.  Only NaN is
     # planted: an infinite eigenvalue makes the residual arithmetic itself
     # compute 0 * inf, whose RuntimeWarning the test settings turn into an
     # error before the check can run.
     vecs = np.exp(0.25j * np.pi) * np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    tri = np.diag([value, 1.0]).astype(complex)
-    monkeypatch.setattr(quadrature.scipy.linalg, "schur", lambda m, output: (tri, vecs))
+    values = np.array([value, 1.0], dtype=complex)
+    monkeypatch.setattr(quadrature.np.linalg, "eig", lambda m: (values, vecs))
     eigen_unitary(np.eye(2, dtype=complex))
 
 
@@ -131,10 +131,9 @@ def test_non_finite_input_fails_the_contract(call, exc, keyword, value, monkeypa
 
 def test_eigenvectors_not_orthonormal(monkeypatch):
     # Any vectors are eigenvectors of the identity, so the residual check
-    # passes and only the orthonormality check can catch this factorization.
+    # passes and only the orthonormality check can catch vectors that the
+    # orthonormalizing QR step failed to fix.
     vecs = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-    monkeypatch.setattr(
-        quadrature.scipy.linalg, "schur", lambda m, output: (np.eye(2, dtype=complex), vecs)
-    )
+    monkeypatch.setattr(quadrature.np.linalg, "qr", lambda m: (vecs, np.eye(2)))
     with pytest.raises(NumericalError, match="orthonormal"):
         eigen_unitary(np.eye(2, dtype=complex))

@@ -269,7 +269,7 @@ class TestSchurFromMoments:
     def test_needs_enough_moments(self):
         table = moments(Lebesgue(), 3)
         with pytest.raises(MomentError):
-            schur_from_moments(table, 3)
+            schur_from_moments(table, 4)
 
 
 class TestMatrixEntryOracle:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import MIXED_BITS, random_bits, random_schur
 from snakefact.errors import NumericalError, ShapeError
@@ -139,6 +140,43 @@ class TestEigenUnitary:
         for col in range(32):
             lead = vecs[np.argmax(np.abs(vecs[:, col]) > 1e-12), col]
             assert lead.real >= 0 and abs(lead.imag) <= 1e-12 * max(1.0, lead.real)
+
+    @pytest.mark.parametrize(
+        "phases",
+        [
+            [0.0, 0.0, np.pi, np.pi / 2],
+            [0.3] * 3 + [2.0] * 2 + [-2.5] * 3,
+            [0.5, 0.5 + 1e-7, np.pi, 2.0],
+        ],
+        ids=["double", "multiplicity-3-2-3", "gap-1e-7"],
+    )
+    def test_repeated_and_clustered_eigenvalues(self, phases):
+        rng = np.random.default_rng(len(phases))
+        size = len(phases)
+        q = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))[0]
+        spectrum = np.exp(1j * np.array(phases))
+        matrix = (q * spectrum) @ q.conj().T
+        values, vecs = eigen_unitary(matrix)
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(size))) <= 1e-12
+        assert np.max(np.linalg.norm(matrix @ vecs - vecs * values, axis=0)) <= 1e-10
+        assert np.max(np.abs(np.sort_complex(values) - np.sort_complex(spectrum))) <= 1e-10
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_matches_the_schur_reference(self, n):
+        # The complex Schur factorization of a normal matrix is its spectral
+        # decomposition, so it gives the rule independently of eig and QR.
+        rng = np.random.default_rng(n)
+        snake = SnakeFactorization(
+            random_schur(rng, n), GeneratingSequence(random_bits(rng, n - 1))
+        )
+        matrix = truncate_para_unitary(snake, n, 0.4).matrix
+        tri, ref_vecs = scipy.linalg.schur(matrix, output="complex")
+        ref_values = np.diag(tri)
+        values, vecs = eigen_unitary(matrix)
+        order, ref_order = np.argsort(np.angle(values)), np.argsort(np.angle(ref_values))
+        assert np.max(np.abs(values[order] - ref_values[ref_order])) <= 1e-12
+        weights, ref_weights = np.abs(vecs[0]) ** 2, np.abs(ref_vecs[0]) ** 2
+        assert np.max(np.abs(weights[order] - ref_weights[ref_order])) <= 1e-12
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
