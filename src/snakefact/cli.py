@@ -74,7 +74,11 @@ def _load_measure(text: str):
     try:
         descriptor = json.loads(text)
     except json.JSONDecodeError:
-        if Path(text).is_file():
+        try:
+            is_file = Path(text).is_file()
+        except OSError:  # e.g. a name longer than the file system allows
+            is_file = False
+        if is_file:
             descriptor = json.loads(Path(text).read_text())
     if descriptor is None:
         name = text.strip().lower()
@@ -336,7 +340,11 @@ def cmd_verify(args) -> int:
     if args.alphas is not None:
         schur = SchurSequence(_parse_csv(args.alphas, complex, "alpha"))
     measure = _load_measure(args.measure) if args.measure is not None else None
-    seed = int(os.environ.get("SNAKE_SEED", str(DEFAULT_SEED)))
+    seed_text = os.environ.get("SNAKE_SEED", str(DEFAULT_SEED))
+    try:
+        seed = int(seed_text)
+    except ValueError:
+        raise ValueError(f"SNAKE_SEED must be a decimal integer, got {seed_text!r}") from None
     names = [args.suite] if args.suite else None
     results = verify_mod.run_suites(
         names, seed=seed, m=args.m, n=args.n if args.suite else None,

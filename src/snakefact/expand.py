@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .snake import GeneratingSequence, SnakeFactorization
+from .snake import GeneratingSequence, SnakeFactorization, _canonical_blocks
 
 __all__ = ["PathDescriptor", "path", "entry", "bandwidths", "expand_dense"]
 
@@ -76,26 +76,18 @@ def path(gen: GeneratingSequence, i: int, j: int) -> PathDescriptor:
     return PathDescriptor(i=i, j=j, r=r, t=t, K=inner, b=b, monotone=monotone)
 
 
-def _block_entry(schur, k: int, row: int, col: int) -> complex:
-    """Entry (row, col) of the canonical block of factor k."""
-    alpha = schur.alpha(k)
-    if row == 0:
-        return np.conj(alpha) if col == 0 else complex(schur.rho(k))
-    return complex(schur.rho(k)) if col == 0 else -alpha
-
-
 def entry(snake: SnakeFactorization, i: int, j: int) -> complex:
     """Entry (i, j) of the snake product, in closed form."""
     d = path(snake.gen, i, j)
     if not d.monotone:
         return 0j
-    schur = snake.schur
+    lo = min(d.r, d.t)
+    blocks = _canonical_blocks(snake.schur.alphas[lo : max(d.r, d.t) + 1])
     if d.r == d.t:
-        return _block_entry(schur, d.r, i - d.r, j - d.t)
-    value = _block_entry(schur, d.r, i - d.r, d.b)
-    value *= _block_entry(schur, d.t, 1 - d.b, j - d.t)
+        return complex(blocks[0, i - d.r, j - d.t])
+    value = blocks[d.r - lo, i - d.r, d.b] * blocks[d.t - lo, 1 - d.b, j - d.t]
     for k in d.K:
-        value *= schur.rho(k)
+        value *= blocks[k - lo, 0, 1]
     return complex(value)
 
 
@@ -127,18 +119,16 @@ def expand_dense(snake: SnakeFactorization, n: int) -> np.ndarray:
     x_r * y_t * P in O(1).  The products are always built by multiplication,
     never as ratios of prefix products, which would underflow.
     """
-    gen, schur = snake.gen, snake.schur
+    gen = snake.gen
+    if n < 1:
+        raise ValueError(f"matrix size must be positive, got n = {n}")
     if n - 1 > len(gen):
         raise IndexError(
             f"size {n} needs indices up to {n - 1}; shape covers 0..{len(gen)}"
         )
     out = np.zeros((n, n), dtype=complex)
-    rho = [schur.rho(k) for k in range(n)]
-    # block[k][row][col]: canonical block [[conj(a_k), rho_k], [rho_k, -a_k]].
-    block = [
-        ((schur.alpha(k).conjugate(), complex(rho[k])), (complex(rho[k]), -schur.alpha(k)))
-        for k in range(n)
-    ]
+    block = _canonical_blocks(snake.schur.alphas[:n]).tolist()
+    rho = [b[0][1].real for b in block]
     # Outermost segment on the row side (r) and on the column side (t), and
     # the column's block entry when the path descends (b = 1, t > r) or
     # climbs (b = 0, t < r).

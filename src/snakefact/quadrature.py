@@ -2,20 +2,20 @@
 
 An n-point Szego rule integrates Laurent polynomials in
 span{z^j : -n+1 <= j <= n-1} (the optimal subspace) exactly against the
-measure whose Schur parameters parameterize the snake.  Its nodes are the
-eigenvalues of the n x n para-unitary truncation: keep the factors
-G_{0,1} .. G_{n-2,n-1} of the snake, replace the block of G_{n-1,n} by the
-diagonal phase diag(e^{i theta}, e^{i theta~}), and absorb e^{i theta} into
-the block of G_{n-2,n-1} (from the right when s_{n-1} = 0, from the left
-when s_{n-1} = 1).  The second phase only multiplies the discarded tail and
-is never materialized.  The weights are the squared moduli of the first
-components of the orthonormal eigenvectors; taken unsquared they would not
-even sum to one.  The eigenvectors come from NumPy's dense eigensolver and
-are made orthonormal by one QR factorization, so no other library is
-needed.  Replacing e^{i theta} by conj(alpha_{n-1}), the parameter
-of the removed factor, yields the leading n x n block of the infinite matrix
-instead, whose eigenvalues are the zeros of phi_n and lie strictly inside
-the unit disk.
+measure whose Schur parameters parameterize the snake.  Both truncations
+are the product of the first n factors G_{0,1} .. G_{n-1,n} cut to its
+leading n x n block, which factor n-1 enters only through the (0, 0) entry
+of its block, the corner.  With the canonical corner conj(alpha_{n-1}) the
+cut is the leading n x n block of the infinite matrix, whose eigenvalues
+are the zeros of phi_n and lie strictly inside the unit disk.  With the
+corner e^{i theta} the block of factor n-1 stands for the diagonal phase
+diag(e^{i theta}, e^{i theta~}), which decouples the leading block and
+leaves it unitary: that is the para-unitary truncation, and its
+eigenvalues are the nodes.  The weights are the squared moduli of the
+first components of the orthonormal eigenvectors; taken unsquared they
+would not even sum to one.  The eigenvectors come from NumPy's dense
+eigensolver and are made orthonormal by one QR factorization, so no other
+library is needed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ShapeError, check, unitarity_defect
-from .snake import GivensFactor, SnakeFactorization, _snake_product
+from .snake import SnakeFactorization, _canonical_blocks, _snake_product
 
 __all__ = [
     "ParaUnitaryTruncation",
@@ -54,17 +54,15 @@ class ParaUnitaryTruncation:
         return f"ParaUnitaryTruncation(n={self.n}, theta={self.theta})"
 
 
-def _absorbed_block(snake: SnakeFactorization, n: int, corner: complex) -> np.ndarray:
-    """Block of G_{n-2,n-1} with the corner scalar absorbed on the correct side."""
+def _truncation_blocks(snake: SnakeFactorization, n: int) -> np.ndarray:
+    """Canonical blocks of the first n factors, those of an n x n truncation."""
     if n < 2:
         raise ValueError("truncation size must be at least 2")
     if n - 1 > len(snake.gen):
         raise ShapeError(
             f"size {n} needs shape bits through s_{n - 1}; only {len(snake.gen)} stored"
         )
-    absorb = np.array([[1.0, 0.0], [0.0, corner]], dtype=complex)
-    block = snake.factor(n - 2).block
-    return block @ absorb if snake.gen.s(n - 1) == 0 else absorb @ block
+    return _canonical_blocks(snake.schur.alphas[:n])
 
 
 def truncate_para_unitary(snake: SnakeFactorization, n: int, theta: float) -> ParaUnitaryTruncation:
@@ -72,21 +70,14 @@ def truncate_para_unitary(snake: SnakeFactorization, n: int, theta: float) -> Pa
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"theta = {theta} is not finite")
-    corner = complex(np.exp(1j * theta))
-    last = GivensFactor(n - 2, _absorbed_block(snake, n, corner), canonical=False)
-    return ParaUnitaryTruncation(n, theta, _snake_product(snake, n - 2, n, last.block))
+    blocks = _truncation_blocks(snake, n)
+    blocks[n - 1, 0, 0] = np.exp(1j * theta)
+    return ParaUnitaryTruncation(n, theta, _snake_product(snake, blocks)[:n, :n])
 
 
 def principal_truncation(snake: SnakeFactorization, n: int) -> np.ndarray:
-    """Leading n x n block of the infinite matrix (not unitary).
-
-    Same construction as the para-unitary truncation but with the corner
-    scalar conj(alpha_{n-1}) of the removed factor, which reproduces the
-    principal submatrix entry for entry.  The absorbed block is contractive
-    rather than unitary, so it is used raw instead of as a GivensFactor.
-    """
-    corner = np.conj(snake.schur.alpha(n - 1))
-    return _snake_product(snake, n - 2, n, _absorbed_block(snake, n, corner))
+    """Leading n x n block of the infinite matrix (not unitary)."""
+    return _snake_product(snake, _truncation_blocks(snake, n))[:n, :n]
 
 
 def eigen_unitary(matrix: np.ndarray):

@@ -77,8 +77,8 @@ class SchurSequence:
 
     @property
     def rhos(self) -> np.ndarray:
-        a = np.asarray(self.alphas)
-        return np.sqrt(1.0 - np.abs(a) ** 2)
+        a = np.asarray(self.alphas, dtype=complex)
+        return np.sqrt(1.0 - (a.real**2 + a.imag**2))
 
 
 def dual(coeffs) -> np.ndarray:

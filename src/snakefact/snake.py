@@ -131,20 +131,19 @@ def shape_from_monomials(exponents) -> GeneratingSequence:
 def _canonical_blocks(alphas) -> np.ndarray:
     """(k, 2, 2) array of the canonical blocks [[conj(alpha), rho], [rho, -alpha]]."""
     alphas = np.asarray(alphas, dtype=complex)
-    rhos = np.sqrt(1.0 - np.abs(alphas) ** 2)
+    rhos = np.sqrt(1.0 - (alphas.real**2 + alphas.imag**2))
     return np.stack([np.conj(alphas), rhos, rhos, -alphas], axis=-1).reshape(-1, 2, 2)
 
 
 class GivensFactor:
     """Unitary transformation acting only on rows/columns (k, k+1).
 
-    The canonical block built from a Schur parameter is
-    [[conj(alpha_k), rho_k], [rho_k, -alpha_k]] with real positive
-    off-diagonal entries and determinant -1.  Blocks that deviate from this
-    form (phase-absorbed blocks used by truncations) carry canonical=False.
+    ``from_schur`` takes the canonical block of a Schur parameter from
+    ``_canonical_blocks``; it has real positive off-diagonal entries and
+    determinant -1.
     """
 
-    def __init__(self, k: int, block, canonical: bool = False):
+    def __init__(self, k: int, block):
         if k < 0:
             raise ValueError("factor index must be nonnegative")
         block = np.asarray(block, dtype=complex)
@@ -153,15 +152,13 @@ class GivensFactor:
         check("block is not unitary", unitarity_defect(block), 1e-14, ValueError)
         self.k = k
         self.block = block
-        self.canonical = canonical
 
     @classmethod
     def from_schur(cls, k: int, alpha: complex) -> "GivensFactor":
-        return cls(k, _canonical_blocks([alpha])[0], canonical=True)
+        return cls(k, _canonical_blocks([alpha])[0])
 
     def __repr__(self) -> str:
-        tag = "canonical" if self.canonical else "modified"
-        return f"GivensFactor(k={self.k}, {tag})"
+        return f"GivensFactor(k={self.k})"
 
 
 class SnakeFactorization:
@@ -210,37 +207,34 @@ class SnakeFactorization:
         )
 
 
-def _snake_product(snake: SnakeFactorization, last: int, size: int, last_block=None) -> np.ndarray:
-    """size x size product of the factors 0 .. last in snake order.
+def _snake_product(snake: SnakeFactorization, blocks) -> np.ndarray:
+    """(k+1) x (k+1) product of the factors 0 .. k-1 with the k given blocks.
 
-    Right-hand factors update columns (k, k+1) and left-hand factors rows
-    (k, k+1) of a running identity.  When ``last_block`` is given it
-    replaces the block of factor ``last``; every other block is the
-    canonical block of its Schur parameter.
+    Right-hand factors update columns (j, j+1) and left-hand factors rows
+    (j, j+1) of a running identity, each in snake order.  Factors from k on
+    act only on indices >= k, so the leading k x k block of the product is
+    that of the whole snake.
     """
-    blocks = _canonical_blocks(snake.schur.alphas[: last + 1])
-    if last_block is not None:
-        blocks[last] = last_block
-    out = np.eye(size, dtype=complex)
-    for k in snake.right_order:
-        if k <= last:
-            out[:, k : k + 2] = out[:, k : k + 2] @ blocks[k]
-    for k in reversed(snake.left_order):
-        if k <= last:
-            out[k : k + 2, :] = blocks[k] @ out[k : k + 2, :]
+    k = len(blocks)
+    out = np.eye(k + 1, dtype=complex)
+    for j in snake.right_order:
+        if j < k:
+            out[:, j : j + 2] = out[:, j : j + 2] @ blocks[j]
+    for j in reversed(snake.left_order):
+        if j < k:
+            out[j : j + 2, :] = blocks[j] @ out[j : j + 2, :]
     return out
 
 
 def materialize_window(snake: SnakeFactorization, m: int) -> np.ndarray:
     """Dense (m+2) x (m+2) product of the factors G_{0,1} .. G_{m,m+1}.
 
-    Factors beyond index m act on rows and columns that a window entry (i, j)
-    with max(i, j) <= m - 1 never touches, so on that index range the window
-    agrees with the doubly infinite product.  Entries on the remaining border
-    are truncation artifacts.
+    Factors beyond index m act only on indices >= m + 1, so every window
+    entry (i, j) with max(i, j) <= m agrees with the whole snake.  Entries
+    in the last row and column are truncation artifacts.
     """
     if m >= snake.num_factors:
         raise ShapeError(
             f"window needs factors 0..{m} but only 0..{snake.num_factors - 1} exist"
         )
-    return _snake_product(snake, m, m + 2)
+    return _snake_product(snake, _canonical_blocks(snake.schur.alphas[: m + 1]))

@@ -85,7 +85,7 @@ def measured_bandwidths(gen: GeneratingSequence, schur: SchurSequence | None = N
 
 def suite_unitarity(rng, m=None, n=None, schur=None, measures=None):
     results = []
-    m = len(schur) - 1 if schur is not None else m or 12
+    m = len(schur) - 1 if schur is not None else 12 if m is None else m
     for name, gen in _shape_set(rng, m).items():
         seq = schur if schur is not None else _random_schur(rng, m + 1)
         snake = SnakeFactorization(seq, gen)
@@ -101,7 +101,7 @@ def suite_unitarity(rng, m=None, n=None, schur=None, measures=None):
 
 def suite_oracle_equivalence(rng, m=None, n=None, schur=None, measures=None):
     results = []
-    nmax = n or 8
+    nmax = 8 if n is None else n
     measures = measures or _default_measures()
     shapes = _shape_set(rng, nmax, extra=2)
     for mname, measure in measures.items():
@@ -120,7 +120,7 @@ def suite_oracle_equivalence(rng, m=None, n=None, schur=None, measures=None):
 
 def suite_bandwidth(rng, m=None, n=None, schur=None, measures=None):
     results = []
-    m = m or 8
+    m = 8 if m is None else m
     for bits in itertools.product((0, 1), repeat=m):
         gen = GeneratingSequence(bits)
         structural = bandwidths(gen)
@@ -155,7 +155,7 @@ def suite_round_trip(rng, m=None, n=None, schur=None, measures=None):
 
 def suite_exactness(rng, m=None, n=None, schur=None, measures=None):
     results = []
-    sizes = (n,) if n else (4, 8)
+    sizes = (4, 8) if n is None else (n,)
     measures = measures or _default_measures()
     for mname, measure in measures.items():
         table = moments(measure, max(sizes) + 1)
@@ -194,6 +194,10 @@ def run_suites(
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if m is not None and m < 1:
+        raise ValueError(f"m = {m}; the suites need at least one shape bit")
+    if n is not None and n < 2:
+        raise ValueError(f"n = {n}; the suites need a size of at least 2")
     measures = {"measure": measure} if measure is not None else None
     results: list[CaseResult] = []
     for name in names:

@@ -7,7 +7,7 @@ from functools import reduce
 import numpy as np
 
 from snakefact.schur import SchurSequence
-from snakefact.snake import SnakeFactorization
+from snakefact.snake import GeneratingSequence, SnakeFactorization
 
 # Mixed shape exercising both orientations, from the monomial order
 # 1, z^-1, z, z^-2, z^2, z^3, z^-3, z^-4, z^4, z^5.
@@ -37,6 +37,20 @@ def brute_force_product(snake: SnakeFactorization, size: int) -> np.ndarray:
     mats = [embedded_givens(size, k, snake.factor(k).block) for k in snake.left_order]
     mats += [embedded_givens(size, k, snake.factor(k).block) for k in snake.right_order]
     return reduce(np.matmul, mats)
+
+
+def para_unitary_product(snake: SnakeFactorization, n: int, theta: float) -> np.ndarray:
+    """n x n para-unitary truncation from fully embedded factors 0 .. n-2.
+
+    The corner phase enters as diag(1, .., 1, e^{i theta}) on the side of
+    factor n-1: on the right when s_{n-1} = 0, on the left when s_{n-1} = 1.
+    """
+    head = SnakeFactorization(
+        SchurSequence(snake.schur.alphas[: n - 1]), GeneratingSequence(snake.gen.bits[: n - 2])
+    )
+    product = brute_force_product(head, n)
+    corner = np.diag([1.0] * (n - 1) + [np.exp(1j * theta)])
+    return product @ corner if snake.gen.s(n - 1) == 0 else corner @ product
 
 
 def hessenberg_entry(alphas, i, j):

@@ -265,6 +265,16 @@ class TestExpandAndBandwidth:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_expand_size_below_one(self, capsys, n):
+        code, out, err = run(
+            capsys, "expand", "--shape", "cmv", "--m", "5",
+            "--alphas", "0.1,0.2,0.3,0.1,0.2", "--n", n,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"n = {n}" in err
+
 
 class TestVerify:
     def test_single_suite_table(self, capsys):
@@ -285,6 +295,23 @@ class TestVerify:
         assert code1 == code2 == 0
         assert out1 == out2
         assert json.loads(out1)["seed"] == 777
+
+    @pytest.mark.parametrize(
+        "suite, flag, value",
+        [("bandwidth", "--m", "0"), ("bandwidth", "--m", "-1"),
+         ("exactness", "--n", "0"), ("exactness", "--n", "1")],
+    )
+    def test_sizes_below_the_minimum(self, capsys, suite, flag, value):
+        code, out, err = run(capsys, "verify", "--suite", suite, flag, value)
+        assert code == 2
+        assert "PASS" not in out
+        assert f"{flag[2:]} = {value}" in err
+
+    def test_seed_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("SNAKE_SEED", "abc")
+        code, _, err = run(capsys, "verify", "--suite", "round-trip")
+        assert code == 2
+        assert "SNAKE_SEED" in err and "decimal integer" in err
 
     def test_default_run_passes(self, capsys):
         code, out, _ = run(capsys, "verify")
@@ -352,6 +379,11 @@ class TestErrors:
     def test_unknown_measure(self, capsys):
         code, _, err = run(capsys, "quadrature", "--measure", "nope", "--n", "4")
         assert code == 2
+
+    def test_overlong_measure_is_not_a_path(self, capsys):
+        code, _, err = run(capsys, "quadrature", "--measure", "x" * 300, "--n", "4")
+        assert code == 2
+        assert "unknown measure" in err
 
     def test_missing_schur(self, capsys):
         code, _, err = run(capsys, "entry", "--shape", "cmv", "--m", "4", "--i", "0", "--j", "0")

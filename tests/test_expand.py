@@ -269,3 +269,10 @@ def test_expand_dense_out_of_range():
     snake = SnakeFactorization(SchurSequence([0.1] * 3), hessenberg_shape(2))
     with pytest.raises(IndexError):
         expand_dense(snake, 5)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_expand_dense_size_below_one(n):
+    snake = SnakeFactorization(SchurSequence([0.1] * 3), hessenberg_shape(2))
+    with pytest.raises(ValueError, match=f"n = {n}"):
+        expand_dense(snake, n)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import MIXED_BITS, random_bits, random_schur
+from helpers import MIXED_BITS, para_unitary_product, random_bits, random_schur
 from snakefact.errors import NumericalError, ShapeError
 from snakefact.expand import expand_dense
 from snakefact.oracle import BernsteinSzego, Lebesgue, inner_product, moments, schur_from_moments
@@ -58,6 +58,21 @@ class TestTruncation:
             trunc = truncate_para_unitary(snake, n, theta)
             defect = np.max(np.abs(trunc.matrix @ trunc.matrix.conj().T - np.eye(n)))
             assert defect <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("pair", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_corner_on_the_side_of_the_last_factor(self, n, pair):
+        # The corner side is invisible to unitarity and to the spectrum, so
+        # compare entries against an independent product.
+        rng = np.random.default_rng(100 * n + 2 * pair[0] + pair[1])
+        bits = list(random_bits(rng, 12))
+        bits[n - 2] = pair[1]  # s_{n-1}; s_{n-2} exists from n = 3 on
+        if n >= 3:
+            bits[n - 3] = pair[0]
+        snake = SnakeFactorization(random_schur(rng, 13), GeneratingSequence(bits))
+        theta = float(rng.uniform(-np.pi, np.pi))
+        got = truncate_para_unitary(snake, n, theta).matrix
+        assert np.max(np.abs(got - para_unitary_product(snake, n, theta))) <= 1e-14
 
     def test_needs_enough_bits(self):
         snake = SnakeFactorization(SchurSequence([0.1] * 3), hessenberg_shape(2))

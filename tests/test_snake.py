@@ -98,17 +98,12 @@ class TestShapeFromMonomials:
 class TestGivensFactor:
     def test_canonical_block(self):
         f = GivensFactor.from_schur(2, 0.6)
-        assert f.canonical
         assert np.allclose(f.block, [[0.6, 0.8], [0.8, -0.6]])
         assert np.linalg.det(f.block) == pytest.approx(-1.0)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             GivensFactor(0, [[1.0, 0.1], [0.0, 1.0]])
-
-    def test_modified_flagged(self):
-        block = np.array([[0.6, 0.8], [0.8, -0.6]]) @ np.diag([1.0, np.exp(0.3j)])
-        assert not GivensFactor(0, block).canonical
 
 
 class TestSnakeOrder:
