@@ -13,9 +13,12 @@ diag(e^{i theta}, e^{i theta~}), which decouples the leading block and
 leaves it unitary: that is the para-unitary truncation, and its
 eigenvalues are the nodes.  The weights are the squared moduli of the
 first components of the orthonormal eigenvectors; taken unsquared they
-would not even sum to one.  The eigenvectors come from NumPy's dense
-eigensolver and are made orthonormal by one QR factorization, so no other
-library is needed.
+would not even sum to one.  The eigenvectors are those of the Hermitian
+Cayley transform i (I - wU)(I + wU)^-1 of the unitary truncation U, from
+NumPy's Hermitian eigensolver, and the nodes are their Rayleigh quotients.
+Where that pass fails its own residual, or some first component underflows
+to zero, NumPy's general eigensolver followed by one QR factorization takes
+over, so no other library is needed.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ __all__ = [
     "exactness_defect",
 ]
 
-_MAX_EIG_SIZE = 256
+_MAX_EIG_SIZE = 1024
+_OMEGA = np.exp(1j)
 
 
 class ParaUnitaryTruncation:
@@ -81,37 +85,96 @@ def principal_truncation(snake: SnakeFactorization, n: int) -> np.ndarray:
 
 
 def eigen_unitary(matrix: np.ndarray):
-    """Eigendecomposition of a small dense unitary matrix.
+    """Eigendecomposition of a dense unitary matrix of size at most 1024.
 
     Returns (eigenvalues, eigenvectors) with orthonormal eigenvector columns
     scaled so that the first component of modulus above 1e-12 in each column
-    is real and nonnegative.  The eigenvectors V of the general dense solver
-    are orthonormalized by one QR factorization V = QR.  Each column of
-    Q = V R^-1 combines a column of V with earlier ones, and for a unitary
-    (hence normal) input only those of an equal or nearby eigenvalue are not
-    already orthogonal to it, so the columns stay eigenvectors while
-    becoming orthonormal, also when eigenvalues repeat or cluster.
-    Residuals are verified against the contract before returning.
+    is real and nonnegative.  The input must be unitary to 1e-10.
+
+    The fast pass takes the eigenvectors V of the Hermitian Cayley transform
+    A = i (I - wU)(I + wU)^-1 from ``numpy.linalg.eigh``, which returns them
+    orthonormal, and the eigenvalues as the Rayleigh quotients V^H U V.  The
+    pass falls back to the general dense solver when the solve for A fails,
+    when some eigenpair residual exceeds 1e-10 (a node near -conj(w) makes
+    A ill-conditioned), or when some first component underflows to zero, so
+    that a weight stays positive wherever a positive float64 can carry it.
+    The fallback orthonormalizes the eigenvectors V of ``numpy.linalg.eig``
+    by one QR factorization V = QR.  Each column of Q = V R^-1 combines a
+    column of V with earlier ones, and for a unitary (hence normal) input
+    only those of an equal or nearby eigenvalue are not already orthogonal
+    to it, so the columns stay eigenvectors while becoming orthonormal, also
+    when eigenvalues repeat or cluster.  Residuals and orthonormality are
+    verified against the contract before returning.
     """
     matrix = np.asarray(matrix, dtype=complex)
     n = matrix.shape[0]
     if matrix.ndim != 2 or matrix.shape != (n, n):
         raise ValueError("input must be a square matrix")
+    check("input is not unitary", unitarity_defect(matrix), 1e-10, ValueError)
+    return _eigen_unitary(matrix)
+
+
+def _eigen_unitary(matrix: np.ndarray):
+    """`eigen_unitary` for a square complex input already known to be unitary."""
+    n = matrix.shape[0]
     if n > _MAX_EIG_SIZE:
         raise ValueError(f"matrix size {n} exceeds the supported {_MAX_EIG_SIZE}")
-    check("input is not unitary", unitarity_defect(matrix), 1e-10, ValueError)
-    try:
-        values, vecs = np.linalg.eig(matrix)
-        vecs = np.linalg.qr(vecs)[0]
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
+    pairs = _cayley_pairs(matrix)
+    if pairs is None:
+        try:
+            values, vecs = np.linalg.eig(matrix)
+            vecs = np.linalg.qr(vecs)[0]
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
+        residual = _residual(matrix @ vecs, values, vecs)
+    else:
+        values, vecs, residual = pairs
+    check("eigenpair residual too large", residual, 1e-10)
     # A unit column has a component of modulus >= n**-0.5, so every column has a lead.
     lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(n)]
     vecs = vecs * (np.conj(lead) / np.abs(lead))
-    residual = np.linalg.norm(matrix @ vecs - vecs * values, axis=0)
-    check("eigenpair residual too large", np.max(residual), 1e-10)
     check("eigenvectors are not orthonormal", unitarity_defect(vecs.conj().T), 1e-9)
     return values, vecs
+
+
+def _residual(image: np.ndarray, values: np.ndarray, vecs: np.ndarray) -> float:
+    """Largest eigenpair residual |U v - lambda v|; overwrites the image U V."""
+    image -= vecs * values
+    return float(np.max(np.linalg.norm(image, axis=0)))
+
+
+def _cayley_pairs(matrix: np.ndarray):
+    """(values, vecs, residual) of the Hermitian Cayley pass, or None where it fails.
+
+    With w = e^{i}, -conj(w) lies at the angle pi - 1, no rational multiple
+    of pi, so no spectrum of roots of unity makes I + wU singular.  Upper
+    storage makes the Hermitian tridiagonal reduction pin the last row of
+    its transformation rather than the first, so every first component, and
+    with it every weight, is a full inner product rather than a deflated
+    zero.
+    """
+    n = matrix.shape[0]
+    with np.errstate(all="ignore"):
+        try:
+            plus = _OMEGA * matrix
+            minus = -plus
+            plus[np.diag_indices(n)] += 1.0
+            minus[np.diag_indices(n)] += 1.0
+            cayley = np.linalg.solve(plus, minus)
+            del plus, minus
+            # i (C - C^H) is twice the Hermitian part of A = i C.
+            cayley -= cayley.conj().T
+            cayley *= 1j
+            vecs = np.linalg.eigh(cayley, UPLO="U")[1]
+            del cayley
+        except np.linalg.LinAlgError:
+            return None
+        image = matrix @ vecs
+        values = np.einsum("ij,ij->j", vecs.conj(), image)
+        residual = _residual(image, values, vecs)
+        if not residual <= 1e-10 or not np.all(np.abs(vecs[0]) ** 2 > 0.0):
+            return None
+    return values, vecs, residual
 
 
 class QuadratureRule:
@@ -143,8 +206,14 @@ class QuadratureRule:
 
 
 def _principal_argument(z: np.ndarray) -> np.ndarray:
+    """Argument in [-pi, pi), counting any argument within 1e-12 of pi as -pi.
+
+    The sign of a roundoff imaginary part would otherwise decide whether a
+    node at -1 sorts first or last; nodes of a rule are more than 1e-8
+    apart, so at most one of them lies at the cut.
+    """
     ang = np.angle(z)
-    return np.where(ang >= np.pi, ang - 2.0 * np.pi, ang)
+    return np.where(ang >= np.pi - 1e-12, ang - 2.0 * np.pi, ang)
 
 
 def szego_quadrature(snake: SnakeFactorization, n: int, theta: float) -> QuadratureRule:
@@ -156,7 +225,7 @@ def szego_quadrature(snake: SnakeFactorization, n: int, theta: float) -> Quadrat
     [-pi, pi) so that equal rules compare deterministically.
     """
     truncation = truncate_para_unitary(snake, n, theta)
-    values, vecs = eigen_unitary(truncation.matrix)
+    values, vecs = _eigen_unitary(truncation.matrix)
     weights = np.abs(vecs[0, :]) ** 2
     order = np.argsort(_principal_argument(values), kind="stable")
     return QuadratureRule(values[order], weights[order])

@@ -198,6 +198,12 @@ def run_suites(
         raise ValueError(f"m = {m}; the suites need at least one shape bit")
     if n is not None and n < 2:
         raise ValueError(f"n = {n}; the suites need a size of at least 2")
+    if schur is not None and len(schur) < 2:
+        raise ValueError(f"alphas give {len(schur)} Schur parameter(s); the suites need at least 2")
+    if schur is not None and m is not None and m != len(schur) - 1:
+        raise ValueError(
+            f"m = {m} disagrees with the {len(schur)} alphas given, which fix m = {len(schur) - 1}"
+        )
     measures = {"measure": measure} if measure is not None else None
     results: list[CaseResult] = []
     for name in names:

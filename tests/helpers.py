@@ -25,6 +25,14 @@ def random_bits(rng, m):
     return tuple(int(b) for b in rng.integers(0, 2, size=m))
 
 
+def count_eig_calls(monkeypatch):
+    """Record the shape of each input to numpy.linalg.eig, the Cayley pass's fallback."""
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m.shape) or eig(m))
+    return calls
+
+
 def embedded_givens(size, k, block):
     """Full size x size matrix of a Givens factor."""
     g = np.eye(size, dtype=complex)

@@ -215,6 +215,18 @@ class TestQuadrature:
         nodes = np.array([complex(re, im) for re, im in report["nodes"]])
         assert np.all(np.abs(np.abs(nodes) - 1.0) <= 1e-10)
 
+    def test_node_at_the_cut_sorts_first(self, capsys):
+        # the README example has a node at -1, whose argument counts as -pi
+        # whatever the sign of its roundoff imaginary part
+        descriptor = json.dumps({"type": "bernstein-szego", "alphas": [[0.6, 0.0]]})
+        code, out, _ = run(
+            capsys, "quadrature", "--measure", descriptor, "--n", "6", "--format", "csv",
+        )
+        assert code == 0
+        args = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
+        assert abs(args[0] + np.pi) <= 1e-12
+        assert args == sorted(args)
+
     def test_geronimus_parameters_taken_from_descriptor(self, capsys):
         # every Schur parameter of Geronimus(0.5) is 0.5, so the rule builds
         # past n of about 20, where recovering them from moments fails
@@ -287,6 +299,19 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--alphas", "1.2")
         assert code == 2
         assert "unit disk" in err
+
+    def test_alphas_too_short(self, capsys):
+        code, out, err = run(capsys, "verify", "--alphas", "0.3")
+        assert code == 2
+        assert "PASS" not in out
+        assert "alphas" in err and "at least 2" in err
+
+    def test_m_disagrees_with_alphas(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "unitarity", "--alphas", "0.3,0.2",
+                             "--m", "5")
+        assert code == 2
+        assert "PASS" not in out
+        assert "m = 5" in err and "2 alphas" in err
 
     def test_seed_reproducibility(self, capsys, monkeypatch):
         monkeypatch.setenv("SNAKE_SEED", "777")

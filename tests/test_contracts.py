@@ -8,6 +8,7 @@ exception type and a message that names the contract.
 import numpy as np
 import pytest
 
+from helpers import count_eig_calls
 from snakefact import quadrature, verify
 from snakefact.errors import CaseResult, MomentError, NumericalError, check, unitarity_defect
 from snakefact.oracle import GridMeasure, Lebesgue, MomentTable, _gram_schmidt, moments
@@ -67,12 +68,14 @@ def _gram_schmidt_site(value, monkeypatch):
 
 def _eigen_residual_site(value, monkeypatch):
     # The input check passes a finite unitary matrix, so the value reaches
-    # the residual check through a faulty eigensolver.  Only NaN is
-    # planted: an infinite eigenvalue makes the residual arithmetic itself
-    # compute 0 * inf, whose RuntimeWarning the test settings turn into an
-    # error before the check can run.
+    # the residual check through faulty eigensolvers: a NaN eigenvector
+    # fails the residual of the Cayley pass, and a NaN eigenvalue that of
+    # the fallback.  Only NaN is planted: an infinite eigenvalue makes the
+    # residual arithmetic itself compute 0 * inf, whose RuntimeWarning the
+    # test settings turn into an error before the check can run.
     vecs = np.exp(0.25j * np.pi) * np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     values = np.array([value, 1.0], dtype=complex)
+    monkeypatch.setattr(quadrature.np.linalg, "eigh", lambda m, UPLO: (values.real, vecs * value))
     monkeypatch.setattr(quadrature.np.linalg, "eig", lambda m: (values, vecs))
     eigen_unitary(np.eye(2, dtype=complex))
 
@@ -129,11 +132,40 @@ def test_non_finite_input_fails_the_contract(call, exc, keyword, value, monkeypa
         call(value, monkeypatch)
 
 
+def _refuse_eigh(m, UPLO):
+    raise np.linalg.LinAlgError("Cayley pass refused")
+
+
 def test_eigenvectors_not_orthonormal(monkeypatch):
     # Any vectors are eigenvectors of the identity, so the residual check
     # passes and only the orthonormality check can catch vectors that the
-    # orthonormalizing QR step failed to fix.
+    # orthonormalizing QR step of the fallback failed to fix.
     vecs = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    monkeypatch.setattr(quadrature.np.linalg, "eigh", _refuse_eigh)
     monkeypatch.setattr(quadrature.np.linalg, "qr", lambda m: (vecs, np.eye(2)))
     with pytest.raises(NumericalError, match="orthonormal"):
         eigen_unitary(np.eye(2, dtype=complex))
+
+
+def test_eigenvectors_not_orthonormal_on_the_cayley_pass(monkeypatch):
+    # Unit eigenvectors of the identity with nonzero first components pass
+    # the residual of the Cayley pass, so no fallback runs and only the
+    # orthonormality check can catch them.
+    vecs = np.array([[1.0, 0.6], [0.0, 0.8]], dtype=complex)
+    monkeypatch.setattr(quadrature.np.linalg, "eigh", lambda m, UPLO: (np.zeros(2), vecs))
+    monkeypatch.setattr(quadrature.np.linalg, "eig", lambda m: pytest.fail("fallback ran"))
+    with pytest.raises(NumericalError, match="orthonormal"):
+        eigen_unitary(np.eye(2, dtype=complex))
+
+
+def test_cayley_residual_selects_the_fallback(monkeypatch):
+    # A NaN eigenvector fails the residual of the Cayley pass; the fallback
+    # then gives the eigenpairs, which pass every check.
+    calls = count_eig_calls(monkeypatch)
+    monkeypatch.setattr(
+        quadrature.np.linalg, "eigh", lambda m, UPLO: (np.zeros(2), np.full((2, 2), np.nan))
+    )
+    values, vecs = eigen_unitary(np.array([[0.6, 0.8], [0.8, -0.6]], dtype=complex))
+    assert calls == [(2, 2)]
+    assert np.allclose(np.sort(values.real), [-1.0, 1.0], atol=1e-12)
+    assert np.allclose(np.abs(vecs[0]) ** 2, np.where(values.real > 0, 0.8, 0.2), atol=1e-12)

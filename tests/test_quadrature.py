@@ -2,12 +2,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import MIXED_BITS, para_unitary_product, random_bits, random_schur
+from helpers import (
+    MIXED_BITS,
+    count_eig_calls,
+    para_unitary_product,
+    random_bits,
+    random_schur,
+)
 from snakefact.errors import NumericalError, ShapeError
 from snakefact.expand import expand_dense
 from snakefact.oracle import BernsteinSzego, Lebesgue, inner_product, moments, schur_from_moments
 from snakefact.quadrature import (
     QuadratureRule,
+    _principal_argument,
     apply_rule,
     eigen_unitary,
     principal_truncation,
@@ -132,7 +139,10 @@ class TestEigenUnitary:
         values, vecs = eigen_unitary(cyclic_shift(4).astype(complex))
         # eigenvalues are the 4th roots of unity
         roots = np.exp(2j * np.pi * np.arange(4) / 4)
-        assert np.max(np.abs(np.sort_complex(values) - np.sort_complex(roots))) <= 1e-12
+        # compared by angle: sort_complex orders -1 and +-i by roundoff real parts
+        gaps = np.abs(np.angle(values[:, None] / roots[None, :]))
+        assert sorted(np.argmin(gaps, axis=1)) == [0, 1, 2, 3]
+        assert np.max(np.min(gaps, axis=1)) <= 1e-12
         # discrete Fourier eigenvectors: every first component has modulus 1/2,
         # and the scaling convention makes it real positive
         assert np.allclose(vecs[0, :], 0.5, atol=1e-12)
@@ -176,10 +186,10 @@ class TestEigenUnitary:
         assert np.max(np.linalg.norm(matrix @ vecs - vecs * values, axis=0)) <= 1e-10
         assert np.max(np.abs(np.sort_complex(values) - np.sort_complex(spectrum))) <= 1e-10
 
-    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("n", [16, 64, 256, 512])
     def test_matches_the_schur_reference(self, n):
         # The complex Schur factorization of a normal matrix is its spectral
-        # decomposition, so it gives the rule independently of eig and QR.
+        # decomposition, so it gives the rule independently of eigh and eig.
         rng = np.random.default_rng(n)
         snake = SnakeFactorization(
             random_schur(rng, n), GeneratingSequence(random_bits(rng, n - 1))
@@ -199,7 +209,53 @@ class TestEigenUnitary:
 
     def test_rejects_oversize(self):
         with pytest.raises(ValueError, match="size"):
-            eigen_unitary(np.eye(300, dtype=complex))
+            eigen_unitary(np.eye(1025, dtype=complex))
+
+
+class TestCayleyPass:
+    def test_common_case_does_not_call_eig(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("the general eigensolver ran")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        rng = np.random.default_rng(64)
+        snake = SnakeFactorization(random_schur(rng, 64), GeneratingSequence(random_bits(rng, 63)))
+        eigen_unitary(truncate_para_unitary(snake, 64, 0.7).matrix)
+        # one op of the rules benchmark: n = 256, |alpha| in [0.05, 0.8]
+        rng = np.random.default_rng(256)
+        snake = SnakeFactorization(
+            random_schur(rng, 256, 0.05, 0.8), GeneratingSequence(random_bits(rng, 255))
+        )
+        rule = szego_quadrature(snake, 256, float(rng.uniform(-np.pi, np.pi)))
+        assert rule.n == 256
+
+    def test_node_at_minus_conj_omega_falls_back(self, monkeypatch):
+        # I + wU is singular for w = e^{i}, so the Cayley transform does not exist
+        calls = count_eig_calls(monkeypatch)
+        spectrum = np.array([-np.exp(-1j), 1.0, 1j, -1.0])
+        values, vecs = eigen_unitary(np.diag(spectrum))
+        assert calls == [(4, 4)]
+        assert np.max(np.abs(np.sort_complex(values) - np.sort_complex(spectrum))) <= 1e-15
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(4))) <= 1e-12
+
+    def test_rule_with_a_node_at_minus_conj_omega(self, monkeypatch):
+        # the free rule has the nodes z^n = e^{i theta}; this theta puts one at e^{i(pi-1)}
+        calls = count_eig_calls(monkeypatch)
+        n = 8
+        rule = szego_quadrature(free_snake(n - 1), n, n * (np.pi - 1.0) % (2.0 * np.pi))
+        assert calls == [(n, n)]
+        assert np.min(np.abs(rule.nodes + np.exp(-1j))) <= 1e-14
+        assert np.max(np.abs(rule.weights - 1.0 / n)) <= 1e-12
+
+    def test_weights_below_float64_range_fall_back(self, monkeypatch):
+        # alternating +-0.99 localizes eigenvectors so far from index 0 that
+        # the smallest true weight is about 1e-466
+        calls = count_eig_calls(monkeypatch)
+        alphas = [0.99 * (-1) ** k for k in range(256)]
+        snake = SnakeFactorization(SchurSequence(alphas), hessenberg_shape(255))
+        rule = szego_quadrature(snake, 256, 0.3)
+        assert calls == [(256, 256)]
+        assert np.all(rule.weights > 0.0)
 
 
 class TestSzegoQuadrature:
@@ -208,6 +264,13 @@ class TestSzegoQuadrature:
         angles = -np.pi + 2 * np.pi * np.arange(8) / 8
         assert np.max(np.abs(rule.nodes - np.exp(1j * angles))) <= 1e-12
         assert np.max(np.abs(rule.weights - 0.125)) <= 1e-12
+
+    def test_argument_at_the_cut_is_minus_pi(self):
+        # np.angle rounds the first to pi and leaves the second just below it
+        nodes = np.array([-1 + 2.3e-16j, -1 + 4.4e-16j, -1 - 4.4e-16j, -1 + 2e-12j])
+        args = _principal_argument(nodes)
+        assert np.max(np.abs(args[:3] + np.pi)) <= 1e-15
+        assert abs(args[3] - (np.pi - 2e-12)) <= 1e-15
 
     def test_bernstein_szego_exactness(self):
         prefix = [0.6]
