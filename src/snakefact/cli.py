@@ -194,16 +194,22 @@ def _measure_schur(measure, count: int) -> SchurSequence:
     return schur_from_moments(moments(measure, count), count)
 
 
-def _emit(args, report: dict, text_lines: list[str], csv_text: str | None = None) -> None:
+def _emit(args, report, text, csv=None) -> None:
+    """Write the rendering that --format selects, building only that one.
+
+    ``report`` returns the JSON object, ``text`` the lines of the text
+    rendering and ``csv`` the CSV table; ``csv`` is None where CSV output is
+    not defined.
+    """
     fmt = args.format
     if fmt == "json":
-        payload = json.dumps(report, indent=2) + "\n"
+        payload = json.dumps(report(), indent=2) + "\n"
     elif fmt == "csv":
-        if csv_text is None:
+        if csv is None:
             raise ValueError("csv output is not defined for this subcommand")
-        payload = csv_text
+        payload = csv()
     else:
-        payload = "\n".join(text_lines) + "\n"
+        payload = "\n".join(text()) + "\n"
     if args.out:
         Path(args.out).write_text(payload)
     else:
@@ -235,7 +241,7 @@ def cmd_build(args) -> int:
     if schur is not None:
         report["alphas"] = [_pair(a) for a in schur.alphas]
         text.append("alphas: " + " ".join(_pair_text(a) for a in schur.alphas))
-    _emit(args, report, text)
+    _emit(args, lambda: report, lambda: text)
     return 0
 
 
@@ -269,25 +275,28 @@ def cmd_entry(args) -> int:
         f"  b: {'-' if descriptor.b is None else descriptor.b}"
         f"  monotone: {str(descriptor.monotone).lower()}",
     ]
-    _emit(args, report, text)
+    _emit(args, lambda: report, lambda: text)
     return 0
 
 
 def cmd_expand(args) -> int:
     gen = _resolve_shape(args, factors_hint=_alphas_hint(args))
     snake = SnakeFactorization(_require_schur(args, gen), gen)
-    dense = expand_dense(snake, args.n)
-    report = {
-        "n": args.n,
-        "matrix": [[_pair(z) for z in row] for row in dense],
-    }
-    text = [" ".join(_pair_text(z) for z in row) for row in dense]
-    csv_lines = ["i,j,re,im"]
-    for i in range(args.n):
-        for j in range(args.n):
-            z = dense[i, j]
-            csv_lines.append(f"{i},{j},{_fmt(z.real)},{_fmt(z.imag)}")
-    _emit(args, report, text, csv_text="\n".join(csv_lines) + "\n")
+    rows = expand_dense(snake, args.n).tolist()
+
+    def report():
+        return {"n": args.n, "matrix": [[_pair(z) for z in row] for row in rows]}
+
+    def text():
+        return [" ".join(_pair_text(z) for z in row) for row in rows]
+
+    def csv():
+        lines = ["i,j,re,im"]
+        for i, row in enumerate(rows):
+            lines.extend(f"{i},{j},{_fmt(z.real)},{_fmt(z.imag)}" for j, z in enumerate(row))
+        return "\n".join(lines) + "\n"
+
+    _emit(args, report, text, csv)
     return 0
 
 
@@ -295,7 +304,7 @@ def cmd_bandwidth(args) -> int:
     gen = _resolve_shape(args, factors_hint=_alphas_hint(args))
     lower, upper = bandwidths(gen)
     report = {"lower": lower, "upper": upper}
-    _emit(args, report, [f"lower: {lower}", f"upper: {upper}"])
+    _emit(args, lambda: report, lambda: [f"lower: {lower}", f"upper: {upper}"])
     return 0
 
 
@@ -310,28 +319,42 @@ def cmd_quadrature(args) -> int:
         gen = hessenberg_shape(n - 1)
     snake = SnakeFactorization(_require_schur(args, gen), gen)
     rule = szego_quadrature(snake, n, args.theta)
-    report = {
-        "n": n,
-        "theta": args.theta,
-        "nodes": [_pair(z) for z in rule.nodes],
-        "weights": [float(w) for w in rule.weights],
-    }
-    text = [f"n: {n}", f"theta: {_fmt(args.theta)}"]
-    for z, w in zip(rule.nodes, rule.weights):
-        text.append(f"node {_pair_text(z)}  weight {_fmt(w)}")
-    csv_lines = ["arg,modulus,weight"]
-    for ang, z, w in zip(_principal_argument(rule.nodes), rule.nodes, rule.weights):
-        csv_lines.append(f"{_fmt(ang)},{_fmt(abs(z))},{_fmt(w)}")
+    defect = None
     if args.verify:
         if args.measure is not None:
             measure = _load_measure(args.measure)
         else:
             measure = BernsteinSzego(snake.schur.alphas[: n - 1])
         defect = exactness_defect(rule, moments(measure, n - 1))
-        report["exactness_defect"] = defect
-        text.append(f"exactness defect: {_fmt(defect)}")
-        csv_lines.append(f"# exactness_defect,{_fmt(defect)}")
-    _emit(args, report, text, csv_text="\n".join(csv_lines) + "\n")
+
+    def report():
+        out = {
+            "n": n,
+            "theta": args.theta,
+            "nodes": [_pair(z) for z in rule.nodes],
+            "weights": [float(w) for w in rule.weights],
+        }
+        if defect is not None:
+            out["exactness_defect"] = defect
+        return out
+
+    def text():
+        lines = [f"n: {n}", f"theta: {_fmt(args.theta)}"]
+        for z, w in zip(rule.nodes, rule.weights):
+            lines.append(f"node {_pair_text(z)}  weight {_fmt(w)}")
+        if defect is not None:
+            lines.append(f"exactness defect: {_fmt(defect)}")
+        return lines
+
+    def csv():
+        lines = ["arg,modulus,weight"]
+        for ang, z, w in zip(_principal_argument(rule.nodes), rule.nodes, rule.weights):
+            lines.append(f"{_fmt(ang)},{_fmt(abs(z))},{_fmt(w)}")
+        if defect is not None:
+            lines.append(f"# exactness_defect,{_fmt(defect)}")
+        return "\n".join(lines) + "\n"
+
+    _emit(args, report, text, csv)
     return 0
 
 
@@ -382,7 +405,7 @@ def cmd_verify(args) -> int:
         ],
         "passed": ok,
     }
-    _emit(args, report, lines)
+    _emit(args, lambda: report, lambda: lines)
     return 0 if ok else 1
 
 

@@ -1,13 +1,15 @@
 """Exception types and the numerical-contract check shared across the package.
 
 Validation problems (bad parameters, malformed shapes, insufficient moment
-ranges) derive from ``ValueError``; failures of a numerical computation to
+ranges) derive from ``ValueError``, and a size or index that is not an
+integer raises ``TypeError``; failures of a numerical computation to
 meet its accuracy contract derive from ``NumericalError``.  A contract holds
 when its measured defect is ``<= bound``, a test that NaN fails.
 """
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +58,21 @@ def check(what: str, value, bound: float, exc: type = NumericalError) -> float:
     if not value <= bound:
         raise exc(f"{what} (defect {value:.3e} > {bound:.3g})")
     return value
+
+
+def int_argument(name: str, value) -> int:
+    """``value`` as an int, for any integer type except bool.
+
+    Integers are taken through ``operator.index``, so NumPy integers pass
+    and floats, strings and None do not; a bool is refused although it is
+    an int.  The ``TypeError`` names the parameter.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
 
 
 def unitarity_defect(m) -> float:

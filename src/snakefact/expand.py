@@ -13,9 +13,13 @@ The path is monotone exactly when the bits strictly between i and j are
 all 0 (i < j) or all 1 (i > j), so the nonzeros of row i fill one
 contiguous column range bounded by the runs of equal bits next to i; the
 generating sequence's run table gives that range in O(1).  ``entry`` costs
-O(|i - j| + 1).  ``expand_dense`` walks each row's range outward from the
-diagonal with a running rho product, one factor per step, so it costs
-O(n + nnz) on top of the n^2 zero fill.
+O(|i - j| + 1).  ``expand_dense`` lists the nnz structural nonzeros of an
+n x n block as flat arrays and evaluates the rule for all of them in a few
+whole-array passes, in O(n + nnz) time and memory besides the n^2 output
+and a table of running rho products.  That table has n rows of at most
+L + 1 entries, L the longest run of equal bits, so it is never larger than
+the output.  Each product is multiplied up from 1.0, because a ratio of
+prefix products would be 0/0 once the products underflow.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import int_argument
 from .snake import GeneratingSequence, SnakeFactorization, _canonical_blocks
 
 __all__ = ["PathDescriptor", "path", "entry", "bandwidths", "expand_dense"]
@@ -51,6 +56,8 @@ class PathDescriptor:
 
 def path(gen: GeneratingSequence, i: int, j: int) -> PathDescriptor:
     """Path descriptor for entry (i, j) of a snake with the given shape."""
+    i = int_argument("i", i)
+    j = int_argument("j", j)
     m = len(gen)
     if not (0 <= i <= m and 0 <= j <= m):
         raise IndexError(f"entry ({i},{j}) outside the range covered by {m} shape bits")
@@ -113,12 +120,19 @@ def bandwidths(gen: GeneratingSequence) -> tuple[int, int]:
 def expand_dense(snake: SnakeFactorization, n: int) -> np.ndarray:
     """Dense n x n matrix of closed-form entries.
 
-    Only the structural nonzeros are visited.  Row i is walked from the
-    diagonal outward on each side; the rho product between the outermost
-    segments r and t gains one factor whenever t moves, so each entry is
-    x_r * y_t * P in O(1).  The products are always built by multiplication,
-    never as ratios of prefix products, which would underflow.
+    The structural nonzeros form one flat list, row i covering the columns
+    last_zero[i - 1] .. min(next_one[i + 1], n - 1).  A few whole-array
+    passes over that list gather each entry's segments r and t, its block
+    entries x and y and its inner rho product, and one scatter writes the
+    values into the zero matrix.  Row a of the product table holds 1, 1
+    and then the running products rho_{a+1}, rho_{a+1} rho_{a+2}, ..., as
+    many as the longest inner run needs.  Each is multiplied up from 1.0
+    and never taken as a ratio of prefix products, which is 0/0 once the
+    products underflow.  The per-row and per-column tables have length n
+    and the other arrays length nnz, so the fixed cost at small n is a few
+    dozen numpy calls.
     """
+    n = int_argument("n", n)
     gen = snake.gen
     if n < 1:
         raise ValueError(f"matrix size must be positive, got n = {n}")
@@ -126,50 +140,44 @@ def expand_dense(snake: SnakeFactorization, n: int) -> np.ndarray:
         raise IndexError(
             f"size {n} needs indices up to {n - 1}; shape covers 0..{len(gen)}"
         )
+    blocks = _canonical_blocks(snake.schur.alphas[:n])
+    # Index k lies on segment k - 1 on the column side when s_k = 1 and on
+    # the row side when s_k = 0, and otherwise on segment k.
+    col_bit = np.array((0, *gen.bits[: n - 1]))
+    row_bit = 1 - col_bit
+    row_bit[0] = 0
+    index = np.arange(n)
+    seg_r = index - row_bit
+    seg_t = index - col_bit
+    # Row i holds columns lo_i .. hi_i, so nonzero k, counted over all rows,
+    # lies in column k + shift_i, shift_i being lo_i less the earlier count.
+    lo = np.array((0, *gen._last_zero[: n - 1]))
+    counts = np.minimum(gen._next_one[1 : n + 1], n - 1) - lo + 1
+    shift = lo - counts.cumsum() + counts
+    i = np.repeat(index, counts)
+    j = shift[i] + np.arange(i.size)
+    r, t = seg_r[i], seg_t[j]
+    # With s = sign(t - r), x = B_r[i - r, (1 + s) / 2] and y = B_t[(1 - s) / 2, j - t]
+    # where t != r, while x = B_r[i - r, j - t] and y = 1 where t = r.  Row
+    # i's x slots (x0, x0, x1, x1) at 1 + s + (j - t) and column j's y slots
+    # (y0, 1, y1) at 1 - s cover all three cases.
+    s = np.sign(t - r)
+    x = blocks[seg_r, row_bit].repeat(2, axis=1)
+    y = np.ones((n, 3), dtype=complex)
+    y[:, ::2] = blocks[seg_t, :, col_bit]
+    values = x.take(4 * i + 1 + s + col_bit[j]) * y.take(3 * j + 1 - s)
+    # The rhos strictly between segments a = min(r, t) and a + delta, where
+    # delta = |t - r|, are rho_{a+1} .. rho_{a+delta-1}: entry (a, delta).
+    delta = np.abs(t - r)
+    width = int(delta.max()) - 1
+    if width > 0:
+        rho = np.ones(n - 1 + width)
+        rho[: n - 1] = blocks[1:, 0, 1].real
+        table = np.ones((n, width + 2))
+        # Row a of the windows is a view of rho[a : a + width], rho_{a+1} on.
+        windows = np.ndarray((n, width), buffer=rho, strides=(rho.itemsize,) * 2)
+        np.cumprod(windows, axis=1, out=table[:, 2:])
+        values *= table.take(np.minimum(r, t) * (width + 2) + delta)
     out = np.zeros((n, n), dtype=complex)
-    block = _canonical_blocks(snake.schur.alphas[:n]).tolist()
-    rho = [b[0][1].real for b in block]
-    # Outermost segment on the row side (r) and on the column side (t), and
-    # the column's block entry when the path descends (b = 1, t > r) or
-    # climbs (b = 0, t < r).
-    bits = (0,) + gen.bits
-    seg_r = [k - 1 if k and not bits[k] else k for k in range(n)]
-    seg_t = [k - 1 if k and bits[k] else k for k in range(n)]
-    y_down = [block[t][0][j - t] for j, t in enumerate(seg_t)]
-    y_up = [block[t][1][j - t] for j, t in enumerate(seg_t)]
-    for i in range(n):
-        r = seg_r[i]
-        x = block[r][i - r]
-        lo = gen._last_zero[max(i - 1, 0)]
-        hi = min(gen._next_one[i + 1], n - 1)
-        # Rightward: t >= r except for t = r - 1 on the diagonal, where no
-        # segment lies between them.
-        row = []
-        prod, k = 1.0, r + 1
-        for j in range(i, hi + 1):
-            t = seg_t[j]
-            if t > r:
-                while k < t:
-                    prod *= rho[k]
-                    k += 1
-                row.append(x[1] * y_down[j] * prod)
-            elif t == r:
-                row.append(x[j - t])
-            else:
-                row.append(x[0] * y_up[j])
-        out[i, i : hi + 1] = row
-        # Leftward: t <= r.
-        row = []
-        prod, k = 1.0, r - 1
-        for j in range(i - 1, lo - 1, -1):
-            t = seg_t[j]
-            if t < r:
-                while k > t:
-                    prod *= rho[k]
-                    k -= 1
-                row.append(x[0] * y_up[j] * prod)
-            else:
-                row.append(x[j - t])
-        if row:
-            out[i, lo:i] = row[::-1]
+    out.reshape(-1)[n * i + j] = values
     return out

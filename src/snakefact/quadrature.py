@@ -27,7 +27,14 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError, ShapeError, check, unitarity_defect
+from .errors import (
+    ConvergenceError,
+    NumericalError,
+    ShapeError,
+    check,
+    int_argument,
+    unitarity_defect,
+)
 from .snake import SnakeFactorization, _canonical_blocks, _snake_product
 
 __all__ = [
@@ -71,6 +78,7 @@ def _truncation_blocks(snake: SnakeFactorization, n: int) -> np.ndarray:
 
 def truncate_para_unitary(snake: SnakeFactorization, n: int, theta: float) -> ParaUnitaryTruncation:
     """Unitary n x n truncation with corner phase e^{i theta}."""
+    n = int_argument("n", n)
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"theta = {theta} is not finite")
@@ -81,6 +89,7 @@ def truncate_para_unitary(snake: SnakeFactorization, n: int, theta: float) -> Pa
 
 def principal_truncation(snake: SnakeFactorization, n: int) -> np.ndarray:
     """Leading n x n block of the infinite matrix (not unitary)."""
+    n = int_argument("n", n)
     return _snake_product(snake, _truncation_blocks(snake, n))[:n, :n]
 
 

@@ -21,7 +21,7 @@ import itertools
 
 import numpy as np
 
-from .errors import ShapeError, check, unitarity_defect
+from .errors import ShapeError, check, int_argument, unitarity_defect
 from .schur import SchurSequence
 
 __all__ = [
@@ -131,8 +131,11 @@ def shape_from_monomials(exponents) -> GeneratingSequence:
 def _canonical_blocks(alphas) -> np.ndarray:
     """(k, 2, 2) array of the canonical blocks [[conj(alpha), rho], [rho, -alpha]]."""
     alphas = np.asarray(alphas, dtype=complex)
-    rhos = np.sqrt(1.0 - (alphas.real**2 + alphas.imag**2))
-    return np.stack([np.conj(alphas), rhos, rhos, -alphas], axis=-1).reshape(-1, 2, 2)
+    blocks = np.empty((alphas.size, 2, 2), dtype=complex)
+    blocks[:, 0, 0] = alphas.conj()
+    blocks[:, 0, 1] = blocks[:, 1, 0] = np.sqrt(1.0 - (alphas.real**2 + alphas.imag**2))
+    blocks[:, 1, 1] = -alphas
+    return blocks
 
 
 class GivensFactor:
@@ -182,12 +185,9 @@ class SnakeFactorization:
         self.gen = gen
         left: list[int] = []
         right = [0]
-        for k in range(1, len(gen) + 1):
-            if gen.s(k) == 1:
-                left.insert(0, k)
-            else:
-                right.append(k)
-        self.left_order = tuple(left)
+        for k, bit in enumerate(gen.bits, start=1):
+            (left if bit else right).append(k)
+        self.left_order = tuple(reversed(left))
         self.right_order = tuple(right)
 
     @property
@@ -233,6 +233,9 @@ def materialize_window(snake: SnakeFactorization, m: int) -> np.ndarray:
     entry (i, j) with max(i, j) <= m agrees with the whole snake.  Entries
     in the last row and column are truncation artifacts.
     """
+    m = int_argument("m", m)
+    if m < 0:
+        raise ValueError(f"window index must be nonnegative, got m = {m}")
     if m >= snake.num_factors:
         raise ShapeError(
             f"window needs factors 0..{m} but only 0..{snake.num_factors - 1} exist"

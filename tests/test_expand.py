@@ -241,13 +241,45 @@ class TestExpandDense:
             assert np.array_equal(dense != 0, monotone[:n, :n])
 
     @pytest.mark.parametrize("bit", [0, 1])
-    def test_long_runs_at_512(self, bit):
-        # Hessenberg (all zeros) and its transpose pattern (all ones): the
-        # longest rows, where the running rho product spans hundreds of factors
+    def test_long_runs_at_1024(self, bit):
+        # Hessenberg (all zeros) and its transpose pattern (all ones) at the
+        # top rung of the benchmark ladder: the longest rows, where the inner
+        # rho products span up to 1022 factors
         rng = np.random.default_rng(20 + bit)
-        snake = SnakeFactorization(random_schur(rng, 513), GeneratingSequence([bit] * 512))
-        dense = expand_dense(snake, 512)
-        assert np.max(np.abs(dense - materialize_window(snake, 511)[:512, :512])) <= 1e-13
+        snake = SnakeFactorization(random_schur(rng, 1025), GeneratingSequence([bit] * 1024))
+        dense = expand_dense(snake, 1024)
+        assert np.max(np.abs(dense - materialize_window(snake, 1023)[:1024, :1024])) <= 1e-13
+
+    def test_random_shape_at_1024(self):
+        n = 1024
+        rng = np.random.default_rng(22)
+        bits = random_bits(rng, n - 1)
+        snake = SnakeFactorization(random_schur(rng, n, lo=0.2), GeneratingSequence(bits))
+        dense = expand_dense(snake, n)
+        assert np.max(np.abs(dense - materialize_window(snake, n - 1)[:n, :n])) <= 1e-13
+        # Entry (i, j) is nonzero exactly when the bits strictly between i and
+        # j are all 0 (i < j) or all 1 (i > j), counted here by prefix sums.
+        p = np.array(snake.gen.p)
+        i, j = np.indices((n, n))
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        ones = p[np.maximum(hi - 1, 0)] - p[lo]
+        monotone = (i == j) | ((i < j) & (ones == 0)) | ((i > j) & (ones == hi - lo - 1))
+        assert np.array_equal(dense != 0, monotone)
+
+    def test_inner_products_underflow_without_nan(self):
+        # |alpha| = 1 - 1e-12 makes every rho about 1.4e-6, so the inner rho
+        # products of the Hessenberg rows underflow to 0 after ~50 factors.
+        # Products formed as ratios of prefix products would be 0/0 there.
+        n = 128
+        rng = np.random.default_rng(23)
+        alphas = (1 - 1e-12) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        snake = SnakeFactorization(SchurSequence(alphas), hessenberg_shape(n - 1))
+        dense = expand_dense(snake, n)
+        assert np.isfinite(dense).all()
+        assert not dense[0, 60:].any()
+        entries = np.array([[entry(snake, i, j) for j in range(n)] for i in range(n)])
+        assert np.max(np.abs(dense - entries)) <= 1e-15
+        assert np.max(np.abs(dense - materialize_window(snake, n - 1)[:n, :n])) <= 1e-13
 
 
 class TestUnitNorms:

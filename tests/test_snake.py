@@ -124,6 +124,14 @@ class TestSnakeOrder:
         assert snake.left_order == (4, 2)
         assert snake.right_order == (0, 1, 3)
 
+    def test_all_ones_long_shape(self):
+        # Every factor but the first joins the left-hand product, in the
+        # reverse of the bit order.
+        m = 40_000
+        snake = SnakeFactorization(SchurSequence([0.1] * (m + 1)), GeneratingSequence([1] * m))
+        assert snake.left_order == tuple(range(m, 0, -1))
+        assert snake.right_order == (0,)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="exactly"):
             SnakeFactorization(SchurSequence([0.1] * 4), cmv_shape(4))
