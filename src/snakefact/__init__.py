@@ -22,6 +22,7 @@ from .oracle import (
     moments,
     multiplication_matrix,
     schur_from_moments,
+    schur_parameters,
 )
 from .quadrature import (
     ParaUnitaryTruncation,

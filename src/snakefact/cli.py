@@ -1,23 +1,20 @@
 """Command line front end.
 
-Subcommands: build, entry, expand, bandwidth, quadrature, verify.  Shapes
-come from a named family (--shape hessenberg|cmv with --m giving the number
-of Givens factors), explicit bits (--shape bits --s 1,0,1) or a monomial
-order (--shape monomials --monomials 0,-1,1); Schur parameters come inline
-(--alphas) or from a measure descriptor (--measure), which states them for
-Lebesgue, Bernstein-Szego and Geronimus measures; a grid measure has them
-recovered from its moments.  Flags always win over anything a descriptor file
-may carry.
-
-Output is human-readable text by default; --format json emits the fixed
-machine-readable schemas (complex numbers as [re, im] pairs) and --format
-csv emits plotting-friendly tables where defined.  Exit codes: 0 success,
+Subcommands: build, entry, expand, bandwidth, quadrature, verify.  Each
+declares only the flags it reads, from the groups shape (--shape
+hessenberg|cmv with --m Givens factors, --s bits or --monomials exponents),
+Schur (--alphas, or a --measure whose parameters ``oracle.schur_parameters``
+gives), --n, and --format/--out.  Each builds one record: --format json
+writes it with complex numbers as [re, im] pairs, and the default text and,
+for expand and quadrature, --format csv render it.  Exit codes: 0 success,
 1 verification failure, 2 invalid input, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -28,7 +25,7 @@ import numpy as np
 from . import verify as verify_mod
 from .errors import NumericalError
 from .expand import bandwidths, entry, expand_dense, path
-from .oracle import BernsteinSzego, Geronimus, GridMeasure, Lebesgue, moments, schur_from_moments
+from .oracle import BernsteinSzego, Geronimus, GridMeasure, Lebesgue, moments, schur_parameters
 from .quadrature import _principal_argument, exactness_defect, szego_quadrature
 from .schur import SchurSequence
 from .snake import (
@@ -54,8 +51,7 @@ def _pair(z) -> list[float]:
 
 
 def _pair_text(z) -> str:
-    z = complex(z)
-    return f"[{_fmt(z.real)}, {_fmt(z.imag)}]"
+    return "[{}, {}]".format(*map(_fmt, _pair(z)))
 
 
 def _parse_csv(text: str, convert, what: str):
@@ -79,7 +75,10 @@ def _load_measure(text: str):
         except OSError:  # e.g. a name longer than the file system allows
             is_file = False
         if is_file:
-            descriptor = json.loads(Path(text).read_text())
+            try:
+                descriptor = json.loads(Path(text).read_text())
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"--measure file {text!r} is not JSON: {exc}") from None
     if descriptor is None:
         name = text.strip().lower()
         if name in _MEASURE_NAMES:
@@ -123,19 +122,21 @@ def _pairs(descriptor: dict, field: str, single: bool = False) -> list:
     return pairs
 
 
-def _resolve_shape(args, factors_hint: int | None = None) -> GeneratingSequence:
+def _resolve_shape(args, factors: int | None = None) -> GeneratingSequence:
+    """Shape named by the shape flags.
+
+    ``factors`` sizes a named shape given without --m, and without any shape
+    flag it gives a Hessenberg shape of that many Givens factors.
+    """
     kind = args.shape
     if args.s is not None and args.monomials is not None:
         raise ValueError("give exactly one shape source: --s or --monomials")
     if kind in ("hessenberg", "cmv") and (args.s is not None or args.monomials is not None):
         raise ValueError(f"--shape {kind} conflicts with --s/--monomials")
-    if kind is None:
-        if args.s is not None:
-            kind = "bits"
-        elif args.monomials is not None:
-            kind = "monomials"
+    if kind is None and (args.s is not None or args.monomials is not None):
+        kind = "bits" if args.s is not None else "monomials"
     if kind in ("hessenberg", "cmv"):
-        count = args.m if args.m is not None else factors_hint
+        count = args.m if args.m is not None else factors
         if count is None:
             raise ValueError("named shapes need --m, the number of Givens factors")
         if count < 2:
@@ -149,162 +150,112 @@ def _resolve_shape(args, factors_hint: int | None = None) -> GeneratingSequence:
         if args.monomials is None:
             raise ValueError("--shape monomials needs --monomials with comma separated exponents")
         return shape_from_monomials(_parse_csv(args.monomials, int, "exponent"))
-    if factors_hint is not None and factors_hint >= 2:
-        return hessenberg_shape(factors_hint - 1)
+    if factors is not None and factors >= 2:
+        return hessenberg_shape(factors - 1)
     raise ValueError("no shape source given; use --shape, --s, or --monomials")
 
 
-def _resolve_schur(args, gen: GeneratingSequence) -> SchurSequence | None:
+def _resolve(args, factors: int | None = None, required: bool = True):
+    """(shape, Schur parameters, --measure's measure or None) from the flags.
+
+    The count of --alphas, else ``factors``, sizes a named shape without
+    --m.  Without a Schur flag the parameters are None if not ``required``.
+    """
+    alphas = None if args.alphas is None else _parse_csv(args.alphas, complex, "alpha")
+    gen = _resolve_shape(args, factors if alphas is None else len(alphas))
     count = len(gen) + 1
-    if args.alphas is not None and args.measure is not None:
+    if alphas is not None and args.measure is not None:
         raise ValueError("give exactly one Schur source: --alphas or --measure")
-    if args.alphas is not None:
-        alphas = _parse_csv(args.alphas, complex, "alpha")
+    if alphas is not None:
         if len(alphas) != count:
             raise ValueError(
                 f"a shape with {len(gen)} bits needs exactly {count} Schur parameters, "
                 f"got {len(alphas)}"
             )
-        return SchurSequence(alphas)
+        return gen, SchurSequence(alphas), None
     if args.measure is not None:
-        return _measure_schur(_load_measure(args.measure), count)
-    return None
+        measure = _load_measure(args.measure)
+        return gen, schur_parameters(measure, count), measure
+    if required:
+        raise ValueError("no Schur parameters given; use --alphas or --measure")
+    return gen, None, None
 
 
-def _measure_schur(measure, count: int) -> SchurSequence:
-    """First ``count`` Schur parameters of a measure.
-
-    Families parameterised by their Schur parameters state them directly;
-    only a grid measure recovers them from its moments.  A grid of k
-    distinct atoms has only k - 1 parameters inside the unit disk.
-    """
-    if isinstance(measure, Lebesgue):
-        return SchurSequence([0j] * count)
-    if isinstance(measure, BernsteinSzego):
-        prefix = list(measure.prefix)[:count]
-        return SchurSequence(prefix + [0j] * (count - len(prefix)))
-    if isinstance(measure, Geronimus):
-        return SchurSequence([measure.a] * count)
-    atoms = np.unique(measure.thetas).size
-    if count >= atoms:
-        raise ValueError(
-            f"a grid measure with {atoms} distinct atoms has only {atoms - 1} Schur "
-            f"parameters inside the unit disk; {count} are needed"
-        )
-    return schur_from_moments(moments(measure, count), count)
-
-
-def _emit(args, report, text, csv=None) -> None:
-    """Write the rendering that --format selects, building only that one.
-
-    ``report`` returns the JSON object, ``text`` the lines of the text
-    rendering and ``csv`` the CSV table; ``csv`` is None where CSV output is
-    not defined.
-    """
-    fmt = args.format
-    if fmt == "json":
-        payload = json.dumps(report(), indent=2) + "\n"
-    elif fmt == "csv":
-        if csv is None:
-            raise ValueError("csv output is not defined for this subcommand")
-        payload = csv()
+def _emit(args, record: dict, text, csv=None) -> None:
+    """Write ``record`` as JSON, or the lines ``text`` or ``csv`` render from it."""
+    if args.format == "json":
+        payload = json.dumps(record, indent=2, default=_pair)
     else:
-        payload = "\n".join(text()) + "\n"
+        payload = "\n".join((csv if args.format == "csv" else text)(record))
+    payload += "\n"
     if args.out:
         Path(args.out).write_text(payload)
     else:
         sys.stdout.write(payload)
 
 
-def _alphas_hint(args) -> int | None:
-    if args.alphas is None:
-        return None
-    return len(_parse_csv(args.alphas, complex, "alpha"))
-
-
 def cmd_build(args) -> int:
-    gen = _resolve_shape(args, factors_hint=_alphas_hint(args))
-    schur = _resolve_schur(args, gen)
+    gen, schur, _ = _resolve(args, required=False)
     snake = SnakeFactorization(schur or SchurSequence([0.0] * (len(gen) + 1)), gen)
-    report = {
+    record = {
         "s": list(gen.bits),
         "p": list(gen.p),
         "left": list(snake.left_order),
         "right": list(snake.right_order),
     }
-    text = [
-        "s: " + ",".join(map(str, gen.bits)),
-        "p: " + ",".join(map(str, gen.p)),
-        "left: " + ",".join(map(str, snake.left_order)),
-        "right: " + ",".join(map(str, snake.right_order)),
-    ]
     if schur is not None:
-        report["alphas"] = [_pair(a) for a in schur.alphas]
-        text.append("alphas: " + " ".join(_pair_text(a) for a in schur.alphas))
-    _emit(args, lambda: report, lambda: text)
+        record["alphas"] = list(schur.alphas)
+
+    def text(r):
+        lines = [f"{key}: " + ",".join(map(str, r[key])) for key in ("s", "p", "left", "right")]
+        if "alphas" in r:
+            lines.append("alphas: " + " ".join(map(_pair_text, r["alphas"])))
+        return lines
+
+    _emit(args, record, text)
     return 0
 
 
-def _require_schur(args, gen: GeneratingSequence) -> SchurSequence:
-    schur = _resolve_schur(args, gen)
-    if schur is None:
-        raise ValueError("no Schur parameters given; use --alphas or --measure")
-    return schur
-
-
 def cmd_entry(args) -> int:
-    if args.i is None or args.j is None:
-        raise ValueError("entry needs --i and --j")
-    gen = _resolve_shape(args, factors_hint=_alphas_hint(args))
-    snake = SnakeFactorization(_require_schur(args, gen), gen)
-    descriptor = path(gen, args.i, args.j)
-    value = entry(snake, args.i, args.j)
-    report = {
-        "i": args.i,
-        "j": args.j,
-        "value": _pair(value),
-        "r": descriptor.r,
-        "t": descriptor.t,
-        "K": list(descriptor.K),
-        "b": descriptor.b,
-        "monotone": descriptor.monotone,
-    }
-    text = [
-        f"value: {_pair_text(value)}",
-        f"r: {descriptor.r}  t: {descriptor.t}  K: {','.join(map(str, descriptor.K)) or '-'}"
-        f"  b: {'-' if descriptor.b is None else descriptor.b}"
-        f"  monotone: {str(descriptor.monotone).lower()}",
-    ]
-    _emit(args, lambda: report, lambda: text)
+    gen, schur, _ = _resolve(args)
+    snake = SnakeFactorization(schur, gen)
+    d = path(gen, args.i, args.j)
+    record = {"i": args.i, "j": args.j, "value": entry(snake, args.i, args.j), "r": d.r, "t": d.t,
+              "K": list(d.K), "b": d.b, "monotone": d.monotone}
+
+    def text(r):
+        return [
+            f"value: {_pair_text(r['value'])}",
+            f"r: {r['r']}  t: {r['t']}  K: {','.join(map(str, r['K'])) or '-'}"
+            f"  b: {'-' if r['b'] is None else r['b']}"
+            f"  monotone: {str(r['monotone']).lower()}",
+        ]
+
+    _emit(args, record, text)
     return 0
 
 
 def cmd_expand(args) -> int:
-    gen = _resolve_shape(args, factors_hint=_alphas_hint(args))
-    snake = SnakeFactorization(_require_schur(args, gen), gen)
-    rows = expand_dense(snake, args.n).tolist()
+    gen, schur, _ = _resolve(args)
+    record = {"n": args.n, "matrix": expand_dense(SnakeFactorization(schur, gen), args.n).tolist()}
 
-    def report():
-        return {"n": args.n, "matrix": [[_pair(z) for z in row] for row in rows]}
+    def text(r):
+        return [" ".join(map(_pair_text, row)) for row in r["matrix"]]
 
-    def text():
-        return [" ".join(_pair_text(z) for z in row) for row in rows]
+    def csv(r):
+        return ["i,j,re,im"] + [
+            f"{i},{j},{_fmt(z.real)},{_fmt(z.imag)}"
+            for i, row in enumerate(r["matrix"])
+            for j, z in enumerate(row)
+        ]
 
-    def csv():
-        lines = ["i,j,re,im"]
-        for i, row in enumerate(rows):
-            lines.extend(f"{i},{j},{_fmt(z.real)},{_fmt(z.imag)}" for j, z in enumerate(row))
-        return "\n".join(lines) + "\n"
-
-    _emit(args, report, text, csv)
+    _emit(args, record, text, csv)
     return 0
 
 
 def cmd_bandwidth(args) -> int:
-    gen = _resolve_shape(args, factors_hint=_alphas_hint(args))
-    lower, upper = bandwidths(gen)
-    report = {"lower": lower, "upper": upper}
-    _emit(args, lambda: report, lambda: [f"lower: {lower}", f"upper: {upper}"])
+    lower, upper = bandwidths(_resolve_shape(args))
+    _emit(args, {"lower": lower, "upper": upper}, lambda r: [f"{k}: {v}" for k, v in r.items()])
     return 0
 
 
@@ -312,116 +263,88 @@ def cmd_quadrature(args) -> int:
     n = args.n
     if n < 2:
         raise ValueError("a quadrature rule needs n >= 2")
-    has_shape_source = any(v is not None for v in (args.shape, args.s, args.monomials))
-    if has_shape_source or args.alphas is not None:
-        gen = _resolve_shape(args, factors_hint=_alphas_hint(args) or n)
-    else:
-        gen = hessenberg_shape(n - 1)
-    snake = SnakeFactorization(_require_schur(args, gen), gen)
-    rule = szego_quadrature(snake, n, args.theta)
-    defect = None
+    gen, schur, measure = _resolve(args, factors=n)
+    rule = szego_quadrature(SnakeFactorization(schur, gen), n, args.theta)
+    record = {"n": n, "theta": args.theta, "nodes": rule.nodes.tolist(), "weights": rule.weights.tolist()}
     if args.verify:
-        if args.measure is not None:
-            measure = _load_measure(args.measure)
-        else:
-            measure = BernsteinSzego(snake.schur.alphas[: n - 1])
-        defect = exactness_defect(rule, moments(measure, n - 1))
+        if measure is None:
+            measure = BernsteinSzego(schur.alphas[: n - 1])
+        record["exactness_defect"] = exactness_defect(rule, moments(measure, n - 1))
 
-    def report():
-        out = {
-            "n": n,
-            "theta": args.theta,
-            "nodes": [_pair(z) for z in rule.nodes],
-            "weights": [float(w) for w in rule.weights],
-        }
-        if defect is not None:
-            out["exactness_defect"] = defect
-        return out
-
-    def text():
-        lines = [f"n: {n}", f"theta: {_fmt(args.theta)}"]
-        for z, w in zip(rule.nodes, rule.weights):
-            lines.append(f"node {_pair_text(z)}  weight {_fmt(w)}")
-        if defect is not None:
-            lines.append(f"exactness defect: {_fmt(defect)}")
+    def text(r):
+        lines = [f"n: {r['n']}", f"theta: {_fmt(r['theta'])}"]
+        lines += [f"node {_pair_text(z)}  weight {_fmt(w)}" for z, w in zip(r["nodes"], r["weights"])]
+        if "exactness_defect" in r:
+            lines.append(f"exactness defect: {_fmt(r['exactness_defect'])}")
         return lines
 
-    def csv():
-        lines = ["arg,modulus,weight"]
-        for ang, z, w in zip(_principal_argument(rule.nodes), rule.nodes, rule.weights):
-            lines.append(f"{_fmt(ang)},{_fmt(abs(z))},{_fmt(w)}")
-        if defect is not None:
-            lines.append(f"# exactness_defect,{_fmt(defect)}")
-        return "\n".join(lines) + "\n"
+    def csv(r):
+        nodes = np.array(r["nodes"])
+        lines = ["arg,modulus,weight"] + [
+            f"{_fmt(ang)},{_fmt(abs(z))},{_fmt(w)}"
+            for ang, z, w in zip(_principal_argument(nodes), nodes, r["weights"])
+        ]
+        if "exactness_defect" in r:
+            lines.append(f"# exactness_defect,{_fmt(r['exactness_defect'])}")
+        return lines
 
-    _emit(args, report, text, csv)
+    _emit(args, record, text, csv)
     return 0
 
 
 def cmd_verify(args) -> int:
-    schur = None
-    if args.alphas is not None:
-        schur = SchurSequence(_parse_csv(args.alphas, complex, "alpha"))
+    schur = None if args.alphas is None else SchurSequence(_parse_csv(args.alphas, complex, "alpha"))
     measure = _load_measure(args.measure) if args.measure is not None else None
     seed_text = os.environ.get("SNAKE_SEED", str(DEFAULT_SEED))
     try:
         seed = int(seed_text)
     except ValueError:
         raise ValueError(f"SNAKE_SEED must be a decimal integer, got {seed_text!r}") from None
-    names = [args.suite] if args.suite else None
     results = verify_mod.run_suites(
-        names, seed=seed, m=args.m, n=args.n if args.suite else None,
-        schur=schur, measure=measure,
+        [args.suite] if args.suite else None, seed=seed, m=args.m,
+        n=args.n if args.suite else None, schur=schur, measure=measure,
     )
-    lines = []
-    if args.suite:
-        for r in results:
-            status = "ok" if r.passed else "FAIL"
-            lines.append(f"{r.case:<48} defect={r.defect:.3e} tol={r.tolerance:.0e} {status}")
-    by_suite: dict[str, list] = {}
-    for r in results:
-        by_suite.setdefault(r.suite, []).append(r)
-    lines.append(f"{'suite':<20} {'cases':>6} {'failed':>6} {'max defect':>12} {'tolerance':>10}")
-    failed_total = 0
-    for name, rs in by_suite.items():
-        failed = sum(1 for r in rs if not r.passed)
-        failed_total += failed
-        worst = max(r.defect for r in rs)
-        tol = min(r.tolerance for r in rs)
-        lines.append(f"{name:<20} {len(rs):>6} {failed:>6} {worst:>12.3e} {tol:>10.0e}")
-    ok = failed_total == 0
-    lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
-    report = {
+    record = {
         "seed": seed,
-        "results": [
-            {
-                "suite": r.suite,
-                "case": r.case,
-                "defect": r.defect,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-            }
-            for r in results
-        ],
-        "passed": ok,
+        "results": [{**dataclasses.asdict(r), "passed": r.passed} for r in results],
+        "passed": all(r.passed for r in results),
     }
-    _emit(args, lambda: report, lambda: lines)
-    return 0 if ok else 1
+
+    def text(r):
+        lines = []
+        if args.suite:
+            for c in r["results"]:
+                status = "ok" if c["passed"] else "FAIL"
+                lines.append(f"{c['case']:<48} defect={c['defect']:.3e} tol={c['tolerance']:.0e} {status}")
+        lines.append(f"{'suite':<20} {'cases':>6} {'failed':>6} {'max defect':>12} {'tolerance':>10}")
+        for name, cs in itertools.groupby(r["results"], key=lambda c: c["suite"]):
+            cs = list(cs)
+            failed = sum(not c["passed"] for c in cs)
+            worst = max(c["defect"] for c in cs)
+            tol = min(c["tolerance"] for c in cs)
+            lines.append(f"{name:<20} {len(cs):>6} {failed:>6} {worst:>12.3e} {tol:>10.0e}")
+        lines.append(f"overall: {'PASS' if r['passed'] else 'FAIL'}")
+        return lines
+
+    _emit(args, record, text)
+    return 0 if record["passed"] else 1
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _shape_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shape", choices=["hessenberg", "cmv", "bits", "monomials"],
                         help="shape family; bits/monomials read --s/--monomials")
     parser.add_argument("--s", help="comma separated shape bits, e.g. 1,0,1,0")
     parser.add_argument("--monomials", help="comma separated exponents, e.g. 0,-1,1,-2,2")
+    parser.add_argument("--m", type=int, help="number of Givens factors for named shapes")
+
+
+def _schur_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alphas", help="comma separated complex Schur parameters, e.g. 0.6,0.3-0.1j")
     parser.add_argument("--measure", help="measure name, JSON descriptor, or path to a JSON file")
-    parser.add_argument("--m", type=int, help="number of Givens factors for named shapes")
+
+
+def _size_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=8, help="matrix / rule size (default 8)")
-    parser.add_argument("--theta", type=float, default=0.0, help="corner phase in radians (default 0)")
-    parser.add_argument("--format", choices=["json", "csv"],
-                        help="machine-readable output (default: human-readable text)")
-    parser.add_argument("--out", help="write output to this path instead of stdout")
 
 
 def build_argument_parser() -> argparse.ArgumentParser:
@@ -431,35 +354,36 @@ def build_argument_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", help="report the ordered factorization of a shape")
-    _add_common(p)
-    p.set_defaults(func=cmd_build)
+    def command(name, func, summary, groups, formats=("json",)):
+        p = sub.add_parser(name, help=summary)
+        for group in groups:
+            group(p)
+        p.add_argument("--format", choices=formats,
+                       help="machine-readable output (default: human-readable text)")
+        p.add_argument("--out", help="write output to this path instead of stdout")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("entry", help="closed-form entry (i, j) plus its path report")
-    _add_common(p)
-    p.add_argument("--i", type=int, help="row index")
-    p.add_argument("--j", type=int, help="column index")
-    p.set_defaults(func=cmd_entry)
-
-    p = sub.add_parser("expand", help="dense n x n matrix of closed-form entries")
-    _add_common(p)
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("bandwidth", help="structural lower/upper bandwidths of a shape")
-    _add_common(p)
-    p.set_defaults(func=cmd_bandwidth)
-
-    p = sub.add_parser("quadrature", help="n-point Szego rule (nodes and weights)")
-    _add_common(p)
+    command("build", cmd_build, "report the ordered factorization of a shape",
+            (_shape_flags, _schur_flags))
+    p = command("entry", cmd_entry, "closed-form entry (i, j) plus its path report",
+                (_shape_flags, _schur_flags))
+    p.add_argument("--i", type=int, required=True, help="row index")
+    p.add_argument("--j", type=int, required=True, help="column index")
+    command("expand", cmd_expand, "dense n x n matrix of closed-form entries",
+            (_shape_flags, _schur_flags, _size_flag), ("json", "csv"))
+    command("bandwidth", cmd_bandwidth, "structural lower/upper bandwidths of a shape",
+            (_shape_flags,))
+    p = command("quadrature", cmd_quadrature, "n-point Szego rule (nodes and weights)",
+                (_shape_flags, _schur_flags, _size_flag), ("json", "csv"))
+    p.add_argument("--theta", type=float, default=0.0, help="corner phase in radians (default 0)")
     p.add_argument("--verify", action="store_true",
                    help="append the max exactness defect over the optimal subspace")
-    p.set_defaults(func=cmd_quadrature)
-
-    p = sub.add_parser("verify", help="run the invariant suites")
-    _add_common(p)
+    p = command("verify", cmd_verify, "run the invariant suites", (_schur_flags, _size_flag))
+    p.add_argument("--m", type=int,
+                   help="number of shape bits (unitarity default 12; bandwidth default 8, at most 16)")
     p.add_argument("--suite", choices=sorted(verify_mod.SUITES),
                    help="run a single suite with per-case output")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 

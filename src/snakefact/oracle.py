@@ -39,6 +39,7 @@ __all__ = [
     "GridMeasure",
     "MomentTable",
     "moments",
+    "schur_parameters",
     "inner_product",
     "gram_schmidt_laurent",
     "schur_from_moments",
@@ -190,21 +191,47 @@ def moments(measure, jmax: int) -> MomentTable:
     elif isinstance(measure, GridMeasure):
         js = np.arange(jmax + 1)
         vals = np.exp(-1j * np.outer(js, measure.thetas)) @ measure.weights
-    elif isinstance(measure, (Geronimus, BernsteinSzego)):
-        if isinstance(measure, Geronimus):
-            alphas = [measure.a] * jmax
-        else:
-            alphas = list(measure.prefix) + [0j] * jmax
+    else:
         try:
-            return MomentTable(_schur_moments(alphas, jmax))
+            return MomentTable(_schur_moments(_stated_parameters(measure, jmax), jmax))
         except MomentError as exc:
             raise NumericalError(
                 f"moment Toeplitz matrix numerically singular at jmax={jmax}; "
                 f"the moments of {measure!r} are exact but beyond float64 at this range"
             ) from exc
-    else:
-        raise TypeError(f"unsupported measure {measure!r}")
     return MomentTable(vals)
+
+
+def _stated_parameters(measure, count: int) -> list:
+    """alpha_0 .. alpha_{count-1} of a family defined by its Schur parameters."""
+    if isinstance(measure, Lebesgue):
+        return [0j] * count
+    if isinstance(measure, BernsteinSzego):
+        prefix = list(measure.prefix)[:count]
+        return prefix + [0j] * (count - len(prefix))
+    if isinstance(measure, Geronimus):
+        return [measure.a] * count
+    raise TypeError(f"unsupported measure {measure!r}")
+
+
+def schur_parameters(measure, count: int) -> SchurSequence:
+    """First ``count`` Schur parameters of a measure.
+
+    Lebesgue (all zero), Bernstein-Szego (the prefix, then zeros) and
+    Geronimus (every one equal to a) measures state them exactly; only a
+    grid measure has them recovered from its moments.  A grid of k distinct
+    atoms has only k - 1 parameters inside the unit disk, so asking it for k
+    or more raises ``ValueError``.
+    """
+    if not isinstance(measure, GridMeasure):
+        return SchurSequence(_stated_parameters(measure, count))
+    atoms = np.unique(measure.thetas).size
+    if count >= atoms:
+        raise ValueError(
+            f"a grid measure with {atoms} distinct atoms has only {atoms - 1} Schur "
+            f"parameters inside the unit disk; {count} are needed"
+        )
+    return schur_from_moments(moments(measure, count), count)
 
 
 def inner_product(table: MomentTable, f, g) -> complex:

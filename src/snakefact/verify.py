@@ -33,6 +33,10 @@ from .snake import (
 
 __all__ = ["CaseResult", "SUITES", "run_suites", "measured_bandwidths"]
 
+# The bandwidth suite enumerates all 2^m shapes, so its time grows 4x for
+# every two bits: about 3 s at m = 14, and m = 40 would never return.
+_MAX_BANDWIDTH_BITS = 16
+
 
 def _random_shape(rng, m: int) -> GeneratingSequence:
     return GeneratingSequence(rng.integers(0, 2, size=m))
@@ -73,14 +77,8 @@ def measured_bandwidths(gen: GeneratingSequence, schur: SchurSequence | None = N
     else:
         alphas = list(schur.alphas) + [0.4]
     extended = SnakeFactorization(SchurSequence(alphas), GeneratingSequence(gen.bits + (0,)))
-    dense = expand_dense(extended, m + 2)
-    lower = upper = 0
-    for i in range(m + 2):
-        for j in range(m + 2):
-            if dense[i, j] != 0:
-                lower = max(lower, i - j)
-                upper = max(upper, j - i)
-    return lower, upper
+    rows, cols = np.nonzero(expand_dense(extended, m + 2))
+    return int((rows - cols).max(initial=0)), int((cols - rows).max(initial=0))
 
 
 def suite_unitarity(rng, m=None, n=None, schur=None, measures=None):
@@ -196,6 +194,11 @@ def run_suites(
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if m is not None and m < 1:
         raise ValueError(f"m = {m}; the suites need at least one shape bit")
+    if "bandwidth" in names and m is not None and m > _MAX_BANDWIDTH_BITS:
+        raise ValueError(
+            f"m = {m}; the bandwidth suite enumerates all 2^m shapes and takes "
+            f"m <= {_MAX_BANDWIDTH_BITS}"
+        )
     if n is not None and n < 2:
         raise ValueError(f"n = {n}; the suites need a size of at least 2")
     if schur is not None and len(schur) < 2:

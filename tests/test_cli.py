@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import snakefact
+from snakefact import verify as verify_mod
 from snakefact.cli import main
 from snakefact.expand import entry
 from snakefact.schur import SchurSequence
@@ -18,9 +19,29 @@ TEN_ALPHAS = "0.3,0.2-0.1j,0.1,0.25j,0.3,0.1,0.2,0.3-0.2j,0.1,0.2"
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects flags and choices before main handles errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def rendered(capsys, *argv, formats=("text",)):
+    """The parsed JSON record of an argv, and the lines of its other renderings."""
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    lines = {}
+    for fmt in formats:
+        code, text, err = run(capsys, *argv, *(["--format", fmt] if fmt != "text" else []))
+        assert code == 0, err
+        assert text.endswith("\n")
+        lines[fmt] = text[:-1].split("\n")
+    return json.loads(out), lines
+
+
+def pair_text(pair):
+    return "[{:.16g}, {:.16g}]".format(*pair)
 
 
 class TestBuild:
@@ -332,6 +353,23 @@ class TestVerify:
         assert "PASS" not in out
         assert f"{flag[2:]} = {value}" in err
 
+    @pytest.mark.parametrize("argv", [["--suite", "bandwidth", "--m", "17"], ["--m", "40"]])
+    def test_bandwidth_suite_m_capped(self, capsys, argv):
+        # 2^m shapes: past 16 bits the suite would not return in reasonable time
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert "m = " in err and "m <= 16" in err
+
+    def test_bandwidth_suite_m_16_accepted(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setitem(verify_mod.SUITES, "bandwidth",
+                            lambda rng, m=None, **_: seen.append(m) or [])
+        code, out, _ = run(capsys, "verify", "--suite", "bandwidth", "--m", "16")
+        assert code == 0
+        assert seen == [16]
+        assert "overall: PASS" in out
+
     def test_seed_must_be_an_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("SNAKE_SEED", "abc")
         code, _, err = run(capsys, "verify", "--suite", "round-trip")
@@ -344,6 +382,96 @@ class TestVerify:
         assert "overall: PASS" in out
         for suite in ("unitarity", "oracle-equivalence", "bandwidth", "round-trip", "exactness"):
             assert suite in out
+
+
+class TestRenderings:
+    """Text and CSV are the documented renderings of the JSON record."""
+
+    def test_build(self, capsys):
+        r, lines = rendered(capsys, "build", "--monomials", MIXED, "--alphas", TEN_ALPHAS)
+        want = [f"{key}: " + ",".join(map(str, r[key])) for key in ("s", "p", "left", "right")]
+        assert lines["text"] == want + ["alphas: " + " ".join(map(pair_text, r["alphas"]))]
+
+    @pytest.mark.parametrize("i, j", [(7, 4), (7, 5), (3, 3)])
+    def test_entry(self, capsys, i, j):
+        r, lines = rendered(capsys, "entry", "--monomials", MIXED, "--alphas", TEN_ALPHAS,
+                            "--i", str(i), "--j", str(j))
+        k = ",".join(map(str, r["K"])) or "-"
+        b = "-" if r["b"] is None else r["b"]
+        assert lines["text"] == [
+            f"value: {pair_text(r['value'])}",
+            f"r: {r['r']}  t: {r['t']}  K: {k}  b: {b}  monotone: {json.dumps(r['monotone'])}",
+        ]
+
+    def test_expand(self, capsys):
+        r, lines = rendered(capsys, "expand", "--monomials", MIXED, "--alphas", TEN_ALPHAS,
+                            "--n", "5", formats=("text", "csv"))
+        assert lines["text"] == [" ".join(map(pair_text, row)) for row in r["matrix"]]
+        assert lines["csv"] == ["i,j,re,im"] + [
+            f"{i},{j},{re:.16g},{im:.16g}"
+            for i, row in enumerate(r["matrix"]) for j, (re, im) in enumerate(row)
+        ]
+
+    def test_bandwidth(self, capsys):
+        r, lines = rendered(capsys, "bandwidth", "--monomials", MIXED)
+        assert lines["text"] == [f"lower: {r['lower']}", f"upper: {r['upper']}"]
+
+    def test_quadrature(self, capsys):
+        descriptor = json.dumps({"type": "bernstein-szego", "alphas": [[0.6, 0.0], [0.1, 0.3]]})
+        r, lines = rendered(capsys, "quadrature", "--measure", descriptor, "--n", "7",
+                            "--theta", "0.4", "--verify", formats=("text", "csv"))
+        nodes = np.array([complex(re, im) for re, im in r["nodes"]])
+        args = np.angle(nodes)
+        args = np.where(args >= np.pi - 1e-12, args - 2 * np.pi, args)
+        assert lines["text"] == [f"n: {r['n']}", f"theta: {r['theta']:.16g}"] + [
+            f"node {pair_text(z)}  weight {w:.16g}" for z, w in zip(r["nodes"], r["weights"])
+        ] + [f"exactness defect: {r['exactness_defect']:.16g}"]
+        assert lines["csv"] == ["arg,modulus,weight"] + [
+            f"{a:.16g},{abs(z):.16g},{w:.16g}" for a, z, w in zip(args, nodes, r["weights"])
+        ] + [f"# exactness_defect,{r['exactness_defect']:.16g}"]
+
+    def test_verify(self, capsys):
+        r, lines = rendered(capsys, "verify", "--suite", "round-trip")
+        cases = r["results"]
+        assert lines["text"] == [
+            f"{c['case']:<48} defect={c['defect']:.3e} tol={c['tolerance']:.0e} "
+            + ("ok" if c["passed"] else "FAIL")
+            for c in cases
+        ] + [
+            f"{'suite':<20} {'cases':>6} {'failed':>6} {'max defect':>12} {'tolerance':>10}",
+            f"{'round-trip':<20} {len(cases):>6} {0:>6} "
+            f"{max(c['defect'] for c in cases):>12.3e} {min(c['tolerance'] for c in cases):>10.0e}",
+            "overall: PASS",
+        ]
+
+
+# Each subcommand declares only the flags it reads; these were once accepted
+# and ignored.  In verify, argparse reads --s as an abbreviation of --suite.
+UNDECLARED_FLAGS = [
+    ("build", "--n", "99"), ("build", "--theta", "3"),
+    ("entry", "--n", "3"), ("entry", "--theta", "1"),
+    ("expand", "--theta", "1"),
+    ("bandwidth", "--alphas", "5,5,5,5"), ("bandwidth", "--measure", "lebesgue"),
+    ("bandwidth", "--n", "3"), ("bandwidth", "--theta", "1"),
+    ("verify", "--shape", "cmv"), ("verify", "--s", "1,0"), ("verify", "--monomials", "0,1"),
+    ("verify", "--theta", "1"),
+]
+VALID_ARGV = {
+    "build": ["--shape", "cmv", "--m", "4"],
+    "entry": ["--shape", "cmv", "--m", "4", "--alphas", "0.1,0.2,0.3,0.4", "--i", "1", "--j", "1"],
+    "expand": ["--shape", "cmv", "--m", "4", "--alphas", "0.1,0.2,0.3,0.4", "--n", "3"],
+    "bandwidth": ["--shape", "cmv", "--m", "4"],
+    "verify": ["--suite", "round-trip"],
+}
+
+
+@pytest.mark.parametrize("command, flag, value", UNDECLARED_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _ in UNDECLARED_FLAGS])
+def test_undeclared_flag_rejected(capsys, command, flag, value):
+    code, out, err = run(capsys, command, *VALID_ARGV[command], flag, value)
+    assert code == 2
+    assert out == ""
+    assert flag in err
 
 
 class TestErrors:
@@ -404,6 +532,14 @@ class TestErrors:
     def test_unknown_measure(self, capsys):
         code, _, err = run(capsys, "quadrature", "--measure", "nope", "--n", "4")
         assert code == 2
+
+    def test_measure_file_not_json(self, capsys, tmp_path):
+        bad = tmp_path / "measure.json"
+        bad.write_text("not json {")
+        code, out, err = run(capsys, "quadrature", "--measure", str(bad), "--n", "4")
+        assert code == 2
+        assert out == ""
+        assert "--measure" in err and str(bad) in err and "not JSON" in err
 
     def test_overlong_measure_is_not_a_path(self, capsys):
         code, _, err = run(capsys, "quadrature", "--measure", "x" * 300, "--n", "4")

@@ -134,6 +134,20 @@ class TestBandwidths:
             gen = GeneratingSequence(bits)
             assert measured_bandwidths(gen) == bandwidths(gen)
 
+    @pytest.mark.parametrize("m", [1, 5, 9])
+    def test_measured_matches_loop_reference(self, m):
+        # the (m+2)^2 double loop that measured_bandwidths ran before it read np.nonzero
+        gen = GeneratingSequence(random_bits(np.random.default_rng(m), m))
+        alphas = SchurSequence([0.4 * np.exp(0.7j * k) for k in range(m + 2)])
+        dense = expand_dense(SnakeFactorization(alphas, GeneratingSequence(gen.bits + (0,))), m + 2)
+        lower = upper = 0
+        for i, j in itertools.product(range(m + 2), repeat=2):
+            if dense[i, j] != 0:
+                lower, upper = max(lower, i - j), max(upper, j - i)
+        got = measured_bandwidths(gen)
+        assert got == (lower, upper)
+        assert all(type(b) is int for b in got)
+
     def test_matches_measured_sampled_up_to_12(self):
         rng = np.random.default_rng(19)
         for _ in range(120):

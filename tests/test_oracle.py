@@ -17,6 +17,7 @@ from snakefact.oracle import (
     moments,
     multiplication_matrix,
     schur_from_moments,
+    schur_parameters,
 )
 from snakefact.schur import PolynomialPair, SchurSequence, szego_step
 from snakefact.snake import (
@@ -270,6 +271,33 @@ class TestSchurFromMoments:
         table = moments(Lebesgue(), 3)
         with pytest.raises(MomentError):
             schur_from_moments(table, 4)
+
+
+class TestSchurParameters:
+    def test_lebesgue_zeros(self):
+        assert schur_parameters(Lebesgue(), 4).alphas == (0j,) * 4
+
+    def test_bernstein_szego_prefix_then_zeros(self):
+        measure = BernsteinSzego([0.6, -0.3j, 0.2])
+        assert schur_parameters(measure, 5).alphas == (0.6, -0.3j, 0.2, 0j, 0j)
+        assert schur_parameters(measure, 2).alphas == (0.6, -0.3j)
+
+    def test_geronimus_constant(self):
+        a = 0.35 - 0.2j
+        assert schur_parameters(Geronimus(a), 6).alphas == (a,) * 6
+
+    @pytest.mark.parametrize("atoms", [3, 6])
+    def test_grid_recovered_from_moments(self, atoms):
+        thetas = -np.pi + 2 * np.pi * (np.arange(atoms) + 0.3) / atoms
+        grid = GridMeasure(thetas, np.arange(1, atoms + 1) / (atoms * (atoms + 1) / 2))
+        want = schur_from_moments(moments(grid, atoms - 1), atoms - 1)
+        assert schur_parameters(grid, atoms - 1).alphas == want.alphas
+        with pytest.raises(ValueError, match=f"{atoms} distinct atoms"):
+            schur_parameters(grid, atoms)
+
+    def test_unsupported_measure(self):
+        with pytest.raises(TypeError, match="unsupported measure"):
+            schur_parameters(object(), 3)
 
 
 class TestMatrixEntryOracle:
