@@ -155,17 +155,23 @@ def _resolve_shape(args, factors: int | None = None) -> GeneratingSequence:
     raise ValueError("no shape source given; use --shape, --s, or --monomials")
 
 
+def _schur_source(args):
+    """(parsed --alphas, loaded --measure), each None when absent; not both given."""
+    alphas = None if args.alphas is None else _parse_csv(args.alphas, complex, "alpha")
+    if alphas is not None and args.measure is not None:
+        raise ValueError("give exactly one Schur source: --alphas or --measure")
+    return alphas, None if args.measure is None else _load_measure(args.measure)
+
+
 def _resolve(args, factors: int | None = None, required: bool = True):
     """(shape, Schur parameters, --measure's measure or None) from the flags.
 
     The count of --alphas, else ``factors``, sizes a named shape without
     --m.  Without a Schur flag the parameters are None if not ``required``.
     """
-    alphas = None if args.alphas is None else _parse_csv(args.alphas, complex, "alpha")
+    alphas, measure = _schur_source(args)
     gen = _resolve_shape(args, factors if alphas is None else len(alphas))
     count = len(gen) + 1
-    if alphas is not None and args.measure is not None:
-        raise ValueError("give exactly one Schur source: --alphas or --measure")
     if alphas is not None:
         if len(alphas) != count:
             raise ValueError(
@@ -173,8 +179,7 @@ def _resolve(args, factors: int | None = None, required: bool = True):
                 f"got {len(alphas)}"
             )
         return gen, SchurSequence(alphas), None
-    if args.measure is not None:
-        measure = _load_measure(args.measure)
+    if measure is not None:
         return gen, schur_parameters(measure, count), measure
     if required:
         raise ValueError("no Schur parameters given; use --alphas or --measure")
@@ -293,8 +298,8 @@ def cmd_quadrature(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    schur = None if args.alphas is None else SchurSequence(_parse_csv(args.alphas, complex, "alpha"))
-    measure = _load_measure(args.measure) if args.measure is not None else None
+    alphas, measure = _schur_source(args)
+    schur = None if alphas is None else SchurSequence(alphas)
     seed_text = os.environ.get("SNAKE_SEED", str(DEFAULT_SEED))
     try:
         seed = int(seed_text)
@@ -351,11 +356,12 @@ def build_argument_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="snakefact",
         description="Snake-shaped Givens factorizations and Szego quadrature on the unit circle.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, summary, groups, formats=("json",)):
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         for group in groups:
             group(p)
         p.add_argument("--format", choices=formats,

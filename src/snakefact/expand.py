@@ -98,23 +98,17 @@ def entry(snake: SnakeFactorization, i: int, j: int) -> complex:
     return complex(value)
 
 
-def _longest_run(bits, value: int) -> int:
-    best = cur = 0
-    for b in bits:
-        cur = cur + 1 if b == value else 0
-        best = max(best, cur)
-    return best
-
-
 def bandwidths(gen: GeneratingSequence) -> tuple[int, int]:
     """Structural (lower, upper) bandwidths of the factorization.
 
-    The upper bandwidth is one more than the longest run of consecutive
-    zeros among the stored bits and the lower bandwidth one more than the
-    longest run of ones.  These count structural nonzeros: an entry within
-    the band can still vanish for particular parameter values (alpha_k = 0).
+    One more than the longest run of ones (lower) and of zeros (upper) among
+    the stored bits; in the run table, k - last_zero[k] ones end at k and
+    next_one[k] - k zeros start at k.  These count structural nonzeros: an
+    entry in the band can still vanish for some parameters (alpha_k = 0).
     """
-    return 1 + _longest_run(gen.bits, 1), 1 + _longest_run(gen.bits, 0)
+    ks = range(1, len(gen) + 1)
+    return (1 + max((k - gen._last_zero[k] for k in ks), default=0),
+            1 + max((gen._next_one[k] - k for k in ks), default=0))
 
 
 def expand_dense(snake: SnakeFactorization, n: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MomentError, NumericalError, check
-from .schur import PolynomialPair, SchurSequence, evaluate_phi, szego_step
+from .schur import SchurSequence, _coefficients, evaluate_phi
 from .snake import GeneratingSequence
 
 __all__ = [
@@ -164,14 +164,14 @@ def _schur_moments(alphas, jmax: int) -> np.ndarray:
 
     Inverse Szego recursion: phi_{k+1} = sum_i c_i z^i is orthogonal to 1,
     so sum_i conj(c_i) mu_i = 0, which fixes mu_{k+1} from mu_0 .. mu_k.
+    Past float64 the moments come out non-finite, for ``MomentTable`` to reject.
     """
     vals = np.zeros(jmax + 1, dtype=complex)
     vals[0] = 1.0
-    pair = PolynomialPair.initial()
-    for k in range(jmax):
-        pair = szego_step(pair, alphas[k])
-        c = np.conj(pair.phi)
-        vals[k + 1] = -(c[: k + 1] @ vals[: k + 1]) / c[k + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (phi, _) in enumerate(_coefficients(alphas[:jmax], *np.ones((2, 1), dtype=complex))):
+            c = np.conj(phi)
+            vals[k + 1] = -(c[: k + 1] @ vals[: k + 1]) / c[k + 1]
     return vals
 
 
@@ -243,12 +243,9 @@ def inner_product(table: MomentTable, f, g) -> complex:
         raise MomentError(
             f"inner product needs moments up to |j| = {span}, table has {table.jmax}"
         )
-    acc = 0j
-    for a, fa in f.items():
-        ca = np.conj(fa)
-        for b, gb in g.items():
-            acc += ca * gb * table.mu(a - b)
-    return complex(acc)
+    a, b = np.array(list(f)), np.array(list(g))
+    fa, gb = np.array(list(f.values()), dtype=complex), np.array(list(g.values()), dtype=complex)
+    return complex(fa.conj() @ table._mu[table.jmax + a[:, None] - b[None, :]] @ gb)
 
 
 def _exponents(gen: GeneratingSequence, n: int) -> np.ndarray:

@@ -21,8 +21,6 @@ function, so everything here is safe to share between threads.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import InvalidSchurParameter, check
@@ -38,8 +36,22 @@ __all__ = [
 ]
 
 
-def _rho(alpha: complex) -> float:
-    return math.sqrt(1.0 - (alpha.real * alpha.real + alpha.imag * alpha.imag))
+def _rho(alpha):
+    """rho = sqrt(1 - |alpha|^2) of a scalar or elementwise of an array."""
+    return np.sqrt(1.0 - (alpha.real * alpha.real + alpha.imag * alpha.imag))
+
+
+def _szego_update(z_phi, star, alpha, rho):
+    """One step of the Szego recursion on values or on shifted coefficient arrays."""
+    return (z_phi - np.conj(alpha) * star) / rho, (star - alpha * z_phi) / rho
+
+
+def _coefficients(alphas, phi, star):
+    """Bare coefficient arrays (phi_k, phi_k*) from (phi, star) on, one pair per parameter."""
+    for alpha, rho in zip(alphas, _rho(np.asarray(alphas, dtype=complex))):
+        z_phi, star = np.concatenate(([0j], phi)), np.concatenate((star, [0j]))
+        phi, star = _szego_update(z_phi, star, alpha, rho)
+        yield phi, star
 
 
 class SchurSequence:
@@ -73,12 +85,11 @@ class SchurSequence:
         return self.alphas[k]
 
     def rho(self, k: int) -> float:
-        return _rho(self.alphas[k])
+        return float(_rho(self.alphas[k]))
 
     @property
     def rhos(self) -> np.ndarray:
-        a = np.asarray(self.alphas, dtype=complex)
-        return np.sqrt(1.0 - (a.real**2 + a.imag**2))
+        return _rho(np.asarray(self.alphas, dtype=complex))
 
 
 def dual(coeffs) -> np.ndarray:
@@ -135,22 +146,17 @@ def szego_step(pair: PolynomialPair, alpha_k: complex) -> PolynomialPair:
     alpha_k = complex(alpha_k)
     if not abs(alpha_k) < 1.0:
         raise InvalidSchurParameter(None, alpha_k)
-    rho_k = _rho(alpha_k)
-    z_phi = np.concatenate(([0.0j], pair.phi))
-    star = np.concatenate((pair.phi_star, [0.0j]))
-    phi_next = (z_phi - np.conj(alpha_k) * star) / rho_k
-    star_next = (star - alpha_k * z_phi) / rho_k
-    return PolynomialPair(phi_next, star_next)
+    return PolynomialPair(*next(_coefficients([alpha_k], pair.phi, pair.phi_star)))
 
 
 def polynomial_pair(schur: SchurSequence, n: int) -> PolynomialPair:
     """Coefficients of (phi_n, phi_n*) for the given Schur parameters."""
     if n > len(schur):
         raise ValueError(f"degree {n} needs {n} Schur parameters, have {len(schur)}")
-    pair = PolynomialPair.initial()
-    for k in range(n):
-        pair = szego_step(pair, schur.alpha(k))
-    return pair
+    phi, star = np.ones((2, 1), dtype=complex)
+    for phi, star in _coefficients(schur.alphas[:n], phi, star):
+        pass
+    return PolynomialPair(phi, star)
 
 
 def evaluate_phi(schur: SchurSequence, n: int, z):
@@ -163,13 +169,9 @@ def evaluate_phi(schur: SchurSequence, n: int, z):
     if n > len(schur):
         raise ValueError(f"degree {n} needs {n} Schur parameters, have {len(schur)}")
     zz = np.asarray(z, dtype=complex)
-    phi = np.ones_like(zz)
-    star = np.ones_like(zz)
-    for k in range(n):
-        a = schur.alpha(k)
-        r = schur.rho(k)
-        z_phi = zz * phi
-        phi, star = (z_phi - np.conj(a) * star) / r, (star - a * z_phi) / r
+    phi, star = np.ones((2, *zz.shape), dtype=complex)
+    for alpha, rho in zip(schur.alphas[:n], schur.rhos):
+        phi, star = _szego_update(zz * phi, star, alpha, rho)
     if np.isscalar(z) or np.ndim(z) == 0:
         return complex(phi), complex(star)
     return phi, star

@@ -22,7 +22,7 @@ import itertools
 import numpy as np
 
 from .errors import ShapeError, check, int_argument, unitarity_defect
-from .schur import SchurSequence
+from .schur import SchurSequence, _rho
 
 __all__ = [
     "GeneratingSequence",
@@ -133,7 +133,7 @@ def _canonical_blocks(alphas) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=complex)
     blocks = np.empty((alphas.size, 2, 2), dtype=complex)
     blocks[:, 0, 0] = alphas.conj()
-    blocks[:, 0, 1] = blocks[:, 1, 0] = np.sqrt(1.0 - (alphas.real**2 + alphas.imag**2))
+    blocks[:, 0, 1] = blocks[:, 1, 0] = _rho(alphas)
     blocks[:, 1, 1] = -alphas
     return blocks
 

@@ -327,6 +327,13 @@ class TestVerify:
         assert "PASS" not in out
         assert "alphas" in err and "at least 2" in err
 
+    def test_both_schur_sources_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "round-trip", "--alphas", "0.1,0.2",
+                             "--measure", "lebesgue")
+        assert code == 2
+        assert out == ""
+        assert "give exactly one Schur source" in err
+
     def test_m_disagrees_with_alphas(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "unitarity", "--alphas", "0.3,0.2",
                              "--m", "5")
@@ -446,7 +453,7 @@ class TestRenderings:
 
 
 # Each subcommand declares only the flags it reads; these were once accepted
-# and ignored.  In verify, argparse reads --s as an abbreviation of --suite.
+# and ignored.
 UNDECLARED_FLAGS = [
     ("build", "--n", "99"), ("build", "--theta", "3"),
     ("entry", "--n", "3"), ("entry", "--theta", "1"),
@@ -472,6 +479,22 @@ def test_undeclared_flag_rejected(capsys, command, flag, value):
     assert code == 2
     assert out == ""
     assert flag in err
+
+
+# Flags must be spelled in full; argparse would otherwise read these as
+# verify --suite and quadrature --measure.
+ABBREVIATED_FLAGS = [
+    ("verify", "--s", "round-trip"),
+    ("quadrature", "--meas", "lebesgue", "--n", "4"),
+]
+
+
+@pytest.mark.parametrize("argv", ABBREVIATED_FLAGS, ids=[a[1] for a in ABBREVIATED_FLAGS])
+def test_abbreviated_flag_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {argv[1]}" in err
 
 
 class TestErrors:
@@ -564,6 +587,18 @@ def test_module_runs_as_script():
     proc = _python("-m", "snakefact.cli", "build", "--shape", "cmv", "--m", "4")
     assert proc.returncode == 0, proc.stderr
     assert "s: 0,1,0" in proc.stdout
+
+
+def test_moment_overflow_exits_3_without_warnings():
+    # the coefficients of phi_k for Geronimus(0.999) grow at least like rho^-k = 22^k,
+    # and the moment recursion leaves float64 at k = 162
+    measure = json.dumps({"type": "geronimus", "a": [0.999, 0]})
+    proc = _python("-m", "snakefact.cli", "quadrature", "--measure", measure, "--n", "300", "--verify")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "beyond float64" in proc.stderr
 
 
 def test_cli_import_leaves_scipy_out():

@@ -39,6 +39,16 @@ def szego_coefficients(schur, n):
     return pairs
 
 
+def chained_moments(alphas, jmax):
+    """mu_0 .. mu_jmax by the inverse recursion over chained public szego_step pairs."""
+    vals = np.zeros(jmax + 1, dtype=complex)
+    vals[0] = 1.0
+    for k, pair in enumerate(szego_coefficients(SchurSequence(alphas), jmax)[1:]):
+        c = np.conj(pair.phi)
+        vals[k + 1] = -(c[: k + 1] @ vals[: k + 1]) / c[k + 1]
+    return vals
+
+
 def psi_coefficients(schur, gen, n):
     """Laurent coefficient dict of the nth basis element, via the recursion."""
     pair = szego_coefficients(schur, n)[n]
@@ -96,6 +106,24 @@ class TestMoments:
         # working precision: a numerical limit, not an invalid measure
         with pytest.raises(NumericalError, match="numerically singular at jmax=60"):
             moments(Geronimus(0.5), 60)
+
+    def test_geronimus_overflow_is_numerical(self):
+        # the coefficients of phi_k grow at least like rho^-k = 22^k and leave
+        # float64 before k = 299; pytest turns any RuntimeWarning into an error
+        with pytest.raises(NumericalError, match="beyond float64"):
+            moments(Geronimus(0.999), 299)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_schur_families_match_chained_szego_steps(self, seed):
+        rng = np.random.default_rng(seed)
+        prefix = list(random_schur(rng, 6, lo=0.0, hi=0.7).alphas)
+        a = complex(random_schur(rng, 1, lo=0.0, hi=0.6).alpha(0))
+        for measure, alphas, jmax in [
+            (BernsteinSzego(prefix), prefix + [0j] * 12, 18),
+            (Geronimus(a), [a] * 12, 12),
+        ]:
+            table = moments(measure, jmax)
+            assert np.array_equal(table._mu[jmax:], chained_moments(alphas, jmax))
 
     def test_mass_is_one(self):
         for measure in (BernsteinSzego([0.5, -0.4j, 0.2]), Geronimus(0.3 - 0.2j)):

@@ -113,6 +113,16 @@ class TestSzegoStep:
         scale = max(1.0, np.max(np.abs(pair.phi)))
         assert np.allclose(pair.phi_star, dual(pair.phi), atol=1e-10 * scale)
 
+    @pytest.mark.parametrize("n", [0, 1, 9, 40])
+    def test_polynomial_pair_matches_chained_steps(self, n):
+        seq = random_schur(np.random.default_rng(n), max(n, 1), lo=0.0, hi=0.9)
+        chained = PolynomialPair.initial()
+        for k in range(n):
+            chained = szego_step(chained, seq.alpha(k))
+        pair = polynomial_pair(seq, n)
+        assert np.array_equal(pair.phi, chained.phi)
+        assert np.array_equal(pair.phi_star, chained.phi_star)
+
     def test_invalid_alpha_rejected(self):
         with pytest.raises(InvalidSchurParameter):
             szego_step(PolynomialPair.initial(), 1.0 + 0j)
