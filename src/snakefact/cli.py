@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .errors import NumericalError
+from .errors import NumericalError, int_argument
 from .expand import bandwidths, entry, expand_dense, path
 from .oracle import BernsteinSzego, Geronimus, GridMeasure, Lebesgue, moments, schur_parameters
 from .quadrature import _principal_argument, exactness_defect, szego_quadrature
@@ -133,14 +133,15 @@ def _resolve_shape(args, factors: int | None = None) -> GeneratingSequence:
         raise ValueError("give exactly one shape source: --s or --monomials")
     if kind in ("hessenberg", "cmv") and (args.s is not None or args.monomials is not None):
         raise ValueError(f"--shape {kind} conflicts with --s/--monomials")
+    if kind not in ("hessenberg", "cmv") and args.m is not None:
+        raise ValueError("--m sizes a named shape only; give it with --shape hessenberg or cmv")
     if kind is None and (args.s is not None or args.monomials is not None):
         kind = "bits" if args.s is not None else "monomials"
     if kind in ("hessenberg", "cmv"):
         count = args.m if args.m is not None else factors
         if count is None:
             raise ValueError("named shapes need --m, the number of Givens factors")
-        if count < 2:
-            raise ValueError("named shapes need at least 2 Givens factors")
+        count = int_argument("m", count, 2)
         return hessenberg_shape(count - 1) if kind == "hessenberg" else cmv_shape(count - 1)
     if kind == "bits":
         if args.s is None:
@@ -265,9 +266,7 @@ def cmd_bandwidth(args) -> int:
 
 
 def cmd_quadrature(args) -> int:
-    n = args.n
-    if n < 2:
-        raise ValueError("a quadrature rule needs n >= 2")
+    n = int_argument("n", args.n, 2)
     gen, schur, measure = _resolve(args, factors=n)
     rule = szego_quadrature(SnakeFactorization(schur, gen), n, args.theta)
     record = {"n": n, "theta": args.theta, "nodes": rule.nodes.tolist(), "weights": rule.weights.tolist()}
@@ -306,8 +305,8 @@ def cmd_verify(args) -> int:
     except ValueError:
         raise ValueError(f"SNAKE_SEED must be a decimal integer, got {seed_text!r}") from None
     results = verify_mod.run_suites(
-        [args.suite] if args.suite else None, seed=seed, m=args.m,
-        n=args.n if args.suite else None, schur=schur, measure=measure,
+        [args.suite] if args.suite else None, seed=seed, m=args.m, n=args.n,
+        schur=schur, measure=measure,
     )
     record = {
         "seed": seed,

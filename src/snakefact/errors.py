@@ -1,10 +1,11 @@
 """Exception types and the numerical-contract check shared across the package.
 
 Validation problems (bad parameters, malformed shapes, insufficient moment
-ranges) derive from ``ValueError``, and a size or index that is not an
-integer raises ``TypeError``; failures of a numerical computation to
-meet its accuracy contract derive from ``NumericalError``.  A contract holds
-when its measured defect is ``<= bound``, a test that NaN fails.
+ranges, sizes and indices below their minimum) derive from ``ValueError``,
+and a size or index that is not an integer raises ``TypeError``; failures
+of a numerical computation to meet its accuracy contract derive from
+``NumericalError``.  A contract holds when its measured defect is
+``<= bound``, a test that NaN fails.
 """
 
 import cmath
@@ -60,18 +61,23 @@ def check(what: str, value, bound: float, exc: type = NumericalError) -> float:
     return value
 
 
-def int_argument(name: str, value) -> int:
-    """``value`` as an int, for any integer type except bool.
+def int_argument(name: str, value, lo: int = 0, exc: type = ValueError) -> int:
+    """``value`` as an int of at least ``lo``, for any integer type except bool.
 
     Integers are taken through ``operator.index``, so NumPy integers pass
     and floats, strings and None do not; a bool is refused although it is
-    an int.  The ``TypeError`` names the parameter.
+    an int.  The ``TypeError`` names the parameter, and a smaller value
+    raises ``exc("<name> = <value>; must be at least <lo>")``.
     """
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
+        else:
+            if value < lo:
+                raise exc(f"{name} = {value}; must be at least {lo}")
+            return value
     raise TypeError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
 
 

@@ -59,7 +59,7 @@ def path(gen: GeneratingSequence, i: int, j: int) -> PathDescriptor:
     i = int_argument("i", i)
     j = int_argument("j", j)
     m = len(gen)
-    if not (0 <= i <= m and 0 <= j <= m):
+    if max(i, j) > m:
         raise IndexError(f"entry ({i},{j}) outside the range covered by {m} shape bits")
     # The arrow at height i hits segment i first only if that segment sits to
     # the left of segment i-1 (s_i = 1); symmetrically for the column side.
@@ -126,10 +126,8 @@ def expand_dense(snake: SnakeFactorization, n: int) -> np.ndarray:
     and the other arrays length nnz, so the fixed cost at small n is a few
     dozen numpy calls.
     """
-    n = int_argument("n", n)
+    n = int_argument("n", n, 1)
     gen = snake.gen
-    if n < 1:
-        raise ValueError(f"matrix size must be positive, got n = {n}")
     if n - 1 > len(gen):
         raise IndexError(
             f"size {n} needs indices up to {n - 1}; shape covers 0..{len(gen)}"

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MomentError, NumericalError, check
+from .errors import MomentError, NumericalError, check, int_argument
 from .schur import SchurSequence, _coefficients, evaluate_phi
 from .snake import GeneratingSequence
 
@@ -183,8 +183,7 @@ def moments(measure, jmax: int) -> MomentTable:
     inverse Szego recursion; when float64 cannot resolve their Toeplitz
     matrix at this range, ``NumericalError`` is raised.
     """
-    if jmax < 0:
-        raise ValueError("jmax must be nonnegative")
+    jmax = int_argument("jmax", jmax)
     if isinstance(measure, Lebesgue):
         vals = np.zeros(jmax + 1, dtype=complex)
         vals[0] = 1.0
@@ -192,11 +191,14 @@ def moments(measure, jmax: int) -> MomentTable:
         js = np.arange(jmax + 1)
         vals = np.exp(-1j * np.outer(js, measure.thetas)) @ measure.weights
     else:
+        vals = _schur_moments(_stated_parameters(measure, jmax), jmax)
+        cause = ("moment Toeplitz matrix numerically singular" if np.isfinite(vals).all()
+                 else "moment recursion overflows")
         try:
-            return MomentTable(_schur_moments(_stated_parameters(measure, jmax), jmax))
+            return MomentTable(vals)
         except MomentError as exc:
             raise NumericalError(
-                f"moment Toeplitz matrix numerically singular at jmax={jmax}; "
+                f"{cause} at jmax={jmax}; "
                 f"the moments of {measure!r} are exact but beyond float64 at this range"
             ) from exc
     return MomentTable(vals)
@@ -223,6 +225,7 @@ def schur_parameters(measure, count: int) -> SchurSequence:
     atoms has only k - 1 parameters inside the unit disk, so asking it for k
     or more raises ``ValueError``.
     """
+    count = int_argument("count", count, 1)
     if not isinstance(measure, GridMeasure):
         return SchurSequence(_stated_parameters(measure, count))
     atoms = np.unique(measure.thetas).size
@@ -282,6 +285,7 @@ def gram_schmidt_laurent(table: MomentTable, gen: GeneratingSequence, n: int):
     coefficient of the monomial that is new at position k is real positive.
     Requires the conservative moment range jmax >= 2 max(p_n, n - p_n) + 2.
     """
+    n = int_argument("n", n)
     if n > len(gen):
         raise ValueError(f"index {n} exceeds the {len(gen)} stored shape bits")
     needed = 2 * max(gen.p[n], n - gen.p[n]) + 2
@@ -303,8 +307,7 @@ def schur_from_moments(table: MomentTable, n: int) -> SchurSequence:
     forces conj(alpha_k) = -rho_k phi_{k+1}(0) / kappa_k, and eliminating
     rho_k = kappa_k / kappa_{k+1} gives alpha_k = -conj(phi_{k+1}(0)) / kappa_{k+1}.
     """
-    if n < 1:
-        raise ValueError("need n >= 1 to recover at least one parameter")
+    n = int_argument("n", n, 1)
     if table.jmax < n:
         raise MomentError(f"need jmax >= {n}, table has {table.jmax}")
     c = _gram_schmidt(table, np.arange(n + 1))
@@ -313,14 +316,13 @@ def schur_from_moments(table: MomentTable, n: int) -> SchurSequence:
 
 def matrix_entry_oracle(table: MomentTable, gen: GeneratingSequence, i: int, j: int) -> complex:
     """Entry <psi_i, z psi_j> of the multiplication operator, from moments only."""
+    i, j = int_argument("i", i), int_argument("j", j)
     return complex(multiplication_matrix(table, gen, max(i, j) + 1)[i, j])
 
 
 def multiplication_matrix(table: MomentTable, gen: GeneratingSequence, n: int) -> np.ndarray:
     """Dense n x n matrix of <psi_i, z psi_j>, sharing one Gram-Schmidt run."""
-    if n < 1:
-        raise ValueError("matrix size must be positive")
-    if table.jmax < n:
+    if table.jmax < int_argument("n", n, 1):
         raise MomentError(f"need jmax >= {n}, table has {table.jmax}")
     exps = _exponents(gen, n - 1)
     c = _gram_schmidt(table, exps)

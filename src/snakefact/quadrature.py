@@ -67,8 +67,6 @@ class ParaUnitaryTruncation:
 
 def _truncation_blocks(snake: SnakeFactorization, n: int) -> np.ndarray:
     """Canonical blocks of the first n factors, those of an n x n truncation."""
-    if n < 2:
-        raise ValueError("truncation size must be at least 2")
     if n - 1 > len(snake.gen):
         raise ShapeError(
             f"size {n} needs shape bits through s_{n - 1}; only {len(snake.gen)} stored"
@@ -78,7 +76,7 @@ def _truncation_blocks(snake: SnakeFactorization, n: int) -> np.ndarray:
 
 def truncate_para_unitary(snake: SnakeFactorization, n: int, theta: float) -> ParaUnitaryTruncation:
     """Unitary n x n truncation with corner phase e^{i theta}."""
-    n = int_argument("n", n)
+    n = int_argument("n", n, 2)
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"theta = {theta} is not finite")
@@ -89,7 +87,7 @@ def truncate_para_unitary(snake: SnakeFactorization, n: int, theta: float) -> Pa
 
 def principal_truncation(snake: SnakeFactorization, n: int) -> np.ndarray:
     """Leading n x n block of the infinite matrix (not unitary)."""
-    n = int_argument("n", n)
+    n = int_argument("n", n, 2)
     return _snake_product(snake, _truncation_blocks(snake, n))[:n, :n]
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidSchurParameter, check
+from .errors import InvalidSchurParameter, check, int_argument
 
 __all__ = [
     "SchurSequence",
@@ -82,10 +82,10 @@ class SchurSequence:
         return f"SchurSequence({list(self.alphas)!r})"
 
     def alpha(self, k: int) -> complex:
-        return self.alphas[k]
+        return self.alphas[int_argument("k", k)]
 
     def rho(self, k: int) -> float:
-        return float(_rho(self.alphas[k]))
+        return float(_rho(self.alpha(k)))
 
     @property
     def rhos(self) -> np.ndarray:
@@ -151,7 +151,7 @@ def szego_step(pair: PolynomialPair, alpha_k: complex) -> PolynomialPair:
 
 def polynomial_pair(schur: SchurSequence, n: int) -> PolynomialPair:
     """Coefficients of (phi_n, phi_n*) for the given Schur parameters."""
-    if n > len(schur):
+    if int_argument("n", n) > len(schur):
         raise ValueError(f"degree {n} needs {n} Schur parameters, have {len(schur)}")
     phi, star = np.ones((2, 1), dtype=complex)
     for phi, star in _coefficients(schur.alphas[:n], phi, star):
@@ -166,7 +166,7 @@ def evaluate_phi(schur: SchurSequence, n: int, z):
     point and avoids the cancellation that coefficient expansion can suffer.
     ``z`` may be a scalar or an ndarray; the recursion is applied elementwise.
     """
-    if n > len(schur):
+    if int_argument("n", n) > len(schur):
         raise ValueError(f"degree {n} needs {n} Schur parameters, have {len(schur)}")
     zz = np.asarray(z, dtype=complex)
     phi, star = np.ones((2, *zz.shape), dtype=complex)
@@ -185,7 +185,7 @@ def laurent_basis(schur: SchurSequence, gen, n: int, z):
     (s_n = 0) and z^{-p_n} phi_n*(z) when it is negative (s_n = 1).  The
     index 0 element is the constant 1 either way.
     """
-    if n > len(gen):
+    if int_argument("n", n) > len(gen):
         raise ValueError(f"index {n} exceeds the {len(gen)} stored shape bits")
     zz = np.asarray(z, dtype=complex)
     if np.any(zz == 0):

@@ -79,22 +79,19 @@ class GeneratingSequence:
 
     def s(self, n: int) -> int:
         """Bit s_n for 1 <= n <= m."""
-        if not 1 <= n <= len(self.bits):
+        if not 1 <= int_argument("n", n) <= len(self.bits):
             raise IndexError(f"s_{n} undefined; stored bits cover 1..{len(self.bits)}")
         return self.bits[n - 1]
 
 
 def hessenberg_shape(m: int) -> GeneratingSequence:
     """All monomials of positive power: the unitary Hessenberg ordering."""
-    if m < 1:
-        raise ShapeError("shape length must be at least 1")
-    return GeneratingSequence((0,) * m)
+    return GeneratingSequence((0,) * int_argument("m", m, 1, ShapeError))
 
 
 def cmv_shape(m: int) -> GeneratingSequence:
     """Alternating positive and negative powers: the five-diagonal ordering."""
-    if m < 1:
-        raise ShapeError("shape length must be at least 1")
+    m = int_argument("m", m, 1, ShapeError)
     return GeneratingSequence(tuple((k + 1) % 2 for k in range(1, m + 1)))
 
 
@@ -147,8 +144,7 @@ class GivensFactor:
     """
 
     def __init__(self, k: int, block):
-        if k < 0:
-            raise ValueError("factor index must be nonnegative")
+        k = int_argument("k", k)
         block = np.asarray(block, dtype=complex)
         if block.shape != (2, 2):
             raise ValueError("a Givens block is a 2x2 matrix")
@@ -196,7 +192,7 @@ class SnakeFactorization:
 
     def factor(self, k: int) -> GivensFactor:
         """Canonical factor G_{k,k+1}, regenerated from alpha_k."""
-        if not 0 <= k < self.num_factors:
+        if int_argument("k", k) >= self.num_factors:
             raise IndexError(f"factor {k} outside 0..{self.num_factors - 1}")
         return GivensFactor.from_schur(k, self.schur.alpha(k))
 
@@ -234,8 +230,6 @@ def materialize_window(snake: SnakeFactorization, m: int) -> np.ndarray:
     in the last row and column are truncation artifacts.
     """
     m = int_argument("m", m)
-    if m < 0:
-        raise ValueError(f"window index must be nonnegative, got m = {m}")
     if m >= snake.num_factors:
         raise ShapeError(
             f"window needs factors 0..{m} but only 0..{snake.num_factors - 1} exist"

@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from .errors import CaseResult, NumericalError, unitarity_defect
+from .errors import CaseResult, NumericalError, int_argument, unitarity_defect
 from .expand import bandwidths, expand_dense
 from .oracle import (
     BernsteinSzego,
@@ -192,15 +192,13 @@ def run_suites(
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if m is not None and m < 1:
-        raise ValueError(f"m = {m}; the suites need at least one shape bit")
+    m = None if m is None else int_argument("m", m, 1)
+    n = None if n is None else int_argument("n", n, 2)
     if "bandwidth" in names and m is not None and m > _MAX_BANDWIDTH_BITS:
         raise ValueError(
             f"m = {m}; the bandwidth suite enumerates all 2^m shapes and takes "
             f"m <= {_MAX_BANDWIDTH_BITS}"
         )
-    if n is not None and n < 2:
-        raise ValueError(f"n = {n}; the suites need a size of at least 2")
     if schur is not None and len(schur) < 2:
         raise ValueError(f"alphas give {len(schur)} Schur parameter(s); the suites need at least 2")
     if schur is not None and m is not None and m != len(schur) - 1:

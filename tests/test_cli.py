@@ -383,6 +383,24 @@ class TestVerify:
         assert code == 2
         assert "SNAKE_SEED" in err and "decimal integer" in err
 
+    @pytest.mark.parametrize("argv, size", [([], 8), (["--n", "6"], 6)])
+    def test_n_sizes_exactness_without_suite(self, capsys, monkeypatch, argv, size):
+        # a bare verify runs the exactness suite at --n's default of 8 only:
+        # three measures times two corner phases
+        for name in set(verify_mod.SUITES) - {"exactness"}:
+            monkeypatch.setitem(verify_mod.SUITES, name, lambda rng, **_: [])
+        code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+        assert code == 0
+        cases = [r["case"] for r in json.loads(out)["results"]]
+        assert len(cases) == 6 and all(f"/n={size}/" in c for c in cases)
+
+    @pytest.mark.parametrize("value", ["1", "0", "-3"])
+    def test_n_below_two_without_suite(self, capsys, value):
+        code, out, err = run(capsys, "verify", "--n", value)
+        assert code == 2
+        assert out == ""
+        assert f"n = {value}; must be at least 2" in err
+
     def test_default_run_passes(self, capsys):
         code, out, _ = run(capsys, "verify")
         assert code == 0
@@ -569,6 +587,30 @@ class TestErrors:
         assert code == 2
         assert "unknown measure" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["build", "--s", "1,0", "--m", "7"],
+        ["build", "--shape", "bits", "--s", "1,0", "--m", "3"],
+        ["bandwidth", "--monomials", "0,-1,1", "--m", "3"],
+        ["quadrature", "--measure", "lebesgue", "--n", "4", "--m", "3"],
+    ])
+    def test_m_without_a_named_shape(self, capsys, argv):
+        # --m counts the factors of a named shape; elsewhere it would be dropped
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--m" in err and "named shape" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["entry", "--shape", "cmv", "--m", "5", "--alphas", "0.3,0.2,0.1,0.2,0.3", "--i", "-1", "--j", "0"],
+        ["quadrature", "--measure", "lebesgue", "--n", "1"],
+        ["build", "--shape", "cmv", "--m", "1"],
+    ])
+    def test_sizes_and_indices_below_the_minimum(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "must be at least" in err
+
     def test_missing_schur(self, capsys):
         code, _, err = run(capsys, "entry", "--shape", "cmv", "--m", "4", "--i", "0", "--j", "0")
         assert code == 2
@@ -599,6 +641,8 @@ def test_moment_overflow_exits_3_without_warnings():
     assert "RuntimeWarning" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "beyond float64" in proc.stderr
+    assert "moment recursion overflows at jmax=299" in proc.stderr
+    assert "Toeplitz" not in proc.stderr
 
 
 def test_cli_import_leaves_scipy_out():
