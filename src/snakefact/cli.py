@@ -26,7 +26,7 @@ from . import verify as verify_mod
 from .errors import NumericalError, int_argument
 from .expand import bandwidths, entry, expand_dense, path
 from .oracle import BernsteinSzego, Geronimus, GridMeasure, Lebesgue, moments, schur_parameters
-from .quadrature import _principal_argument, exactness_defect, szego_quadrature
+from .quadrature import _principal_argument, _rule_size, exactness_defect, szego_quadrature
 from .schur import SchurSequence
 from .snake import (
     GeneratingSequence,
@@ -122,11 +122,13 @@ def _pairs(descriptor: dict, field: str, single: bool = False) -> list:
     return pairs
 
 
-def _resolve_shape(args, factors: int | None = None) -> GeneratingSequence:
+def _resolve_shape(args, factors: tuple[str, int] | None = None) -> GeneratingSequence:
     """Shape named by the shape flags.
 
-    ``factors`` sizes a named shape given without --m, and without any shape
-    flag it gives a Hessenberg shape of that many Givens factors.
+    ``factors``, a (source, count) pair, sizes a named shape given without
+    --m, and without any shape flag it gives a Hessenberg shape of that many
+    Givens factors.  A count too small for a named shape is reported under
+    the name of its source.
     """
     kind = args.shape
     if args.s is not None and args.monomials is not None:
@@ -138,10 +140,11 @@ def _resolve_shape(args, factors: int | None = None) -> GeneratingSequence:
     if kind is None and (args.s is not None or args.monomials is not None):
         kind = "bits" if args.s is not None else "monomials"
     if kind in ("hessenberg", "cmv"):
-        count = args.m if args.m is not None else factors
-        if count is None:
+        if args.m is not None:
+            factors = ("m", args.m)
+        if factors is None:
             raise ValueError("named shapes need --m, the number of Givens factors")
-        count = int_argument("m", count, 2)
+        count = int_argument(*factors, 2)
         return hessenberg_shape(count - 1) if kind == "hessenberg" else cmv_shape(count - 1)
     if kind == "bits":
         if args.s is None:
@@ -151,8 +154,8 @@ def _resolve_shape(args, factors: int | None = None) -> GeneratingSequence:
         if args.monomials is None:
             raise ValueError("--shape monomials needs --monomials with comma separated exponents")
         return shape_from_monomials(_parse_csv(args.monomials, int, "exponent"))
-    if factors is not None and factors >= 2:
-        return hessenberg_shape(factors - 1)
+    if factors is not None and factors[1] >= 2:
+        return hessenberg_shape(factors[1] - 1)
     raise ValueError("no shape source given; use --shape, --s, or --monomials")
 
 
@@ -164,14 +167,15 @@ def _schur_source(args):
     return alphas, None if args.measure is None else _load_measure(args.measure)
 
 
-def _resolve(args, factors: int | None = None, required: bool = True):
+def _resolve(args, factors: tuple[str, int] | None = None, required: bool = True):
     """(shape, Schur parameters, --measure's measure or None) from the flags.
 
-    The count of --alphas, else ``factors``, sizes a named shape without
-    --m.  Without a Schur flag the parameters are None if not ``required``.
+    The count of --alphas, else ``factors``, a (source, count) pair, sizes a
+    named shape without --m.  Without a Schur flag the parameters are None
+    if not ``required``.
     """
     alphas, measure = _schur_source(args)
-    gen = _resolve_shape(args, factors if alphas is None else len(alphas))
+    gen = _resolve_shape(args, factors if alphas is None else ("number of --alphas", len(alphas)))
     count = len(gen) + 1
     if alphas is not None:
         if len(alphas) != count:
@@ -266,8 +270,8 @@ def cmd_bandwidth(args) -> int:
 
 
 def cmd_quadrature(args) -> int:
-    n = int_argument("n", args.n, 2)
-    gen, schur, measure = _resolve(args, factors=n)
+    n = _rule_size(args.n)
+    gen, schur, measure = _resolve(args, factors=("n", n))
     rule = szego_quadrature(SnakeFactorization(schur, gen), n, args.theta)
     record = {"n": n, "theta": args.theta, "nodes": rule.nodes.tolist(), "weights": rule.weights.tolist()}
     if args.verify:

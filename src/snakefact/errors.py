@@ -1,11 +1,12 @@
 """Exception types and the numerical-contract check shared across the package.
 
 Validation problems (bad parameters, malformed shapes, insufficient moment
-ranges, sizes and indices below their minimum) derive from ``ValueError``,
-and a size or index that is not an integer raises ``TypeError``; failures
-of a numerical computation to meet its accuracy contract derive from
-``NumericalError``.  A contract holds when its measured defect is
-``<= bound``, a test that NaN fails.
+ranges, sizes and indices below their minimum) derive from ``ValueError``;
+a size, index or exponent that is not an integer and a Schur parameter
+that is not a number raise ``TypeError``; failures of a numerical
+computation to meet its accuracy contract derive from ``NumericalError``.
+A contract holds when its measured defect is ``<= bound``, a test that NaN
+fails.
 """
 
 import cmath
@@ -79,6 +80,34 @@ def int_argument(name: str, value, lo: int = 0, exc: type = ValueError) -> int:
                 raise exc(f"{name} = {value}; must be at least {lo}")
             return value
     raise TypeError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+
+
+def _is_number_type(cls: type) -> bool:
+    return issubclass(cls, (int, float, complex, np.number)) and not issubclass(cls, bool)
+
+
+def complex_argument(name: str, value) -> complex:
+    """``value`` as a complex, for an int, float, complex or NumPy number.
+
+    A bool, a string, None or a container raises a ``TypeError`` that names
+    the parameter; whether the number is finite is for the caller to check.
+    """
+    if _is_number_type(type(value)):
+        return complex(value)
+    raise TypeError(f"{name} must be a number, got {type(value).__name__} {value!r}")
+
+
+def complex_arguments(name: str, values) -> tuple:
+    """Each of ``values`` as a complex; the ``TypeError`` names "<name> <index>".
+
+    Each distinct type is checked once, so a long sequence costs little more
+    than its conversion.
+    """
+    values = tuple(values)
+    if not all(map(_is_number_type, set(map(type, values)))):
+        for k, value in enumerate(values):
+            complex_argument(f"{name} {k}", value)  # raises at the first non-number
+    return tuple(map(complex, values))
 
 
 def unitarity_defect(m) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import int_argument
-from .snake import GeneratingSequence, SnakeFactorization, _canonical_blocks
+from .snake import GeneratingSequence, SnakeFactorization
 
 __all__ = ["PathDescriptor", "path", "entry", "bandwidths", "expand_dense"]
 
@@ -88,13 +88,12 @@ def entry(snake: SnakeFactorization, i: int, j: int) -> complex:
     d = path(snake.gen, i, j)
     if not d.monotone:
         return 0j
-    lo = min(d.r, d.t)
-    blocks = _canonical_blocks(snake.schur.alphas[lo : max(d.r, d.t) + 1])
+    blocks = snake.schur._blocks
     if d.r == d.t:
-        return complex(blocks[0, i - d.r, j - d.t])
-    value = blocks[d.r - lo, i - d.r, d.b] * blocks[d.t - lo, 1 - d.b, j - d.t]
+        return complex(blocks[d.r, i - d.r, j - d.t])
+    value = blocks[d.r, i - d.r, d.b] * blocks[d.t, 1 - d.b, j - d.t]
     for k in d.K:
-        value *= blocks[k - lo, 0, 1]
+        value *= blocks[k, 0, 1]
     return complex(value)
 
 
@@ -132,7 +131,7 @@ def expand_dense(snake: SnakeFactorization, n: int) -> np.ndarray:
         raise IndexError(
             f"size {n} needs indices up to {n - 1}; shape covers 0..{len(gen)}"
         )
-    blocks = _canonical_blocks(snake.schur.alphas[:n])
+    blocks = snake.schur._blocks[:n]
     # Index k lies on segment k - 1 on the column side when s_k = 1 and on
     # the row side when s_k = 0, and otherwise on segment k.
     col_bit = np.array((0, *gen.bits[: n - 1]))

@@ -26,9 +26,11 @@ coefficients of psi_k.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import MomentError, NumericalError, check, int_argument
+from .errors import MomentError, NumericalError, check, complex_argument, int_argument
 from .schur import SchurSequence, _coefficients, evaluate_phi
 from .snake import GeneratingSequence
 
@@ -88,7 +90,7 @@ class Geronimus:
     """
 
     def __init__(self, a: complex):
-        a = complex(a)
+        a = complex_argument("a", a)
         if not abs(a) < 1.0:
             raise ValueError(f"|a| = {abs(a):.6g} must be < 1")
         self.a = a
@@ -238,15 +240,18 @@ def schur_parameters(measure, count: int) -> SchurSequence:
 
 
 def inner_product(table: MomentTable, f, g) -> complex:
-    """<f, g> = sum conj(f_a) g_b mu_{a-b} for Laurent coefficient mappings."""
+    """<f, g> = sum conj(f_a) g_b mu_{a-b} for Laurent coefficient mappings.
+
+    The exponents, the keys of ``f`` and ``g``, are integers.
+    """
     if not f or not g:
         return 0j
-    span = max(max(f) - min(g), max(g) - min(f))
+    a, b = (np.array([int_argument("exponent", e, -math.inf) for e in h]) for h in (f, g))
+    span = max(a.max() - b.min(), b.max() - a.min())
     if span > table.jmax:
         raise MomentError(
             f"inner product needs moments up to |j| = {span}, table has {table.jmax}"
         )
-    a, b = np.array(list(f)), np.array(list(g))
     fa, gb = np.array(list(f.values()), dtype=complex), np.array(list(g.values()), dtype=complex)
     return complex(fa.conj() @ table._mu[table.jmax + a[:, None] - b[None, :]] @ gb)
 

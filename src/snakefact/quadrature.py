@@ -35,7 +35,7 @@ from .errors import (
     int_argument,
     unitarity_defect,
 )
-from .snake import SnakeFactorization, _canonical_blocks, _snake_product
+from .snake import SnakeFactorization, _snake_product
 
 __all__ = [
     "ParaUnitaryTruncation",
@@ -66,12 +66,12 @@ class ParaUnitaryTruncation:
 
 
 def _truncation_blocks(snake: SnakeFactorization, n: int) -> np.ndarray:
-    """Canonical blocks of the first n factors, those of an n x n truncation."""
+    """Writable copy of the canonical blocks of the first n factors of an n x n truncation."""
     if n - 1 > len(snake.gen):
         raise ShapeError(
             f"size {n} needs shape bits through s_{n - 1}; only {len(snake.gen)} stored"
         )
-    return _canonical_blocks(snake.schur.alphas[:n])
+    return snake.schur._blocks[:n].copy()
 
 
 def truncate_para_unitary(snake: SnakeFactorization, n: int, theta: float) -> ParaUnitaryTruncation:
@@ -117,15 +117,26 @@ def eigen_unitary(matrix: np.ndarray):
     n = matrix.shape[0]
     if matrix.ndim != 2 or matrix.shape != (n, n):
         raise ValueError("input must be a square matrix")
+    if n > _MAX_EIG_SIZE:
+        raise ValueError(f"matrix size {n} exceeds the supported {_MAX_EIG_SIZE}")
     check("input is not unitary", unitarity_defect(matrix), 1e-10, ValueError)
     return _eigen_unitary(matrix)
 
 
-def _eigen_unitary(matrix: np.ndarray):
-    """`eigen_unitary` for a square complex input already known to be unitary."""
-    n = matrix.shape[0]
+def _rule_size(n) -> int:
+    """``n`` as the size of a Szego rule: an integer from 2 to the eigensolver's limit.
+
+    Checked before any n-sized work, so an oversized rule costs nothing.
+    """
+    n = int_argument("n", n, 2)
     if n > _MAX_EIG_SIZE:
-        raise ValueError(f"matrix size {n} exceeds the supported {_MAX_EIG_SIZE}")
+        raise ValueError(f"rule size n = {n} exceeds the supported {_MAX_EIG_SIZE}")
+    return n
+
+
+def _eigen_unitary(matrix: np.ndarray):
+    """`eigen_unitary` for a square complex input of a supported size, known to be unitary."""
+    n = matrix.shape[0]
     pairs = _cayley_pairs(matrix)
     if pairs is None:
         try:
@@ -229,9 +240,10 @@ def szego_quadrature(snake: SnakeFactorization, n: int, theta: float) -> Quadrat
     Nodes are the eigenvalues of the para-unitary truncation and the weight
     of each node is the squared modulus of the first component of its
     normalized eigenvector.  Output is sorted by principal argument in
-    [-pi, pi) so that equal rules compare deterministically.
+    [-pi, pi) so that equal rules compare deterministically.  ``n`` is at
+    most 1024.
     """
-    truncation = truncate_para_unitary(snake, n, theta)
+    truncation = truncate_para_unitary(snake, _rule_size(n), theta)
     values, vecs = _eigen_unitary(truncation.matrix)
     weights = np.abs(vecs[0, :]) ** 2
     order = np.argsort(_principal_argument(values), kind="stable")
@@ -239,10 +251,10 @@ def szego_quadrature(snake: SnakeFactorization, n: int, theta: float) -> Quadrat
 
 
 def apply_rule(rule: QuadratureRule, f) -> complex:
-    """Apply the rule to a Laurent polynomial {exponent: coefficient}."""
+    """Apply the rule to a Laurent polynomial {exponent: coefficient}; exponents are integers."""
     values = np.zeros(rule.n, dtype=complex)
     for e, c in f.items():
-        values += c * rule.nodes**e
+        values += c * rule.nodes ** int_argument("exponent", e, -math.inf)
     return complex(np.dot(rule.weights, values))
 
 

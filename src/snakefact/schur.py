@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidSchurParameter, check, int_argument
+from .errors import InvalidSchurParameter, check, complex_argument, complex_arguments, int_argument
 
 __all__ = [
     "SchurSequence",
@@ -57,20 +57,29 @@ def _coefficients(alphas, phi, star):
 class SchurSequence:
     """Validated finite sequence of Schur parameters alpha_0 .. alpha_{m-1}.
 
-    Every parameter must be finite with |alpha_k| < 1 strictly; offending
-    inputs are rejected with the index of the first bad entry.  The
-    complementary parameters rho_k are always recomputed from the alphas,
-    never stored.
+    Every parameter must be a finite number with |alpha_k| < 1 strictly;
+    offending inputs are rejected with the index of the first bad entry.
+    Construction also builds the read-only (m, 2, 2) array ``_blocks`` of
+    the canonical Givens blocks [[conj(alpha_k), rho_k], [rho_k, -alpha_k]],
+    the one place the block formula is stated: snake products, truncations
+    and the path rule slice it, and the rho_k are read from its off-diagonal.
     """
 
     def __init__(self, alphas):
-        alphas = tuple(complex(a) for a in alphas)
+        alphas = complex_arguments("parameter", alphas)
         if not alphas:
             raise ValueError("a Schur sequence needs at least one parameter")
         for k, a in enumerate(alphas):
             if not abs(a) < 1.0:
                 raise InvalidSchurParameter(k, a)
         self.alphas = alphas
+        values = np.array(alphas, dtype=complex)
+        blocks = np.empty((values.size, 2, 2), dtype=complex)
+        blocks[:, 0, 0] = values.conj()
+        blocks[:, 0, 1] = blocks[:, 1, 0] = _rho(values)
+        blocks[:, 1, 1] = -values
+        blocks.flags.writeable = False
+        self._blocks = blocks
 
     def __len__(self) -> int:
         return len(self.alphas)
@@ -81,15 +90,21 @@ class SchurSequence:
     def __repr__(self) -> str:
         return f"SchurSequence({list(self.alphas)!r})"
 
+    def _index(self, k) -> int:
+        k = int_argument("k", k)
+        if k >= len(self.alphas):
+            raise IndexError(f"parameter index k = {k} outside 0..{len(self.alphas) - 1}")
+        return k
+
     def alpha(self, k: int) -> complex:
-        return self.alphas[int_argument("k", k)]
+        return self.alphas[self._index(k)]
 
     def rho(self, k: int) -> float:
-        return float(_rho(self.alpha(k)))
+        return float(self._blocks[self._index(k), 0, 1].real)
 
     @property
     def rhos(self) -> np.ndarray:
-        return _rho(np.asarray(self.alphas, dtype=complex))
+        return self._blocks[:, 0, 1].real
 
 
 def dual(coeffs) -> np.ndarray:
@@ -143,7 +158,7 @@ class PolynomialPair:
 
 def szego_step(pair: PolynomialPair, alpha_k: complex) -> PolynomialPair:
     """Advance (phi_k, phi_k*) one degree for the next Schur parameter."""
-    alpha_k = complex(alpha_k)
+    alpha_k = complex_argument("alpha_k", alpha_k)
     if not abs(alpha_k) < 1.0:
         raise InvalidSchurParameter(None, alpha_k)
     return PolynomialPair(*next(_coefficients([alpha_k], pair.phi, pair.phi_star)))

@@ -11,18 +11,27 @@ The all-zeros sequence gives the unitary Hessenberg factorization, the
 alternating sequence the five-diagonal (CMV) one.
 
 A snake is stored as the pair (Schur sequence, generating sequence) plus the
-derived multiplication order; canonical Givens blocks are regenerated on
-demand so the parameters and the blocks can never drift apart.
+derived multiplication order.  The canonical Givens blocks are built once,
+with the Schur sequence, and are read-only, so the parameters and the
+blocks can never drift apart.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from .errors import ShapeError, check, int_argument, unitarity_defect
-from .schur import SchurSequence, _rho
+from .errors import (
+    InvalidSchurParameter,
+    ShapeError,
+    check,
+    complex_argument,
+    int_argument,
+    unitarity_defect,
+)
+from .schur import SchurSequence
 
 __all__ = [
     "GeneratingSequence",
@@ -101,8 +110,9 @@ def shape_from_monomials(exponents) -> GeneratingSequence:
     The order must start at r_0 = 0 and every prefix {r_0, ..., r_n} must be
     a contiguous integer range, i.e. each new exponent extends the covered
     range by exactly one on either end.  s_n = 1 exactly when r_n < 0.
+    Exponents are integers; any other value raises ``TypeError``.
     """
-    exps = [int(r) for r in exponents]
+    exps = [int_argument(f"exponent r_{n}", r, -math.inf) for n, r in enumerate(exponents)]
     if not exps:
         raise ShapeError("empty monomial order")
     if exps[0] != 0:
@@ -125,22 +135,12 @@ def shape_from_monomials(exponents) -> GeneratingSequence:
     return GeneratingSequence(bits)
 
 
-def _canonical_blocks(alphas) -> np.ndarray:
-    """(k, 2, 2) array of the canonical blocks [[conj(alpha), rho], [rho, -alpha]]."""
-    alphas = np.asarray(alphas, dtype=complex)
-    blocks = np.empty((alphas.size, 2, 2), dtype=complex)
-    blocks[:, 0, 0] = alphas.conj()
-    blocks[:, 0, 1] = blocks[:, 1, 0] = _rho(alphas)
-    blocks[:, 1, 1] = -alphas
-    return blocks
-
-
 class GivensFactor:
     """Unitary transformation acting only on rows/columns (k, k+1).
 
-    ``from_schur`` takes the canonical block of a Schur parameter from
-    ``_canonical_blocks``; it has real positive off-diagonal entries and
-    determinant -1.
+    ``from_schur`` takes the canonical block of a Schur parameter from a
+    one-parameter ``SchurSequence``; it has real positive off-diagonal
+    entries and determinant -1.
     """
 
     def __init__(self, k: int, block):
@@ -154,7 +154,13 @@ class GivensFactor:
 
     @classmethod
     def from_schur(cls, k: int, alpha: complex) -> "GivensFactor":
-        return cls(k, _canonical_blocks([alpha])[0])
+        k = int_argument("k", k)
+        alpha = complex_argument(f"parameter {k}", alpha)
+        try:
+            block = SchurSequence([alpha])._blocks[0]
+        except InvalidSchurParameter:  # name alpha_k, not the one-parameter index 0
+            raise InvalidSchurParameter(k, alpha) from None
+        return cls(k, block)
 
     def __repr__(self) -> str:
         return f"GivensFactor(k={self.k})"
@@ -191,10 +197,10 @@ class SnakeFactorization:
         return len(self.gen) + 1
 
     def factor(self, k: int) -> GivensFactor:
-        """Canonical factor G_{k,k+1}, regenerated from alpha_k."""
+        """Canonical factor G_{k,k+1}, the Schur sequence's block k."""
         if int_argument("k", k) >= self.num_factors:
             raise IndexError(f"factor {k} outside 0..{self.num_factors - 1}")
-        return GivensFactor.from_schur(k, self.schur.alpha(k))
+        return GivensFactor(k, self.schur._blocks[k])
 
     def __repr__(self) -> str:
         return (
@@ -234,4 +240,4 @@ def materialize_window(snake: SnakeFactorization, m: int) -> np.ndarray:
         raise ShapeError(
             f"window needs factors 0..{m} but only 0..{snake.num_factors - 1} exist"
         )
-    return _snake_product(snake, _canonical_blocks(snake.schur.alphas[: m + 1]))
+    return _snake_product(snake, snake.schur._blocks[: m + 1])

@@ -611,6 +611,23 @@ class TestErrors:
         assert out == ""
         assert "must be at least" in err
 
+    def test_oversized_rule_rejected_before_any_work(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("n-sized work started for an oversized rule")
+
+        monkeypatch.setattr("snakefact.cli.schur_parameters", unreachable)
+        monkeypatch.setattr("snakefact.quadrature.truncate_para_unitary", unreachable)
+        code, out, err = run(capsys, "quadrature", "--measure", "lebesgue", "--n", "1025")
+        assert code == 2
+        assert out == ""
+        assert "n = 1025 exceeds the supported 1024" in err
+
+    def test_named_shape_sized_by_alphas_names_alphas(self, capsys):
+        code, out, err = run(capsys, "build", "--shape", "cmv", "--alphas", "0.3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: number of --alphas = 1; must be at least 2\n"
+
     def test_missing_schur(self, capsys):
         code, _, err = run(capsys, "entry", "--shape", "cmv", "--m", "4", "--i", "0", "--j", "0")
         assert code == 2

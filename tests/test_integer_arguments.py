@@ -20,13 +20,19 @@ from snakefact.oracle import (
     BernsteinSzego,
     GridMeasure,
     gram_schmidt_laurent,
+    inner_product,
     matrix_entry_oracle,
     moments,
     multiplication_matrix,
     schur_from_moments,
     schur_parameters,
 )
-from snakefact.quadrature import principal_truncation, szego_quadrature, truncate_para_unitary
+from snakefact.quadrature import (
+    apply_rule,
+    principal_truncation,
+    szego_quadrature,
+    truncate_para_unitary,
+)
 from snakefact.schur import SchurSequence, evaluate_phi, laurent_basis, polynomial_pair
 from snakefact.snake import (
     GivensFactor,
@@ -34,6 +40,7 @@ from snakefact.snake import (
     cmv_shape,
     hessenberg_shape,
     materialize_window,
+    shape_from_monomials,
 )
 from snakefact.verify import run_suites
 
@@ -123,6 +130,48 @@ def test_numpy_integer_accepted(name):
     call, _, _, good = ALL_CALLS[name]
     for kind in (np.int64, np.int32, np.uint8):
         np.testing.assert_array_equal(call(kind(good)), call(good))
+
+
+# name: (call of one index, first index past the end, the stored range named)
+PAST_THE_END = {
+    "GeneratingSequence.s": (lambda n: SNAKE.gen.s(n), 5, "1..4"),
+    "factor": (lambda k: SNAKE.factor(k), 5, "0..4"),
+    "SchurSequence.alpha": (lambda k: SCHUR.alpha(k), 5, "0..4"),
+    "SchurSequence.rho": (lambda k: SCHUR.rho(k), 5, "0..4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAST_THE_END))
+@pytest.mark.parametrize("beyond", [0, 3])
+def test_past_the_end_names_the_index(name, beyond):
+    call, first, stored = PAST_THE_END[name]
+    with pytest.raises(IndexError, match=f"(?<!\\d){first + beyond}\\D.*{stored}"):
+        call(first + beyond)
+
+
+RULE = szego_quadrature(SNAKE, 3, 0.5)
+# Exponents are integers of either sign.  name: (call of one exponent, name in the error)
+EXPONENT_CALLS = {
+    "shape_from_monomials": (lambda e: shape_from_monomials([0, e]).bits, "exponent r_1"),
+    "apply_rule": (lambda e: apply_rule(RULE, {e: 1.0}), "exponent"),
+    "inner_product first": (lambda e: inner_product(TABLE, {e: 1.0}, {0: 1.0}), "exponent"),
+    "inner_product second": (lambda e: inner_product(TABLE, {0: 1.0}, {e: 1.0}), "exponent"),
+}
+
+
+@pytest.mark.parametrize("bad", [1.0, 1.5, True, "1", None], ids=repr)
+@pytest.mark.parametrize("name", sorted(EXPONENT_CALLS))
+def test_non_integer_exponent_rejected(name, bad):
+    call, param = EXPONENT_CALLS[name]
+    with pytest.raises(TypeError, match=f"^{param} must be an integer, got {type(bad).__name__}"):
+        call(bad)
+
+
+@pytest.mark.parametrize("name", sorted(EXPONENT_CALLS))
+def test_numpy_integer_exponent_accepted(name):
+    call, _ = EXPONENT_CALLS[name]
+    for kind in (np.int64, np.int32, np.uint8):
+        np.testing.assert_array_equal(call(kind(1)), call(1))
 
 
 @pytest.mark.parametrize("m", [-1, -3])

@@ -10,7 +10,7 @@ from helpers import (
     random_schur,
 )
 from snakefact.errors import NumericalError, ShapeError
-from snakefact.expand import expand_dense
+from snakefact.expand import entry, expand_dense
 from snakefact.oracle import BernsteinSzego, Lebesgue, inner_product, moments, schur_from_moments
 from snakefact.quadrature import (
     QuadratureRule,
@@ -27,6 +27,7 @@ from snakefact.snake import (
     SnakeFactorization,
     cmv_shape,
     hessenberg_shape,
+    materialize_window,
 )
 
 
@@ -80,6 +81,21 @@ class TestTruncation:
         theta = float(rng.uniform(-np.pi, np.pi))
         got = truncate_para_unitary(snake, n, theta).matrix
         assert np.max(np.abs(got - para_unitary_product(snake, n, theta))) <= 1e-14
+
+    def test_corner_does_not_leak_into_the_snake(self):
+        # The corner is written into a copy of the sequence's shared blocks.
+        rng = np.random.default_rng(14)
+        snake = SnakeFactorization(random_schur(rng, 9), GeneratingSequence(random_bits(rng, 8)))
+
+        def outputs():
+            entries = [entry(snake, i, j) for i in range(9) for j in range(9)]
+            return materialize_window(snake, 8), expand_dense(snake, 9), np.array(entries)
+
+        before = outputs()
+        truncate_para_unitary(snake, 9, 2.5)
+        truncate_para_unitary(snake, 5, -1.0)
+        for old, new in zip(before, outputs()):
+            np.testing.assert_array_equal(new, old)
 
     def test_needs_enough_bits(self):
         snake = SnakeFactorization(SchurSequence([0.1] * 3), hessenberg_shape(2))
@@ -259,6 +275,14 @@ class TestCayleyPass:
 
 
 class TestSzegoQuadrature:
+    def test_oversized_rule_rejected_before_any_work(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("n-sized work started for an oversized rule")
+
+        monkeypatch.setattr("snakefact.quadrature.truncate_para_unitary", unreachable)
+        with pytest.raises(ValueError, match="n = 1025 exceeds the supported 1024"):
+            szego_quadrature(free_snake(4), 1025, 0.0)
+
     def test_lebesgue_roots_of_unity(self):
         rule = szego_quadrature(free_snake(7), 8, 0.0)
         angles = -np.pi + 2 * np.pi * np.arange(8) / 8

@@ -1,10 +1,15 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_schur
+from snakefact.cli import main
 from snakefact.errors import InvalidSchurParameter
+from snakefact.oracle import Geronimus
 from snakefact.schur import (
     PolynomialPair,
     SchurSequence,
@@ -44,6 +49,27 @@ class TestSchurSequence:
         with pytest.raises(InvalidSchurParameter) as err:
             SchurSequence([0.1, 0.2, 0.8 + 0.6j])
         assert err.value.index == 2
+
+    def test_blocks_are_read_only(self):
+        seq = SchurSequence([0.6, 0.3j])
+        with pytest.raises(ValueError, match="read-only"):
+            seq._blocks[0, 0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            seq.rhos[0] = 0.0
+        np.testing.assert_array_equal(seq._blocks[0], [[0.6, 0.8], [0.8, -0.6]])
+
+    @pytest.mark.parametrize("bad", ["0.1", None, [0.1], True, np.array([0.1])], ids=repr)
+    def test_non_number_named_by_index(self, bad):
+        with pytest.raises(TypeError, match="^parameter 1 must be a number"):
+            SchurSequence([0.1, bad])
+        with pytest.raises(TypeError, match="^alpha_k must be a number"):
+            szego_step(PolynomialPair.initial(), bad)
+        with pytest.raises(TypeError, match="^a must be a number"):
+            Geronimus(bad)
+
+    def test_number_types_accepted(self):
+        seq = SchurSequence([np.float32(0.5), np.complex64(0.25j), np.int8(0), 0.1])
+        assert seq.alphas == (0.5, 0.25j, 0j, 0.1)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -206,3 +232,35 @@ class TestLaurentBasis:
         seq = SchurSequence([0.3, 0.1])
         with pytest.raises(ValueError, match="z = 0"):
             laurent_basis(seq, cmv_shape(2), 1, 0.0)
+
+
+# No decimal digit, comma or white space, so no such string parses as a
+# complex number inside the unit disk, nor is dropped from an --alphas list.
+NO_NUMBER_TEXT = st.text(
+    st.characters(blacklist_categories=("Nd", "Zs", "Zl", "Zp", "Cc", "Cs"),
+                  blacklist_characters=","),
+    min_size=1, max_size=4,
+)
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+ILL_TYPED = st.one_of(
+    NO_NUMBER_TEXT,
+    st.none(),
+    st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=2),
+    NON_FINITE,
+    st.builds(complex, st.floats(-0.5, 0.5), NON_FINITE),
+    st.builds(complex, NON_FINITE, st.floats(allow_nan=True)),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ILL_TYPED, st.integers(1, 3))
+def test_property_ill_typed_schur_input_is_refused(bad, index):
+    with pytest.raises((TypeError, ValueError), match=f"^parameter {index} "):
+        SchurSequence([0.1] * index + [bad])
+    with pytest.raises((TypeError, ValueError)):
+        Geronimus(bad)
+    alphas = ",".join(["0.1"] * index + [str(bad)])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["expand", f"--alphas={alphas}", "--n", "2"])
+    assert code == 2 and err.getvalue().startswith("error: "), alphas

@@ -11,7 +11,7 @@ from helpers import (
     random_bits,
     random_schur,
 )
-from snakefact.errors import ShapeError
+from snakefact.errors import InvalidSchurParameter, ShapeError
 from snakefact.schur import SchurSequence
 from snakefact.snake import (
     GeneratingSequence,
@@ -104,6 +104,24 @@ class TestGivensFactor:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             GivensFactor(0, [[1.0, 0.1], [0.0, 1.0]])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [1.0, 0.6 - 0.8j, 2.0, float("nan")])
+    def test_from_schur_rejects_a_parameter_outside_the_disk(self, alpha):
+        with pytest.raises(InvalidSchurParameter, match="parameter 3") as err:
+            GivensFactor.from_schur(3, alpha)
+        assert err.value.index == 3
+
+    @pytest.mark.parametrize("alpha", ["0.5", None, [0.5]], ids=repr)
+    def test_from_schur_names_a_non_number_by_k(self, alpha):
+        with pytest.raises(TypeError, match="^parameter 3 must be a number"):
+            GivensFactor.from_schur(3, alpha)
+
+    def test_factor_is_the_sequences_block(self):
+        snake = SnakeFactorization(SchurSequence([0.6, 0.3j]), hessenberg_shape(1))
+        np.testing.assert_array_equal(snake.factor(1).block, snake.schur._blocks[1])
+        with pytest.raises(ValueError, match="read-only"):
+            snake.factor(0).block[0, 0] = 1.0
 
 
 class TestSnakeOrder:
