@@ -12,7 +12,7 @@ contributes its rho; the entry is x_r * (prod of inner rhos) * y_t.
 The path is monotone exactly when the bits strictly between i and j are
 all 0 (i < j) or all 1 (i > j), so the nonzeros of row i fill one
 contiguous column range bounded by the runs of equal bits next to i; the
-generating sequence's run table gives that range in O(1).  ``entry`` costs
+generating sequence stores that range for every row.  ``entry`` costs
 O(|i - j| + 1).  ``expand_dense`` lists the nnz structural nonzeros of an
 n x n block as flat arrays and evaluates the rule for all of them in a few
 whole-array passes, in O(n + nnz) time and memory besides the n^2 output
@@ -65,12 +65,7 @@ def path(gen: GeneratingSequence, i: int, j: int) -> PathDescriptor:
     # the left of segment i-1 (s_i = 1); symmetrically for the column side.
     r = i if (i == 0 or gen.s(i) == 1) else i - 1
     t = j if (j == 0 or gen.s(j) == 0) else j - 1
-    if i == j:
-        monotone = True
-    elif i < j:
-        monotone = j <= gen._next_one[i + 1]
-    else:
-        monotone = j >= gen._last_zero[i - 1]
+    monotone = gen._lo[i] <= j <= gen._hi[i]
     if r > t:
         inner = range(t + 1, r)
         b = 0
@@ -100,21 +95,20 @@ def entry(snake: SnakeFactorization, i: int, j: int) -> complex:
 def bandwidths(gen: GeneratingSequence) -> tuple[int, int]:
     """Structural (lower, upper) bandwidths of the factorization.
 
-    One more than the longest run of ones (lower) and of zeros (upper) among
-    the stored bits; in the run table, k - last_zero[k] ones end at k and
-    next_one[k] - k zeros start at k.  These count structural nonzeros: an
+    The farthest any row's nonzero column range reaches below (lower) and
+    above (upper) the diagonal: one more than the longest run of ones and
+    of zeros among the stored bits.  These count structural nonzeros: an
     entry in the band can still vanish for some parameters (alpha_k = 0).
     """
-    ks = range(1, len(gen) + 1)
-    return (1 + max((k - gen._last_zero[k] for k in ks), default=0),
-            1 + max((gen._next_one[k] - k for k in ks), default=0))
+    return (max(i - lo for i, lo in enumerate(gen._lo)),
+            max(hi - i for i, hi in enumerate(gen._hi)))
 
 
 def expand_dense(snake: SnakeFactorization, n: int) -> np.ndarray:
     """Dense n x n matrix of closed-form entries.
 
     The structural nonzeros form one flat list, row i covering the columns
-    last_zero[i - 1] .. min(next_one[i + 1], n - 1).  A few whole-array
+    lo_i .. min(hi_i, n - 1) of the shape's row profile.  A few whole-array
     passes over that list gather each entry's segments r and t, its block
     entries x and y and its inner rho product, and one scatter writes the
     values into the zero matrix.  Row a of the product table holds 1, 1
@@ -142,8 +136,8 @@ def expand_dense(snake: SnakeFactorization, n: int) -> np.ndarray:
     seg_t = index - col_bit
     # Row i holds columns lo_i .. hi_i, so nonzero k, counted over all rows,
     # lies in column k + shift_i, shift_i being lo_i less the earlier count.
-    lo = np.array((0, *gen._last_zero[: n - 1]))
-    counts = np.minimum(gen._next_one[1 : n + 1], n - 1) - lo + 1
+    lo = np.array(gen._lo[:n])
+    counts = np.minimum(gen._hi[:n], n - 1) - lo + 1
     shift = lo - counts.cumsum() + counts
     i = np.repeat(index, counts)
     j = shift[i] + np.arange(i.size)

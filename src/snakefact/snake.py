@@ -50,10 +50,11 @@ class GeneratingSequence:
     p_0 = 0 and p_n - p_{n-1} = s_n, so 0 <= p_n <= n and both p_n and
     n - p_n are non-decreasing by construction.
 
-    Two more prefix tables over k = 0 .. m + 1 hold the runs of equal bits:
-    ``_next_one[k]`` is the first index >= k with s = 1 (m + 1 when there is
-    none) and ``_last_zero[k]`` the last index <= k with s = 0 (0 when there
-    is none).  They give the zero pattern of the path rule in O(1).
+    The shape fixes the zero pattern: entry (i, j) of the product is a
+    structural nonzero exactly when ``_lo[i] <= j <= _hi[i]``, for rows
+    i = 0 .. m + 1.  ``_lo[i]`` is the last index below i with s = 0 (0
+    when there is none) and ``_hi[i]`` the first index above i with s = 1
+    (m + 1 when there is none).
     """
 
     def __init__(self, bits):
@@ -64,15 +65,14 @@ class GeneratingSequence:
         self.bits = bits = tuple(int(b) for b in raw)
         self.p = tuple(itertools.accumulate(bits, initial=0))
         m = len(bits)
-        next_one = [m + 1] * (m + 2)
-        for k in range(m, 0, -1):
-            next_one[k] = k if bits[k - 1] else next_one[k + 1]
-        next_one[0] = next_one[1]
-        last_zero = [0] * (m + 2)
-        for k in range(1, m + 2):
-            last_zero[k] = k if k <= m and not bits[k - 1] else last_zero[k - 1]
-        self._next_one = tuple(next_one)
-        self._last_zero = tuple(last_zero)
+        lo = [0] * (m + 2)
+        for i in range(2, m + 2):
+            lo[i] = lo[i - 1] if bits[i - 2] else i - 1
+        hi = [m + 1] * (m + 2)
+        for i in range(m - 1, -1, -1):
+            hi[i] = i + 1 if bits[i] else hi[i + 1]
+        self._lo = tuple(lo)
+        self._hi = tuple(hi)
 
     def __len__(self) -> int:
         return len(self.bits)

@@ -21,7 +21,13 @@ from .oracle import (
     multiplication_matrix,
     schur_from_moments,
 )
-from .quadrature import exactness_defect, szego_quadrature, truncate_para_unitary
+from .quadrature import (
+    _MAX_EIG_SIZE,
+    _rule_size,
+    exactness_defect,
+    szego_quadrature,
+    truncate_para_unitary,
+)
 from .schur import SchurSequence
 from .snake import (
     GeneratingSequence,
@@ -36,6 +42,9 @@ __all__ = ["CaseResult", "SUITES", "run_suites", "measured_bandwidths"]
 # The bandwidth suite enumerates all 2^m shapes, so its time grows 4x for
 # every two bits: about 3 s at m = 14, and m = 40 would never return.
 _MAX_BANDWIDTH_BITS = 16
+# The unitarity suite's largest truncation, of size m + 1, must be a
+# supported rule size.
+_MAX_UNITARITY_BITS = _MAX_EIG_SIZE - 1
 
 
 def _random_shape(rng, m: int) -> GeneratingSequence:
@@ -64,12 +73,14 @@ def _default_measures() -> dict[str, object]:
 
 
 def measured_bandwidths(gen: GeneratingSequence, schur: SchurSequence | None = None):
-    """(lower, upper) bandwidths read off the dense expansion.
+    """(lower, upper) bandwidths read off the Givens product itself.
 
-    The window must reach index m + 1 so that the extreme of every run of
-    stored bits is observable; one extra shape bit and parameter are
-    appended for that purpose (no entry inside the window depends on them
-    structurally).
+    The nonzeros come from the dense window of the factors, which never
+    consults the path rule or the shape's row profile, so the suite checks
+    ``bandwidths`` against an independent reference.  The window must reach
+    index m + 1 so that the extreme of every run of stored bits is
+    observable; one extra shape bit and parameter are appended for that
+    purpose, and the window's truncated last row and column are cut off.
     """
     m = len(gen)
     if schur is None:
@@ -77,7 +88,7 @@ def measured_bandwidths(gen: GeneratingSequence, schur: SchurSequence | None = N
     else:
         alphas = list(schur.alphas) + [0.4]
     extended = SnakeFactorization(SchurSequence(alphas), GeneratingSequence(gen.bits + (0,)))
-    rows, cols = np.nonzero(expand_dense(extended, m + 2))
+    rows, cols = np.nonzero(materialize_window(extended, m + 1)[: m + 2, : m + 2])
     return int((rows - cols).max(initial=0)), int((cols - rows).max(initial=0))
 
 
@@ -193,7 +204,9 @@ def run_suites(
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     m = None if m is None else int_argument("m", m, 1)
-    n = None if n is None else int_argument("n", n, 2)
+    if n is not None:
+        sized = {"oracle-equivalence", "exactness"}.intersection(names)
+        n = _rule_size(n) if sized else int_argument("n", n, 2)
     if "bandwidth" in names and m is not None and m > _MAX_BANDWIDTH_BITS:
         raise ValueError(
             f"m = {m}; the bandwidth suite enumerates all 2^m shapes and takes "
@@ -204,6 +217,12 @@ def run_suites(
     if schur is not None and m is not None and m != len(schur) - 1:
         raise ValueError(
             f"m = {m} disagrees with the {len(schur)} alphas given, which fix m = {len(schur) - 1}"
+        )
+    unitarity_m = len(schur) - 1 if schur is not None else m
+    if "unitarity" in names and unitarity_m is not None and unitarity_m > _MAX_UNITARITY_BITS:
+        raise ValueError(
+            f"m = {unitarity_m}; the unitarity suite builds dense (m + 2)^2 windows and "
+            f"takes m <= {_MAX_UNITARITY_BITS}"
         )
     measures = {"measure": measure} if measure is not None else None
     results: list[CaseResult] = []

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import snakefact
 from snakefact import verify as verify_mod
@@ -632,6 +637,143 @@ class TestErrors:
         code, _, err = run(capsys, "entry", "--shape", "cmv", "--m", "4", "--i", "0", "--j", "0")
         assert code == 2
         assert "alphas" in err or "measure" in err
+
+    def test_default_shape_sized_by_one_alpha_names_alphas(self, capsys):
+        code, out, err = run(capsys, "expand", "--alphas", "0.3", "--n", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: number of --alphas = 1; must be at least 2\n"
+
+    @pytest.mark.parametrize("shape", ["hessenberg", "cmv"])
+    @pytest.mark.parametrize("m", [10**20, 2**20 + 1])
+    def test_oversized_named_shape_rejected_before_any_work(self, capsys, monkeypatch, shape, m):
+        def unreachable(*args):
+            raise AssertionError("a named shape was built past its size bound")
+
+        monkeypatch.setattr("snakefact.cli.hessenberg_shape", unreachable)
+        monkeypatch.setattr("snakefact.cli.cmv_shape", unreachable)
+        code, out, err = run(capsys, "bandwidth", "--shape", shape, "--m", str(m))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: m = {m} exceeds the supported 1048576 Givens factors of a named shape\n"
+
+    @pytest.mark.parametrize("suite", [[], ["--suite", "exactness"], ["--suite", "oracle-equivalence"]],
+                             ids=["all", "exactness", "oracle-equivalence"])
+    @pytest.mark.parametrize("n", [10**20, 1025])
+    def test_oversized_verify_n_rejected_before_any_work(self, capsys, monkeypatch, suite, n):
+        def unreachable(*args):
+            raise AssertionError("suite work started for an oversized n")
+
+        monkeypatch.setattr("snakefact.verify.moments", unreachable)
+        monkeypatch.setattr("snakefact.verify.materialize_window", unreachable)
+        code, out, err = run(capsys, "verify", "--n", str(n), *suite)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: rule size n = {n} exceeds the supported 1024\n"
+
+    @pytest.mark.parametrize("m, flags", [
+        (10**20, ["--m", str(10**20)]),
+        (1024, ["--m", "1024"]),
+        (1024, ["--alphas", ",".join(["0.1"] * 1025)]),
+    ], ids=["m-huge", "m-cap+1", "alphas-cap+1"])
+    def test_oversized_unitarity_m_rejected_before_any_work(self, capsys, monkeypatch, m, flags):
+        def unreachable(*args):
+            raise AssertionError("the unitarity suite started past its size bound")
+
+        monkeypatch.setattr("snakefact.verify.materialize_window", unreachable)
+        code, out, err = run(capsys, "verify", "--suite", "unitarity", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: m = {m}; the unitarity suite") and "m <= 1023" in err
+
+    @pytest.mark.parametrize("descriptor, field", [
+        ({"type": "geronimus", "a": [10**400, 0]}, "a"),
+        ({"type": "grid", "points": [[0, 0.5], [1, -10**400]]}, "points"),
+        ({"type": "bernstein-szego", "alphas": [[0.1, 0], [10**400, 0]]}, "alphas"),
+    ], ids=["geronimus", "grid", "bernstein-szego"])
+    def test_descriptor_number_outside_float_range(self, capsys, descriptor, field):
+        code, out, err = run(capsys, "quadrature", "--n", "4", "--measure", json.dumps(descriptor))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: field {field!r} of a {descriptor['type']} measure holds a number "
+                       "outside the float range\n")
+
+    @pytest.mark.parametrize("argv, cause", [
+        (["build", "--shape", "cmv", "--s", "1,0"], "--shape cmv conflicts with --s/--monomials"),
+        (["build", "--shape", "cmv"], "named shapes need --m"),
+        (["bandwidth", "--shape", "bits"], "--shape bits needs --s"),
+        (["bandwidth", "--shape", "monomials"], "--shape monomials needs --monomials"),
+        (["bandwidth"], "no shape source given"),
+        (["expand", "--s", "1,0", "--alphas", "0.1,0.2"],
+         "a shape with 2 bits needs exactly 3 Schur parameters, got 2"),
+        (["expand", "--s", "1,0", "--alphas", ","], "empty alpha list"),
+        (["quadrature", "--n", "4", "--measure", "[1,2]"],
+         "measure descriptor must be a JSON object with a 'type' field"),
+        (["quadrature", "--n", "4", "--measure", '{"type": "cauchy"}'],
+         "unknown measure type 'cauchy'"),
+    ], ids=["cmv-with-s", "cmv-without-size", "bits-without-s", "monomials-without-list",
+            "no-shape", "alphas-count", "empty-alphas", "descriptor-not-object", "unknown-type"])
+    def test_input_branch_names_its_cause(self, capsys, argv, cause):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and cause in err
+
+    def test_lebesgue_descriptor_is_the_named_measure(self, capsys):
+        got = run(capsys, "quadrature", "--n", "4", "--measure", '{"type": "lebesgue"}')
+        assert got[0] == 0
+        assert got == run(capsys, "quadrature", "--n", "4", "--measure", "lebesgue")
+
+    def test_verify_with_alphas_checks_against_their_bernstein_szego_measure(self, capsys):
+        code, out, err = run(capsys, "quadrature", "--alphas", "0.3,0.2-0.1j,0.1,0.25j", "--n", "4",
+                             "--verify", "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["exactness_defect"] <= 1e-12
+
+
+HUGE_INT = st.sampled_from([10**400, -(10**400), 2**1024])
+DESCRIPTOR_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, 3), HUGE_INT,
+)
+DESCRIPTOR_PAIR = st.lists(DESCRIPTOR_NUMBER, min_size=2, max_size=2)
+DESCRIPTOR_VALUE = st.one_of(
+    DESCRIPTOR_PAIR,
+    st.lists(DESCRIPTOR_PAIR, max_size=4),
+    st.lists(st.lists(st.lists(DESCRIPTOR_NUMBER, max_size=2), max_size=2), max_size=2),
+    DESCRIPTOR_NUMBER,
+    st.text(max_size=4),
+    st.none(),
+    st.booleans(),
+)
+DESCRIPTOR = st.one_of(
+    st.builds(lambda a: {"type": "geronimus", "a": a}, DESCRIPTOR_PAIR),
+    st.builds(lambda alphas: {"type": "bernstein-szego", "alphas": alphas},
+              st.lists(DESCRIPTOR_PAIR, min_size=1, max_size=4)),
+    st.builds(lambda points: {"type": "grid", "points": points},
+              st.lists(DESCRIPTOR_PAIR, min_size=1, max_size=4)),
+    st.fixed_dictionaries(
+        {"type": st.sampled_from(["lebesgue", "bernstein-szego", "geronimus", "grid", "cauchy"])},
+        optional={"a": DESCRIPTOR_VALUE, "alphas": DESCRIPTOR_VALUE, "points": DESCRIPTOR_VALUE},
+    ),
+    st.dictionaries(st.text(max_size=5), DESCRIPTOR_VALUE, max_size=2),
+    DESCRIPTOR_VALUE,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(DESCRIPTOR, st.floats(allow_nan=True, allow_infinity=True))
+def test_property_measure_descriptors_and_theta_exit_cleanly(descriptor, theta):
+    argv = ["quadrature", "--n", "4", f"--measure={json.dumps(descriptor)}", f"--theta={theta!r}"]
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3), argv
+    text = err.getvalue()
+    assert text == "" or (text.startswith("error: ") and text.count("\n") == 1
+                          and text.endswith("\n")), argv
+    assert not caught, (argv, [str(w.message) for w in caught])
 
 
 def _python(*args):

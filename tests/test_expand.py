@@ -136,7 +136,8 @@ class TestBandwidths:
 
     @pytest.mark.parametrize("m", [1, 5, 9])
     def test_measured_matches_loop_reference(self, m):
-        # the (m+2)^2 double loop that measured_bandwidths ran before it read np.nonzero
+        # an (m+2)^2 double loop over the path rule's expansion of the same
+        # extended snake, against measured_bandwidths' Givens window
         gen = GeneratingSequence(random_bits(np.random.default_rng(m), m))
         alphas = SchurSequence([0.4 * np.exp(0.7j * k) for k in range(m + 2)])
         dense = expand_dense(SnakeFactorization(alphas, GeneratingSequence(gen.bits + (0,))), m + 2)
@@ -147,6 +148,13 @@ class TestBandwidths:
         got = measured_bandwidths(gen)
         assert got == (lower, upper)
         assert all(type(b) is int for b in got)
+
+    def test_measured_does_not_use_the_path_rule(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("measured_bandwidths must read the Givens product")
+
+        monkeypatch.setattr("snakefact.verify.expand_dense", unreachable)
+        assert measured_bandwidths(MIXED_GEN) == (3, 3)
 
     def test_matches_measured_sampled_up_to_12(self):
         rng = np.random.default_rng(19)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,24 @@ class TestGeneratingSequence:
         # both p_n and n - p_n non-decreasing
         diffs_p = np.diff(gen.p)
         assert np.all(diffs_p >= 0) and np.all(1 - diffs_p >= 0)
+
+    def test_row_profile_is_the_givens_windows_zero_pattern(self):
+        # Every shape with m <= 10 (2,047 of them): row i of the window on the
+        # snake extended by one 0 bit is nonzero in columns _lo[i] .. _hi[i]
+        # (capped at m + 1) and nowhere else.
+        shapes = 0
+        for m in range(11):
+            alphas = SchurSequence([0.4 * np.exp(0.7j * k) for k in range(m + 2)])
+            for bits in itertools.product((0, 1), repeat=m):
+                gen = GeneratingSequence(bits)
+                extended = SnakeFactorization(alphas, GeneratingSequence(bits + (0,)))
+                window = materialize_window(extended, m + 1)[: m + 2, : m + 2] != 0
+                want = np.zeros_like(window)
+                for i in range(m + 2):
+                    want[i, gen._lo[i] : min(gen._hi[i], m + 1) + 1] = True
+                assert np.array_equal(window, want), bits
+                shapes += 1
+        assert shapes == 2047
 
     def test_s_out_of_range(self):
         gen = hessenberg_shape(3)
