@@ -2,8 +2,9 @@
 
 Validation problems (bad parameters, malformed shapes, insufficient moment
 ranges, sizes and indices below their minimum) derive from ``ValueError``;
-a size, index or exponent that is not an integer and a Schur parameter
-that is not a number raise ``TypeError``; failures of a numerical
+a size, index or exponent that is not an integer, a Schur parameter that
+is not a number and an angle or weight that is not a real number raise
+``TypeError``; failures of a numerical
 computation to meet its accuracy contract derive from ``NumericalError``.
 A contract holds when its measured defect is ``<= bound``, a test that NaN
 fails.
@@ -18,12 +19,15 @@ import numpy as np
 
 
 class InvalidSchurParameter(ValueError):
-    """A Schur parameter is not finite or lies on or outside the unit circle."""
+    """A Schur parameter is not finite or lies on or outside the unit circle.
 
-    def __init__(self, index, value):
+    The message calls it ``name``, by default "parameter <index>".
+    """
+
+    def __init__(self, index, value, name=None):
         self.index = index
         self.value = value
-        where = "parameter" if index is None else f"parameter {index}"
+        where = name or f"parameter {index}"
         if not cmath.isfinite(value):
             message = f"{where} = {value!r} is not finite"
         else:
@@ -82,8 +86,12 @@ def int_argument(name: str, value, lo: int = 0, exc: type = ValueError) -> int:
     raise TypeError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
 
 
-def _is_number_type(cls: type) -> bool:
-    return issubclass(cls, (int, float, complex, np.number)) and not issubclass(cls, bool)
+_NUMBER_TYPES = (int, float, complex, np.number)
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def _is_number_type(cls: type, kinds: tuple = _NUMBER_TYPES) -> bool:
+    return issubclass(cls, kinds) and not issubclass(cls, bool)
 
 
 def complex_argument(name: str, value) -> complex:
@@ -108,6 +116,32 @@ def complex_arguments(name: str, values) -> tuple:
         for k, value in enumerate(values):
             complex_argument(f"{name} {k}", value)  # raises at the first non-number
     return tuple(map(complex, values))
+
+
+def real_argument(name: str, value) -> float:
+    """``value`` as a float, for an int, float or NumPy integer or floating value.
+
+    A bool, a complex, a string, None or a container raises a ``TypeError``
+    that names the parameter; whether the number is finite is for the
+    caller to check.
+    """
+    if _is_number_type(type(value), _REAL_TYPES):
+        return float(value)
+    raise TypeError(f"{name} must be a real number, got {type(value).__name__} {value!r}")
+
+
+def real_arguments(name: str, values) -> np.ndarray:
+    """``values`` as a float array; the ``TypeError`` names "<name> <index>".
+
+    An array of integer or floating dtype passes at array speed; otherwise
+    each distinct element type is checked once, as in ``complex_arguments``.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        values = np.asarray(values, dtype=object)
+        if not all(_is_number_type(cls, _REAL_TYPES) for cls in set(map(type, values.flat))):
+            for k, value in enumerate(values.flat):
+                real_argument(f"{name} {k}", value)  # raises at the first non-real
+    return np.asarray(values, dtype=float)
 
 
 def unitarity_defect(m) -> float:

@@ -30,8 +30,8 @@ import math
 
 import numpy as np
 
-from .errors import MomentError, NumericalError, check, complex_argument, int_argument
-from .schur import SchurSequence, _coefficients, evaluate_phi
+from .errors import MomentError, NumericalError, check, int_argument, real_arguments
+from .schur import SchurSequence, _coefficients, _one_parameter, evaluate_phi
 from .snake import GeneratingSequence
 
 __all__ = [
@@ -70,6 +70,10 @@ class BernsteinSzego:
     """
 
     def __init__(self, prefix):
+        if isinstance(prefix, str) or not np.iterable(prefix):
+            raise TypeError(
+                f"prefix must be a sequence of Schur parameters, got {type(prefix).__name__} {prefix!r}"
+            )
         self.prefix = prefix if isinstance(prefix, SchurSequence) else SchurSequence(prefix)
 
     def density(self, thetas: np.ndarray) -> np.ndarray:
@@ -90,10 +94,7 @@ class Geronimus:
     """
 
     def __init__(self, a: complex):
-        a = complex_argument("a", a)
-        if not abs(a) < 1.0:
-            raise ValueError(f"|a| = {abs(a):.6g} must be < 1")
-        self.a = a
+        (self.a,) = _one_parameter("a", a).alphas
 
     def __repr__(self) -> str:
         return f"Geronimus({self.a!r})"
@@ -103,8 +104,8 @@ class GridMeasure:
     """Discrete measure sum_i w_i delta(theta - theta_i) on the circle."""
 
     def __init__(self, thetas, weights):
-        thetas = np.asarray(thetas, dtype=float)
-        weights = np.asarray(weights, dtype=float)
+        thetas = real_arguments("grid angle", thetas)
+        weights = real_arguments("grid weight", weights)
         if thetas.shape != weights.shape or thetas.ndim != 1:
             raise ValueError("thetas and weights must be 1-d arrays of equal length")
         if not np.all(weights > 0.0):
@@ -180,30 +181,35 @@ def _schur_moments(alphas, jmax: int) -> np.ndarray:
 def moments(measure, jmax: int) -> MomentTable:
     """Trigonometric moments mu_0 .. mu_jmax of a measure, as a MomentTable.
 
-    Lebesgue and grid measures are summed exactly.  Bernstein-Szego and
-    Geronimus moments follow exactly from their Schur parameters by the
-    inverse Szego recursion; when float64 cannot resolve their Toeplitz
-    matrix at this range, ``NumericalError`` is raised.
+    A grid sums its atoms.  Every other family states its Schur parameters,
+    and its moments follow exactly from them by the inverse Szego recursion.
+    A grid of k distinct atoms has only k - 1 Schur parameters inside the
+    unit disk, so its Toeplitz matrix is positive definite only up to
+    jmax = k - 1, and asking for more raises ``MomentError``.  Within that
+    range the moments of every family come from a positive measure, so a
+    table that float64 cannot resolve raises ``NumericalError``.
     """
     jmax = int_argument("jmax", jmax)
-    if isinstance(measure, Lebesgue):
-        vals = np.zeros(jmax + 1, dtype=complex)
-        vals[0] = 1.0
-    elif isinstance(measure, GridMeasure):
-        js = np.arange(jmax + 1)
-        vals = np.exp(-1j * np.outer(js, measure.thetas)) @ measure.weights
+    if isinstance(measure, GridMeasure):
+        atoms = len(set(measure.thetas.tolist()))  # not np.unique: it imports numpy.ma
+        if jmax >= atoms:
+            raise MomentError(
+                f"a grid measure with {atoms} distinct atoms has only {atoms - 1} Schur "
+                f"parameters inside the unit disk, and its moment Toeplitz matrix is positive "
+                f"definite only up to jmax={atoms - 1}; jmax={jmax} was asked"
+            )
+        vals = np.exp(-1j * np.outer(np.arange(jmax + 1), measure.thetas)) @ measure.weights
     else:
         vals = _schur_moments(_stated_parameters(measure, jmax), jmax)
+    try:
+        return MomentTable(vals)
+    except MomentError as exc:
         cause = ("moment Toeplitz matrix numerically singular" if np.isfinite(vals).all()
                  else "moment recursion overflows")
-        try:
-            return MomentTable(vals)
-        except MomentError as exc:
-            raise NumericalError(
-                f"{cause} at jmax={jmax}; "
-                f"the moments of {measure!r} are exact but beyond float64 at this range"
-            ) from exc
-    return MomentTable(vals)
+        raise NumericalError(
+            f"{cause} at jmax={jmax}; "
+            f"the moments of {measure!r} are exact but beyond float64 at this range"
+        ) from exc
 
 
 def _stated_parameters(measure, count: int) -> list:
@@ -223,20 +229,13 @@ def schur_parameters(measure, count: int) -> SchurSequence:
 
     Lebesgue (all zero), Bernstein-Szego (the prefix, then zeros) and
     Geronimus (every one equal to a) measures state them exactly; only a
-    grid measure has them recovered from its moments.  A grid of k distinct
-    atoms has only k - 1 parameters inside the unit disk, so asking it for k
-    or more raises ``ValueError``.
+    grid measure has them recovered from its moments, whose atom bound
+    ``moments`` states: a grid of k distinct atoms gives at most k - 1.
     """
     count = int_argument("count", count, 1)
-    if not isinstance(measure, GridMeasure):
-        return SchurSequence(_stated_parameters(measure, count))
-    atoms = np.unique(measure.thetas).size
-    if count >= atoms:
-        raise ValueError(
-            f"a grid measure with {atoms} distinct atoms has only {atoms - 1} Schur "
-            f"parameters inside the unit disk; {count} are needed"
-        )
-    return schur_from_moments(moments(measure, count), count)
+    if isinstance(measure, GridMeasure):
+        return schur_from_moments(moments(measure, count), count)
+    return SchurSequence(_stated_parameters(measure, count))
 
 
 def inner_product(table: MomentTable, f, g) -> complex:

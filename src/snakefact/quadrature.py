@@ -33,6 +33,7 @@ from .errors import (
     ShapeError,
     check,
     int_argument,
+    real_argument,
     unitarity_defect,
 )
 from .snake import SnakeFactorization, _snake_product
@@ -77,7 +78,7 @@ def _truncation_blocks(snake: SnakeFactorization, n: int) -> np.ndarray:
 def truncate_para_unitary(snake: SnakeFactorization, n: int, theta: float) -> ParaUnitaryTruncation:
     """Unitary n x n truncation with corner phase e^{i theta}."""
     n = int_argument("n", n, 2)
-    theta = float(theta)
+    theta = real_argument("theta", theta)
     if not math.isfinite(theta):
         raise ValueError(f"theta = {theta} is not finite")
     blocks = _truncation_blocks(snake, n)

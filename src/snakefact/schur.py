@@ -156,12 +156,19 @@ class PolynomialPair:
         return f"PolynomialPair(degree={self.degree})"
 
 
+def _one_parameter(name: str, value, index=None) -> SchurSequence:
+    """``value`` as a one-parameter ``SchurSequence``; its errors call it ``name``."""
+    value = complex_argument(name, value)
+    try:
+        return SchurSequence([value])
+    except InvalidSchurParameter:
+        raise InvalidSchurParameter(index, value, name) from None
+
+
 def szego_step(pair: PolynomialPair, alpha_k: complex) -> PolynomialPair:
     """Advance (phi_k, phi_k*) one degree for the next Schur parameter."""
-    alpha_k = complex_argument("alpha_k", alpha_k)
-    if not abs(alpha_k) < 1.0:
-        raise InvalidSchurParameter(None, alpha_k)
-    return PolynomialPair(*next(_coefficients([alpha_k], pair.phi, pair.phi_star)))
+    alphas = _one_parameter("alpha_k", alpha_k).alphas
+    return PolynomialPair(*next(_coefficients(alphas, pair.phi, pair.phi_star)))
 
 
 def polynomial_pair(schur: SchurSequence, n: int) -> PolynomialPair:

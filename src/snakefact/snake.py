@@ -23,15 +23,8 @@ import math
 
 import numpy as np
 
-from .errors import (
-    InvalidSchurParameter,
-    ShapeError,
-    check,
-    complex_argument,
-    int_argument,
-    unitarity_defect,
-)
-from .schur import SchurSequence
+from .errors import ShapeError, check, int_argument, unitarity_defect
+from .schur import SchurSequence, _one_parameter
 
 __all__ = [
     "GeneratingSequence",
@@ -155,12 +148,7 @@ class GivensFactor:
     @classmethod
     def from_schur(cls, k: int, alpha: complex) -> "GivensFactor":
         k = int_argument("k", k)
-        alpha = complex_argument(f"parameter {k}", alpha)
-        try:
-            block = SchurSequence([alpha])._blocks[0]
-        except InvalidSchurParameter:  # name alpha_k, not the one-parameter index 0
-            raise InvalidSchurParameter(k, alpha) from None
-        return cls(k, block)
+        return cls(k, _one_parameter(f"parameter {k}", alpha, k)._blocks[0])
 
     def __repr__(self) -> str:
         return f"GivensFactor(k={self.k})"

@@ -114,7 +114,7 @@ def suite_oracle_equivalence(rng, m=None, n=None, schur=None, measures=None):
     measures = measures or _default_measures()
     shapes = _shape_set(rng, nmax, extra=2)
     for mname, measure in measures.items():
-        table = moments(measure, nmax + 2)
+        table = moments(measure, nmax + 1)
         seq = schur_from_moments(table, nmax + 1)
         for sname, gen in shapes.items():
             snake = SnakeFactorization(seq, gen)
@@ -167,7 +167,7 @@ def suite_exactness(rng, m=None, n=None, schur=None, measures=None):
     sizes = (4, 8) if n is None else (n,)
     measures = measures or _default_measures()
     for mname, measure in measures.items():
-        table = moments(measure, max(sizes) + 1)
+        table = moments(measure, max(sizes))
         for size in sizes:
             seq = schur_from_moments(table, size)
             snake = SnakeFactorization(seq, hessenberg_shape(size - 1))

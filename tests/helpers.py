@@ -25,6 +25,19 @@ def random_bits(rng, m):
     return tuple(int(b) for b in rng.integers(0, 2, size=m))
 
 
+def grid64():
+    """Angles and weights of 64 atoms at random angles.
+
+    The atoms carry 63 Schur parameters, but in float64 the moment route
+    recovers them only to about 48: Gram-Schmidt loses orthonormality by
+    56, and the Toeplitz matrix at jmax = 63 does not factor.
+    """
+    rng = np.random.default_rng(3)
+    thetas = np.sort(rng.uniform(-np.pi, np.pi, 64))
+    weights = rng.uniform(0.5, 1.5, 64)
+    return thetas, weights / weights.sum()
+
+
 def count_eig_calls(monkeypatch):
     """Record the shape of each input to numpy.linalg.eig, the Cayley pass's fallback."""
     calls = []

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import snakefact
+from helpers import grid64
 from snakefact import verify as verify_mod
 from snakefact.cli import main
 from snakefact.expand import entry
@@ -321,6 +322,20 @@ class TestVerify:
         assert "structural=" in out and "measured=" in out
         assert "overall: PASS" in out
 
+    def test_suites_ask_for_the_moments_they_read(self, monkeypatch):
+        # oracle-equivalence reads mu_j up to n + 1, exactness up to n
+        asked = []
+        exact = verify_mod.moments
+
+        def spy(measure, jmax):
+            asked.append(jmax)
+            return exact(measure, jmax)
+
+        monkeypatch.setattr(verify_mod, "moments", spy)
+        verify_mod.run_suites(["oracle-equivalence", "exactness"], n=5,
+                              measure=verify_mod.BernsteinSzego([0.3]))
+        assert asked == [6, 5]
+
     def test_corrupted_alpha(self, capsys):
         code, _, err = run(capsys, "verify", "--alphas", "1.2")
         assert code == 2
@@ -563,6 +578,46 @@ class TestErrors:
         assert "3 distinct atoms" in err
         code, _, _ = run(capsys, "quadrature", "--measure", grid, "--n", "2", "--verify")
         assert code == 0
+
+    @pytest.mark.parametrize("n, exit_code", [(48, 0), (56, 3), (60, 3), (63, 3), (64, 2)])
+    def test_grid_ladder_exit_codes(self, capsys, n, exit_code):
+        # 64 atoms carry 63 Schur parameters: within them float64 is the
+        # limit (exit 3), and only past them is the input at fault (exit 2)
+        points = np.column_stack(grid64()).tolist()
+        code, _, err = run(capsys, "quadrature", "--measure",
+                           json.dumps({"type": "grid", "points": points}), "--n", str(n), "--verify")
+        assert code == exit_code, err
+        assert "at most" not in err
+        if exit_code == 2:
+            assert "64 distinct atoms" in err
+
+    def test_verify_grid_past_its_atoms(self, capsys):
+        # the oracle-equivalence suite reads moments up to n + 1 = 3 of 3 atoms
+        grid = '{"type":"grid","points":[[-2.0,0.25],[0.0,0.5],[2.0,0.25]]}'
+        code, out, err = run(capsys, "verify", "--measure", grid, "--n", "2")
+        assert code == 2
+        assert out == ""
+        assert "3 distinct atoms" in err and "jmax=3 was asked" in err
+
+    def test_verify_grid_within_its_atoms(self, capsys):
+        grid = '{"type":"grid","points":[[-2.5,0.2],[-1.0,0.3],[0.5,0.3],[2.0,0.2]]}'
+        code, out, err = run(capsys, "verify", "--suite", "oracle-equivalence", "--measure", grid,
+                             "--n", "2")
+        assert code == 0, err
+        assert "overall: PASS" in out
+        code, out, err = run(capsys, "verify", "--suite", "exactness", "--measure", grid, "--n", "3")
+        assert code == 0, err
+
+    @pytest.mark.parametrize("a, message", [
+        ("[1.5, 0]", "|alpha| = 1.5 >= 1; a must lie strictly inside the open unit disk"),
+        ("[NaN, 0]", "a = (nan+0j) is not finite"),
+    ], ids=["outside", "nan"])
+    def test_geronimus_parameter_named(self, capsys, a, message):
+        code, out, err = run(capsys, "quadrature", "--measure",
+                             f'{{"type":"geronimus","a":{a}}}', "--n", "4")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("atoms", [5, 8])
     def test_grid_gives_one_parameter_fewer_than_atoms(self, capsys, atoms):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from helpers import MIXED_BITS, random_bits, random_schur
+from helpers import MIXED_BITS, grid64, random_bits, random_schur
 from snakefact.errors import MomentError, NumericalError, ShapeError
 from snakefact.expand import entry, expand_dense, path
 from snakefact.oracle import (
@@ -167,10 +169,22 @@ class TestMoments:
 
     def test_grid_with_jmax_atoms_named(self):
         # a measure of k atoms has a singular Toeplitz matrix from jmax = k
-        # on, though roundoff can hide it for the first few sizes
+        # on; roundoff can hide that, so the atoms are counted instead
         grid = GridMeasure([-2.0, 0.0, 2.0], [0.25, 0.5, 0.25])
-        with pytest.raises(MomentError, match="at most 8 atoms"):
+        with pytest.raises(MomentError, match="3 distinct atoms"):
             moments(grid, 8)
+
+    def test_grid_within_its_atoms_is_numerical(self):
+        # 64 atoms carry a positive definite table up to jmax = 63, which
+        # float64 cannot factor: a numerical limit of a valid measure, not
+        # too few atoms
+        grid = GridMeasure(*grid64())
+        with pytest.raises(NumericalError, match="^moment Toeplitz matrix numerically singular at jmax=63;"):
+            moments(grid, 63)
+        with pytest.raises(NumericalError, match="at jmax=63;"):
+            schur_parameters(grid, 63)
+        with pytest.raises(MomentError, match="64 distinct atoms.*jmax=64 was asked"):
+            schur_parameters(grid, 64)
 
     def test_negative_jmax_rejected(self):
         with pytest.raises(ValueError):
@@ -179,6 +193,33 @@ class TestMoments:
     def test_unsupported_measure(self):
         with pytest.raises(TypeError):
             moments(object(), 3)
+
+
+@st.composite
+def grids(draw):
+    """A grid measure of 1..10 distinct atoms, some repeated, and its atom count."""
+    distinct = draw(st.lists(st.floats(-np.pi, np.pi, exclude_max=True),
+                             min_size=1, max_size=10, unique=True))
+    thetas = distinct + draw(st.lists(st.sampled_from(distinct), max_size=4))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(thetas),
+                                     max_size=len(thetas))))
+    return GridMeasure(thetas, weights / weights.sum()), len(set(thetas))
+
+
+@settings(max_examples=50, deadline=None)
+@given(grids(), st.integers(0, 12))
+def test_property_grid_atom_bound(grid_atoms, jmax):
+    # MomentError exactly past the atoms; within them the table is positive
+    # definite, so float64 can fail it only numerically
+    grid, atoms = grid_atoms
+    if jmax >= atoms:
+        with pytest.raises(MomentError, match=f"with {atoms} distinct atoms.*jmax={jmax} was asked"):
+            moments(grid, jmax)
+    else:
+        try:
+            assert moments(grid, jmax).jmax == jmax
+        except NumericalError:
+            pass
 
 
 class TestInnerProduct:

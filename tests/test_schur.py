@@ -157,6 +157,30 @@ class TestSzegoStep:
         with pytest.raises(InvalidSchurParameter, match="not finite"):
             szego_step(PolynomialPair.initial(), complex(float("nan"), 0.0))
 
+    def test_disk_rule_names_alpha_k(self):
+        with pytest.raises(InvalidSchurParameter, match=r"^alpha_k = \(nan\+0j\) is not finite$") as err:
+            szego_step(PolynomialPair.initial(), float("nan"))
+        assert err.value.index is None
+        with pytest.raises(InvalidSchurParameter, match="alpha_k must lie strictly inside"):
+            szego_step(PolynomialPair.initial(), 0.6 + 0.8j)
+
+
+class TestGeronimusParameter:
+    # Geronimus(a) checks a by the SchurSequence rule, naming it a
+    @pytest.mark.parametrize("a", [float("nan"), complex(0.1, float("inf"))], ids=repr)
+    def test_non_finite(self, a):
+        with pytest.raises(InvalidSchurParameter, match=r"^a = .* is not finite$"):
+            Geronimus(a)
+
+    @pytest.mark.parametrize("a", [1.5, 1.0, -1j, 0.6 + 0.8j], ids=repr)
+    def test_outside_the_disk(self, a):
+        with pytest.raises(InvalidSchurParameter, match="; a must lie strictly inside") as err:
+            Geronimus(a)
+        assert isinstance(err.value, ValueError)
+
+    def test_inside_the_disk_kept(self):
+        assert Geronimus(np.float32(0.5)).a == 0.5 and type(Geronimus(0.5).a) is complex
+
 
 class TestPolynomialPair:
     def test_rejects_non_dual(self):
