@@ -199,16 +199,17 @@ def moments(measure, jmax: int) -> MomentTable:
                 f"definite only up to jmax={atoms - 1}; jmax={jmax} was asked"
             )
         vals = np.exp(-1j * np.outer(np.arange(jmax + 1), measure.thetas)) @ measure.weights
+        kind = "are float64 sums of its atoms, and their Toeplitz matrix is beyond float64"
     else:
         vals = _schur_moments(_stated_parameters(measure, jmax), jmax)
+        kind = "are exact but beyond float64"
     try:
         return MomentTable(vals)
     except MomentError as exc:
         cause = ("moment Toeplitz matrix numerically singular" if np.isfinite(vals).all()
                  else "moment recursion overflows")
         raise NumericalError(
-            f"{cause} at jmax={jmax}; "
-            f"the moments of {measure!r} are exact but beyond float64 at this range"
+            f"{cause} at jmax={jmax}; the moments of {measure!r} {kind} at this range"
         ) from exc
 
 

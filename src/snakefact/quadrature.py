@@ -19,6 +19,18 @@ NumPy's Hermitian eigensolver, and the nodes are their Rayleigh quotients.
 Where that pass fails its own residual, or some first component underflows
 to zero, NumPy's general eigensolver followed by one QR factorization takes
 over, so no other library is needed.
+
+A rule does not depend on the shape, so ``szego_quadrature`` never forms
+the dense truncation on its common path.  It reads the alternating
+factorization U = L M from the canonical blocks, with L the block-diagonal
+product of the odd factors and M that of the even ones; the corner is the
+1 x 1 block of factor n - 1.  Since I + wU = L (L^H + wM), the Cayley matrix
+is T^-1 (L^H - wM) for the tridiagonal T = L^H + wM (the pencil of
+Bunse-Gerstner and Elsner, and of Cantero, Moral and Velazquez), one
+tridiagonal solve with partial pivoting, and U acts on the eigenvectors as
+L (M V).  Unitarity is checked block by block.  Where the pencil pass
+fails, the general eigensolver and one QR run on the snake's dense
+truncation; ``eigen_unitary`` keeps the dense solve.
 """
 
 from __future__ import annotations
@@ -75,14 +87,20 @@ def _truncation_blocks(snake: SnakeFactorization, n: int) -> np.ndarray:
     return snake.schur._blocks[:n].copy()
 
 
-def truncate_para_unitary(snake: SnakeFactorization, n: int, theta: float) -> ParaUnitaryTruncation:
-    """Unitary n x n truncation with corner phase e^{i theta}."""
-    n = int_argument("n", n, 2)
+def _corner_blocks(snake: SnakeFactorization, n: int, theta) -> tuple[float, np.ndarray]:
+    """(theta, blocks) of an n-point para-unitary truncation, with the corner e^{i theta} set."""
     theta = real_argument("theta", theta)
     if not math.isfinite(theta):
         raise ValueError(f"theta = {theta} is not finite")
     blocks = _truncation_blocks(snake, n)
     blocks[n - 1, 0, 0] = np.exp(1j * theta)
+    return theta, blocks
+
+
+def truncate_para_unitary(snake: SnakeFactorization, n: int, theta: float) -> ParaUnitaryTruncation:
+    """Unitary n x n truncation with corner phase e^{i theta}."""
+    n = int_argument("n", n, 2)
+    theta, blocks = _corner_blocks(snake, n, theta)
     return ParaUnitaryTruncation(n, theta, _snake_product(snake, blocks)[:n, :n])
 
 
@@ -137,23 +155,28 @@ def _rule_size(n) -> int:
 
 def _eigen_unitary(matrix: np.ndarray):
     """`eigen_unitary` for a square complex input of a supported size, known to be unitary."""
-    n = matrix.shape[0]
-    pairs = _cayley_pairs(matrix)
-    if pairs is None:
-        try:
-            values, vecs = np.linalg.eig(matrix)
-            vecs = np.linalg.qr(vecs)[0]
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
-        residual = _residual(matrix @ vecs, values, vecs)
-    else:
-        values, vecs, residual = pairs
-    check("eigenpair residual too large", residual, 1e-10)
+    pairs = _cayley_pairs(_dense_cayley(matrix), matrix.__matmul__)
+    values, vecs = _checked_pairs(*(pairs or _general_pairs(matrix)))
     # A unit column has a component of modulus >= n**-0.5, so every column has a lead.
-    lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(n)]
-    vecs = vecs * (np.conj(lead) / np.abs(lead))
+    lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(len(vecs))]
+    return values, vecs * (np.conj(lead) / np.abs(lead))
+
+
+def _checked_pairs(values: np.ndarray, vecs: np.ndarray, residual: float):
+    """(values, vecs) once the residual and the orthonormality of vecs meet their contracts."""
+    check("eigenpair residual too large", residual, 1e-10)
     check("eigenvectors are not orthonormal", unitarity_defect(vecs.conj().T), 1e-9)
     return values, vecs
+
+
+def _general_pairs(matrix: np.ndarray):
+    """(values, vecs, residual) of the general eigensolver, orthonormalized by one QR."""
+    try:
+        values, vecs = np.linalg.eig(matrix)
+        vecs = np.linalg.qr(vecs)[0]
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
+    return values, vecs, _residual(matrix @ vecs, values, vecs)
 
 
 def _residual(image: np.ndarray, values: np.ndarray, vecs: np.ndarray) -> float:
@@ -162,38 +185,146 @@ def _residual(image: np.ndarray, values: np.ndarray, vecs: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(image, axis=0)))
 
 
-def _cayley_pairs(matrix: np.ndarray):
+def _dense_cayley(matrix: np.ndarray):
+    """Cayley matrix (I + wU)^-1 (I - wU) of a dense U, or None where I + wU is singular."""
+    n = matrix.shape[0]
+    plus = _OMEGA * matrix
+    minus = -plus
+    plus[np.diag_indices(n)] += 1.0
+    minus[np.diag_indices(n)] += 1.0
+    try:
+        return np.linalg.solve(plus, minus)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _cayley_pairs(cayley, apply):
     """(values, vecs, residual) of the Hermitian Cayley pass, or None where it fails.
 
-    With w = e^{i}, -conj(w) lies at the angle pi - 1, no rational multiple
-    of pi, so no spectrum of roots of unity makes I + wU singular.  Upper
-    storage makes the Hermitian tridiagonal reduction pin the last row of
-    its transformation rather than the first, so every first component, and
+    ``cayley`` is the Cayley matrix C = (I + wU)^-1 (I - wU) of a unitary U,
+    up to a multiple of the identity, which cancels from C - C^H, or None
+    where I + wU is singular; ``apply(V)`` returns U V.  With w = e^{i},
+    -conj(w) lies at the angle pi - 1, no rational multiple of pi, so no
+    spectrum of roots of unity makes I + wU singular.  Upper storage makes
+    the Hermitian tridiagonal reduction pin the last row of its
+    transformation rather than the first, so every first component, and
     with it every weight, is a full inner product rather than a deflated
     zero.
     """
-    n = matrix.shape[0]
+    if cayley is None:
+        return None
     with np.errstate(all="ignore"):
+        # i (C - C^H) is twice the Hermitian part of A = i C.
+        cayley -= cayley.conj().T
+        cayley *= 1j
         try:
-            plus = _OMEGA * matrix
-            minus = -plus
-            plus[np.diag_indices(n)] += 1.0
-            minus[np.diag_indices(n)] += 1.0
-            cayley = np.linalg.solve(plus, minus)
-            del plus, minus
-            # i (C - C^H) is twice the Hermitian part of A = i C.
-            cayley -= cayley.conj().T
-            cayley *= 1j
             vecs = np.linalg.eigh(cayley, UPLO="U")[1]
-            del cayley
         except np.linalg.LinAlgError:
             return None
-        image = matrix @ vecs
+        del cayley
+        image = apply(vecs)
         values = np.einsum("ij,ij->j", vecs.conj(), image)
         residual = _residual(image, values, vecs)
         if not residual <= 1e-10 or not np.all(np.abs(vecs[0]) ** 2 > 0.0):
             return None
     return values, vecs, residual
+
+
+def _block_defect(blocks: np.ndarray) -> float:
+    """Unitarity defect of the Givens blocks of a truncation, corner included.
+
+    A canonical block [[conj(alpha), rho], [rho, -alpha]] has B B^H - I =
+    (|alpha|^2 + rho^2 - 1) I, and the corner is the phase e^{i theta}.
+    """
+    head = blocks[:-1]
+    defect = np.abs(np.abs(head[:, 0, 0]) ** 2 + head[:, 0, 1].real ** 2 - 1.0)
+    return max(float(np.max(defect)), abs(abs(complex(blocks[-1, 0, 0])) - 1.0))
+
+
+def _half_product(blocks: np.ndarray, parity: int, vecs: np.ndarray) -> np.ndarray:
+    """H V for the block-diagonal half-product H of the factors of one parity.
+
+    M holds the even factors and L the odd ones.  Factor k < n - 1 acts on
+    rows (k, k + 1) through its 2 x 2 block; row 0 of L is left alone, and
+    the corner factor n - 1 scales row n - 1 by e^{i theta}.
+    """
+    n, cols = vecs.shape
+    pairs = blocks[parity : n - 1 : 2]
+    stop = parity + 2 * len(pairs)
+    out = np.empty_like(vecs)
+    out[:parity] = vecs[:parity]
+    stacked = (-1, 2, cols)
+    np.matmul(pairs, vecs[parity:stop].reshape(stacked), out=out[parity:stop].reshape(stacked))
+    out[stop:] = blocks[n - 1, 0, 0] * vecs[stop:]
+    return out
+
+
+def _pencil_cayley(blocks: np.ndarray):
+    """Cayley matrix of U = L M, up to the identity, from the tridiagonal pencil, or None.
+
+    I + wU = L T with T = L^H + w M, tridiagonal and complex symmetric, so
+    C = T^-1 (L^H - w M) = I - 2w T^-1 M.  Row i of T carries the top of
+    factor i and the bottom of factor i - 1 (of L's identity for i = 0), one
+    from each half-product, and the coupling of rows i and i + 1 is rho_i.
+    None where T has a zero pivot, so that I + wU is singular.
+    """
+    n = len(blocks)
+    top = blocks[:, 0, 0]
+    bottom = np.concatenate(([1.0], blocks[:-1, 1, 1]))
+    # M tops the even rows and L the odd ones.
+    diag = bottom.conj() + _OMEGA * top
+    diag[1::2] = top[1::2].conj() + _OMEGA * bottom[1::2]
+    off = blocks[:-1, 0, 1].copy()
+    off[::2] *= _OMEGA
+    rhs = _half_product(blocks, 0, np.eye(n, dtype=complex))
+    with np.errstate(all="ignore"):
+        solution = _tridiagonal_solve(off.tolist(), diag.tolist(), off.tolist() + [0j], rhs)
+    if solution is not None:
+        solution *= -2.0 * _OMEGA
+    return solution
+
+
+def _tridiagonal_solve(sub: list, diag: list, sup: list, rhs: np.ndarray):
+    """Solution of T X = B by Gaussian elimination with partial pivoting, or None.
+
+    LAPACK's gtsv: the factorization runs on Python scalars, where ``sub``,
+    ``diag`` and ``sup`` are the bands of T, ``sup`` padded with one zero,
+    and are overwritten.  Each elimination step then costs the rows of B
+    one 2-term product, and each back-substitution step one 3-term product.
+    None where a pivot is exactly zero.
+    """
+    n = len(diag)
+    sup2 = [0j] * n
+    swaps = [False] * (n - 1)
+    steps = []
+    for i in range(n - 1):
+        if abs(diag[i]) < abs(sub[i]):
+            # Interchange rows i and i + 1; row i + 1 then has no entry in column i + 2.
+            diag[i], sup[i], sup2[i], sub[i], diag[i + 1], sup[i + 1] = (
+                sub[i], diag[i + 1], sup[i + 1], diag[i], sup[i], 0j
+            )
+            swaps[i] = True
+        if diag[i] == 0:
+            return None
+        fact = sub[i] / diag[i]
+        diag[i + 1] -= fact * sup[i]
+        sup[i + 1] -= fact * sup2[i]
+        # The new row i + 1 as a combination of the rows i and i + 1 before the step.
+        steps.append((1.0, -fact) if swaps[i] else (-fact, 1.0))
+    if diag[n - 1] == 0:
+        return None
+    x = np.zeros((n + 2, rhs.shape[1]), dtype=complex)
+    x[:n] = rhs
+    for i, (swap, step) in enumerate(zip(swaps, np.array(steps))):
+        row = step.dot(x[i : i + 2])
+        if swap:
+            x[i] = x[i + 1]
+        x[i + 1] = row
+    pivots = np.array(diag)
+    back = np.column_stack((1.0 / pivots, -np.array(sup) / pivots, -np.array(sup2) / pivots))
+    for i in range(n - 1, -1, -1):
+        x[i] = back[i].dot(x[i : i + 3])
+    return x[:n]
 
 
 class QuadratureRule:
@@ -243,9 +374,23 @@ def szego_quadrature(snake: SnakeFactorization, n: int, theta: float) -> Quadrat
     normalized eigenvector.  Output is sorted by principal argument in
     [-pi, pi) so that equal rules compare deterministically.  ``n`` is at
     most 1024.
+
+    The truncations of all shapes are unitarily similar by a similarity
+    that fixes the first basis vector, so the rule is read from the
+    alternating one, U = L M, whose half-products are block-diagonal: the
+    Cayley pass takes C from the tridiagonal pencil and applies U as L (M V).
+    Where that pass fails, the general eigensolver runs on the snake's own
+    dense truncation.
     """
-    truncation = truncate_para_unitary(snake, _rule_size(n), theta)
-    values, vecs = _eigen_unitary(truncation.matrix)
+    n = _rule_size(n)
+    theta, blocks = _corner_blocks(snake, n, theta)
+    check("truncation blocks are not unitary", _block_defect(blocks), 1e-12)
+    pairs = _cayley_pairs(
+        _pencil_cayley(blocks), lambda v: _half_product(blocks, 1, _half_product(blocks, 0, v))
+    )
+    if pairs is None:
+        pairs = _general_pairs(truncate_para_unitary(snake, n, theta).matrix)
+    values, vecs = _checked_pairs(*pairs)
     weights = np.abs(vecs[0, :]) ** 2
     order = np.argsort(_principal_argument(values), kind="stable")
     return QuadratureRule(values[order], weights[order])

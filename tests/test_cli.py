@@ -591,6 +591,18 @@ class TestErrors:
         if exit_code == 2:
             assert "64 distinct atoms" in err
 
+    def test_grid_within_its_atoms_names_float64_sums(self, capsys):
+        points = np.column_stack(grid64()).tolist()
+        measure = json.dumps({"type": "grid", "points": points})
+        code, out, err = run(capsys, "quadrature", "--measure", measure, "--n", "63", "--verify")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: moment Toeplitz matrix numerically singular at jmax=63; the moments of "
+            "GridMeasure(64 points) are float64 sums of its atoms, and their Toeplitz "
+            "matrix is beyond float64 at this range\n"
+        )
+
     def test_verify_grid_past_its_atoms(self, capsys):
         # the oracle-equivalence suite reads moments up to n + 1 = 3 of 3 atoms
         grid = '{"type":"grid","points":[[-2.0,0.25],[0.0,0.5],[2.0,0.25]]}'
@@ -677,6 +689,7 @@ class TestErrors:
 
         monkeypatch.setattr("snakefact.cli.schur_parameters", unreachable)
         monkeypatch.setattr("snakefact.quadrature.truncate_para_unitary", unreachable)
+        monkeypatch.setattr("snakefact.quadrature._truncation_blocks", unreachable)
         code, out, err = run(capsys, "quadrature", "--measure", "lebesgue", "--n", "1025")
         assert code == 2
         assert out == ""

@@ -16,6 +16,7 @@ from snakefact.quadrature import (
     ParaUnitaryTruncation,
     QuadratureRule,
     eigen_unitary,
+    szego_quadrature,
     truncate_para_unitary,
 )
 from snakefact.schur import PolynomialPair, SchurSequence
@@ -80,6 +81,19 @@ def _eigen_residual_site(value, monkeypatch):
     eigen_unitary(np.eye(2, dtype=complex))
 
 
+def _rule_blocks_site(value, monkeypatch):
+    # Canonical blocks of validated parameters are unitary by construction,
+    # so the value is planted in the copy of the blocks that the rule reads.
+    def planted(snake, n):
+        blocks = snake.schur._blocks[:n].copy()
+        blocks[0, 0, 0] = value
+        return blocks
+
+    monkeypatch.setattr(quadrature, "_truncation_blocks", planted)
+    snake = SnakeFactorization(SchurSequence([0.3, 0.2, 0.1]), hessenberg_shape(2))
+    szego_quadrature(snake, 3, 0.0)
+
+
 def _truncation_theta_site(value, monkeypatch):
     snake = SnakeFactorization(SchurSequence([0.3, 0.2, 0.1]), hessenberg_shape(2))
     truncate_para_unitary(snake, 3, value)
@@ -104,6 +118,7 @@ SITES = [
      lambda v, mp: ParaUnitaryTruncation(2, 0.0, np.array([[v, 0], [0, 1]], dtype=complex)),
      NumericalError, "unitary"),
     ("truncate_para_unitary.theta", _truncation_theta_site, ValueError, "theta"),
+    ("szego_quadrature.blocks", _rule_blocks_site, NumericalError, "blocks are not unitary"),
     ("eigen_unitary.input",
      lambda v, mp: eigen_unitary(np.array([[v, 0], [0, 1]], dtype=complex)),
      ValueError, "unitary"),
@@ -130,6 +145,13 @@ VALUES = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
 def test_non_finite_input_fails_the_contract(call, exc, keyword, value, monkeypatch):
     with pytest.raises(exc, match=keyword):
         call(value, monkeypatch)
+
+
+def test_rule_blocks_not_unitary(monkeypatch):
+    # a finite defect above the bound, not only a non-finite one, fails the rule
+    with pytest.raises(NumericalError) as err:
+        _rule_blocks_site(0.5, monkeypatch)
+    assert str(err.value) == "truncation blocks are not unitary (defect 1.600e-01 > 1e-12)"
 
 
 def _refuse_eigh(m, UPLO):

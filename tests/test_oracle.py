@@ -186,6 +186,23 @@ class TestMoments:
         with pytest.raises(MomentError, match="64 distinct atoms.*jmax=64 was asked"):
             schur_parameters(grid, 64)
 
+    def test_float64_limit_names_where_the_moments_come_from(self):
+        # a grid's moments are float64 sums of its atoms; those of a family
+        # stated by its Schur parameters are exact
+        with pytest.raises(NumericalError) as err:
+            moments(GridMeasure(*grid64()), 63)
+        assert str(err.value) == (
+            "moment Toeplitz matrix numerically singular at jmax=63; the moments of "
+            "GridMeasure(64 points) are float64 sums of its atoms, and their Toeplitz "
+            "matrix is beyond float64 at this range"
+        )
+        with pytest.raises(NumericalError) as err:
+            moments(Geronimus(0.5), 60)
+        assert str(err.value) == (
+            "moment Toeplitz matrix numerically singular at jmax=60; the moments of "
+            "Geronimus((0.5+0j)) are exact but beyond float64 at this range"
+        )
+
     def test_negative_jmax_rejected(self):
         with pytest.raises(ValueError):
             moments(Lebesgue(), -1)

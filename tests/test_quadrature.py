@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,7 +15,10 @@ from snakefact.expand import entry, expand_dense
 from snakefact.oracle import BernsteinSzego, Lebesgue, inner_product, moments, schur_from_moments
 from snakefact.quadrature import (
     QuadratureRule,
+    _corner_blocks,
+    _half_product,
     _principal_argument,
+    _tridiagonal_solve,
     apply_rule,
     eigen_unitary,
     principal_truncation,
@@ -230,14 +234,16 @@ class TestEigenUnitary:
 
 class TestCayleyPass:
     def test_common_case_does_not_call_eig(self, monkeypatch):
-        def refuse(m):
-            raise AssertionError("the general eigensolver ran")
+        def refuse(*args):
+            raise AssertionError("the general eigensolver or the dense truncation ran")
 
         monkeypatch.setattr(np.linalg, "eig", refuse)
         rng = np.random.default_rng(64)
         snake = SnakeFactorization(random_schur(rng, 64), GeneratingSequence(random_bits(rng, 63)))
         eigen_unitary(truncate_para_unitary(snake, 64, 0.7).matrix)
-        # one op of the rules benchmark: n = 256, |alpha| in [0.05, 0.8]
+        # one op of the rules benchmark: n = 256, |alpha| in [0.05, 0.8], from
+        # the pencil alone, without the dense snake product
+        monkeypatch.setattr("snakefact.quadrature._snake_product", refuse)
         rng = np.random.default_rng(256)
         snake = SnakeFactorization(
             random_schur(rng, 256, 0.05, 0.8), GeneratingSequence(random_bits(rng, 255))
@@ -274,12 +280,96 @@ class TestCayleyPass:
         assert np.all(rule.weights > 0.0)
 
 
+class TestPencil:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17])
+    def test_half_products_multiply_to_the_alternating_truncation(self, n):
+        # s_k = k mod 2 puts the odd factors on the left and the even ones on
+        # the right, so that shape's truncation is L M, corner included
+        rng = np.random.default_rng(n)
+        snake = SnakeFactorization(
+            random_schur(rng, n), GeneratingSequence([k % 2 for k in range(1, n)])
+        )
+        _, blocks = _corner_blocks(snake, n, 0.9)
+        product = _half_product(blocks, 1, _half_product(blocks, 0, np.eye(n, dtype=complex)))
+        assert np.max(np.abs(product - truncate_para_unitary(snake, n, 0.9).matrix)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 64, 65])
+    def test_rule_matches_the_dense_route(self, n):
+        # an even n puts the corner in L, an odd n in M
+        rng = np.random.default_rng(100 + n)
+        schur = random_schur(rng, n, 0.05, 0.8)
+        theta = float(rng.uniform(-np.pi, np.pi))
+        shapes = [hessenberg_shape(n - 1), cmv_shape(n - 1)]
+        for gen in shapes + [GeneratingSequence(random_bits(rng, n - 1))]:
+            snake = SnakeFactorization(schur, gen)
+            rule = szego_quadrature(snake, n, theta)
+            values, vecs = eigen_unitary(truncate_para_unitary(snake, n, theta).matrix)
+            order = np.argsort(_principal_argument(values), kind="stable")
+            assert np.max(np.abs(rule.nodes - values[order])) <= 1e-12
+            assert np.max(np.abs(rule.weights - np.abs(vecs[0, order]) ** 2)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tridiagonal_solve_matches_a_dense_solve(self, seed):
+        # small diagonals force row interchanges at most steps
+        rng = np.random.default_rng(seed)
+        n = 40
+        sub, sup = (rng.normal(size=(2, n - 1)) + 1j * rng.normal(size=(2, n - 1)))
+        diag = (rng.normal(size=n) + 1j * rng.normal(size=n)) * rng.choice([1e-3, 1.0], size=n)
+        rhs = rng.normal(size=(n, 7)) + 1j * rng.normal(size=(n, 7))
+        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        got = _tridiagonal_solve(sub.tolist(), diag.tolist(), sup.tolist() + [0j], rhs)
+        want = np.linalg.solve(dense, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_tridiagonal_solve_refuses_a_zero_pivot(self):
+        assert _tridiagonal_solve([0j], [0j, 1.0], [1.0, 0j], np.eye(2)) is None
+        assert _tridiagonal_solve([1.0], [1.0, 1.0], [1.0, 0j], np.eye(2)) is None
+
+
+class TestExtendedPrecision:
+    def test_rule_matches_a_40_digit_reference(self):
+        # The nodes are the zeros of B(z) = z phi_{n-1}(z) - e^{i theta} phi*_{n-1}(z),
+        # refined from the rule's own nodes at 40 digits, and the weights are
+        # the Christoffel numbers 1 / sum_{j<n} |phi_j(z)|^2 there.
+        n, theta = 48, 0.7
+        rng = np.random.default_rng(48)
+        schur = random_schur(rng, n, 0.05, 0.8)
+        snake = SnakeFactorization(schur, GeneratingSequence(random_bits(rng, n - 1)))
+        rule = szego_quadrature(snake, n, theta)
+        with mpmath.workdps(40):
+            alphas = [mpmath.mpc(a) for a in schur.alphas[: n - 1]]
+            rhos = [mpmath.sqrt(1 - abs(a) ** 2) for a in alphas]
+            phase = mpmath.expj(theta)
+
+            def szego(z):
+                phi = star = mpmath.mpc(1)
+                values = [phi]
+                for a, r in zip(alphas, rhos):
+                    phi, star = (z * phi - mpmath.conj(a) * star) / r, (star - a * z * phi) / r
+                    values.append(phi)
+                return values, star
+
+            def node_polynomial(z):
+                values, star = szego(z)
+                return z * values[-1] - phase * star
+
+            node_error = weight_error = 0.0
+            for node, weight in zip(rule.nodes, rule.weights):
+                z = mpmath.findroot(node_polynomial, mpmath.mpc(node))
+                christoffel = 1 / mpmath.fsum(abs(v) ** 2 for v in szego(z)[0])
+                node_error = max(node_error, float(abs(z - node)))
+                weight_error = max(weight_error, float(abs(christoffel - weight)))
+        assert node_error <= 1e-12
+        assert weight_error <= 1e-12
+
+
 class TestSzegoQuadrature:
     def test_oversized_rule_rejected_before_any_work(self, monkeypatch):
         def unreachable(*args):
             raise AssertionError("n-sized work started for an oversized rule")
 
         monkeypatch.setattr("snakefact.quadrature.truncate_para_unitary", unreachable)
+        monkeypatch.setattr("snakefact.quadrature._truncation_blocks", unreachable)
         with pytest.raises(ValueError, match="n = 1025 exceeds the supported 1024"):
             szego_quadrature(free_snake(4), 1025, 0.0)
 
