@@ -148,7 +148,10 @@ def unitarity_defect(m) -> float:
     """max|M M^H - I| of a square array; NaN when an entry is not finite."""
     if not np.isfinite(m).all():
         return math.nan
-    return float(np.max(np.abs(m @ m.conj().T - np.eye(len(m)))))
+    # An integer or boolean product is cast, so that 1 is subtracted in floating point.
+    gram = np.asarray(m @ m.conj().T, dtype=np.result_type(m, 1.0))
+    gram[np.diag_indices(len(m))] -= 1.0
+    return float(np.max(np.abs(gram)))
 
 
 @dataclass

@@ -14,7 +14,7 @@ leaves it unitary: that is the para-unitary truncation, and its
 eigenvalues are the nodes.  The weights are the squared moduli of the
 first components of the orthonormal eigenvectors; taken unsquared they
 would not even sum to one.  The eigenvectors are those of the Hermitian
-Cayley transform i (I - wU)(I + wU)^-1 of the unitary truncation U, from
+Cayley transform A = i (I - wU)(I + wU)^-1 of the unitary truncation U, from
 NumPy's Hermitian eigensolver, and the nodes are their Rayleigh quotients.
 Where that pass fails its own residual, or some first component underflows
 to zero, NumPy's general eigensolver followed by one QR factorization takes
@@ -25,12 +25,16 @@ the dense truncation on its common path.  It reads the alternating
 factorization U = L M from the canonical blocks, with L the block-diagonal
 product of the odd factors and M that of the even ones; the corner is the
 1 x 1 block of factor n - 1.  Since I + wU = L (L^H + wM), the Cayley matrix
-is T^-1 (L^H - wM) for the tridiagonal T = L^H + wM (the pencil of
-Bunse-Gerstner and Elsner, and of Cantero, Moral and Velazquez), one
-tridiagonal solve with partial pivoting, and U acts on the eigenvectors as
-L (M V).  Unitarity is checked block by block.  Where the pencil pass
+comes from the tridiagonal T = L^H + wM (the pencil of Bunse-Gerstner and
+Elsner, and of Cantero, Moral and Velazquez) by one tridiagonal solve with
+partial pivoting.  Every block is symmetric and conjugates to its inverse,
+so x -> conj(M x) maps U to U^-1 and commutes with A; in the basis of the
+block-diagonal Takagi factor W of conj(M) = W W^T it is plain conjugation,
+so W^H A W is real and NumPy's real symmetric eigensolver gives its
+eigenvectors Q.  The eigenvectors of U are W Q, and U acts on them as
+L (conj(W) Q).  Unitarity is checked block by block.  Where the pencil pass
 fails, the general eigensolver and one QR run on the snake's dense
-truncation; ``eigen_unitary`` keeps the dense solve.
+truncation; ``eigen_unitary`` keeps the dense complex solve.
 """
 
 from __future__ import annotations
@@ -155,7 +159,7 @@ def _rule_size(n) -> int:
 
 def _eigen_unitary(matrix: np.ndarray):
     """`eigen_unitary` for a square complex input of a supported size, known to be unitary."""
-    pairs = _cayley_pairs(_dense_cayley(matrix), matrix.__matmul__)
+    pairs = _cayley_pairs(_dense_cayley(matrix), lambda q: q, matrix.__matmul__)
     values, vecs = _checked_pairs(*(pairs or _general_pairs(matrix)))
     # A unit column has a component of modulus >= n**-0.5, so every column has a lead.
     lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(len(vecs))]
@@ -165,7 +169,8 @@ def _eigen_unitary(matrix: np.ndarray):
 def _checked_pairs(values: np.ndarray, vecs: np.ndarray, residual: float):
     """(values, vecs) once the residual and the orthonormality of vecs meet their contracts."""
     check("eigenpair residual too large", residual, 1e-10)
-    check("eigenvectors are not orthonormal", unitarity_defect(vecs.conj().T), 1e-9)
+    # V^T conj(V) = conj(V^H V) has the defect of V^H V, without a conjugate copy of V.
+    check("eigenvectors are not orthonormal", unitarity_defect(vecs.T), 1e-9)
     return values, vecs
 
 
@@ -186,43 +191,50 @@ def _residual(image: np.ndarray, values: np.ndarray, vecs: np.ndarray) -> float:
 
 
 def _dense_cayley(matrix: np.ndarray):
-    """Cayley matrix (I + wU)^-1 (I - wU) of a dense U, or None where I + wU is singular."""
+    """Hermitian Cayley matrix of a dense U, up to a positive factor, or None.
+
+    With C = (I + wU)^-1 (I - wU), i (C - C^H) is twice A = i C.  None where
+    I + wU is singular.
+    """
     n = matrix.shape[0]
     plus = _OMEGA * matrix
     minus = -plus
     plus[np.diag_indices(n)] += 1.0
     minus[np.diag_indices(n)] += 1.0
     try:
-        return np.linalg.solve(plus, minus)
+        cayley = np.linalg.solve(plus, minus)
     except np.linalg.LinAlgError:
         return None
-
-
-def _cayley_pairs(cayley, apply):
-    """(values, vecs, residual) of the Hermitian Cayley pass, or None where it fails.
-
-    ``cayley`` is the Cayley matrix C = (I + wU)^-1 (I - wU) of a unitary U,
-    up to a multiple of the identity, which cancels from C - C^H, or None
-    where I + wU is singular; ``apply(V)`` returns U V.  With w = e^{i},
-    -conj(w) lies at the angle pi - 1, no rational multiple of pi, so no
-    spectrum of roots of unity makes I + wU singular.  Upper storage makes
-    the Hermitian tridiagonal reduction pin the last row of its
-    transformation rather than the first, so every first component, and
-    with it every weight, is a full inner product rather than a deflated
-    zero.
-    """
-    if cayley is None:
-        return None
     with np.errstate(all="ignore"):
-        # i (C - C^H) is twice the Hermitian part of A = i C.
         cayley -= cayley.conj().T
         cayley *= 1j
+    return cayley
+
+
+def _cayley_pairs(hermitian, basis, apply):
+    """(values, vecs, residual) of the Hermitian Cayley pass, or None where it fails.
+
+    ``hermitian`` is W^H A W up to a positive factor, for the Hermitian
+    Cayley matrix A = i (I - wU)(I + wU)^-1 of a unitary U and a unitary
+    basis W, or None where I + wU is singular.  Its eigenvectors Q give the
+    eigenvectors V = W Q of U, returned by ``basis(Q)``, and ``apply(Q)``
+    returns U V.  With w = e^{i}, -conj(w) lies at the angle pi - 1, no
+    rational multiple of pi, so no spectrum of roots of unity makes I + wU
+    singular.  Upper storage makes the tridiagonal reduction pin the last
+    row of its transformation rather than the first, so every first
+    component, and with it every weight, is a full inner product rather
+    than a deflated zero.
+    """
+    if hermitian is None:
+        return None
+    with np.errstate(all="ignore"):
         try:
-            vecs = np.linalg.eigh(cayley, UPLO="U")[1]
+            q = np.linalg.eigh(hermitian, UPLO="U")[1]
         except np.linalg.LinAlgError:
             return None
-        del cayley
-        image = apply(vecs)
+        del hermitian
+        vecs = basis(q)
+        image = apply(q)
         values = np.einsum("ij,ij->j", vecs.conj(), image)
         residual = _residual(image, values, vecs)
         if not residual <= 1e-10 or not np.all(np.abs(vecs[0]) ** 2 > 0.0):
@@ -246,12 +258,14 @@ def _half_product(blocks: np.ndarray, parity: int, vecs: np.ndarray) -> np.ndarr
 
     M holds the even factors and L the odd ones.  Factor k < n - 1 acts on
     rows (k, k + 1) through its 2 x 2 block; row 0 of L is left alone, and
-    the corner factor n - 1 scales row n - 1 by e^{i theta}.
+    the corner factor n - 1 scales row n - 1 by its (0, 0) entry, e^{i theta}
+    for a truncation's blocks.  Any blocks laid out this way, such as
+    ``_takagi_blocks``, multiply the same way.
     """
     n, cols = vecs.shape
     pairs = blocks[parity : n - 1 : 2]
     stop = parity + 2 * len(pairs)
-    out = np.empty_like(vecs)
+    out = np.empty((n, cols), dtype=np.result_type(blocks, vecs))
     out[:parity] = vecs[:parity]
     stacked = (-1, 2, cols)
     np.matmul(pairs, vecs[parity:stop].reshape(stacked), out=out[parity:stop].reshape(stacked))
@@ -259,14 +273,45 @@ def _half_product(blocks: np.ndarray, parity: int, vecs: np.ndarray) -> np.ndarr
     return out
 
 
-def _pencil_cayley(blocks: np.ndarray):
-    """Cayley matrix of U = L M, up to the identity, from the tridiagonal pencil, or None.
+def _takagi_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Unitary Takagi factor W of conj(M), conj(M) = W W^T, laid out like the blocks.
+
+    The conjugate of an even block is [[alpha, rho], [rho, -conj(alpha)]] =
+    X + i Im(alpha) I, where the real reflection X = [[Re alpha, rho],
+    [rho, -Re alpha]] has the eigenvalues +-c, c = hypot(Re alpha, rho) > 0,
+    on the rotation R by phi / 2, phi = atan2(rho, Re alpha).  So the block
+    is R diag(c + i Im alpha, -c + i Im alpha) R^T, and W_k = R diag(square
+    roots) has W_k W_k^T equal to it; both roots have modulus
+    |alpha|^2 + rho^2 = 1.  The corner, in M when n is odd, gets
+    e^{-i theta / 2}.  The odd blocks of W are zero.
+    """
+    n = len(blocks)
+    top = blocks[0 : n - 1 : 2, 0, 0]
+    re, im, rho = top.real, -top.imag, blocks[0 : n - 1 : 2, 0, 1].real
+    c = np.hypot(re, rho)
+    half = 0.5 * np.arctan2(rho, re)
+    cos, sin = np.cos(half), np.sin(half)
+    rotation = np.array([[cos, -sin], [sin, cos]]).transpose(2, 0, 1)
+    roots = np.sqrt(np.stack((c + 1j * im, -c + 1j * im), axis=-1))
+    takagi = np.zeros_like(blocks)
+    takagi[0 : n - 1 : 2] = rotation * roots[:, None, :]
+    takagi[n - 1, 0, 0] = np.sqrt(np.conj(blocks[n - 1, 0, 0]))
+    return takagi
+
+
+def _pencil_cayley(blocks: np.ndarray, takagi: np.ndarray):
+    """Real symmetric W^H A W, up to a positive factor, from the tridiagonal pencil, or None.
 
     I + wU = L T with T = L^H + w M, tridiagonal and complex symmetric, so
-    C = T^-1 (L^H - w M) = I - 2w T^-1 M.  Row i of T carries the top of
-    factor i and the bottom of factor i - 1 (of L's identity for i = 0), one
-    from each half-product, and the coupling of rows i and i + 1 is rho_i.
-    None where T has a zero pivot, so that I + wU is singular.
+    the Cayley matrix (I + wU)^-1 (I - wU) is I - 2w T^-1 M.  Row i of T
+    carries the top of factor i and the bottom of factor i - 1 (of L's
+    identity for i = 0), one from each half-product, and the coupling of
+    rows i and i + 1 is rho_i.  Every block B is symmetric with
+    B conj(B) = I, so the antiunitary x -> conj(M x) maps U to U^-1 and
+    commutes with A; it is plain conjugation in the basis W of
+    ``_takagi_blocks``, so W^H A W is real.  Since M W = conj(W), twice
+    W^H A W is S + S^T with S = Im(2w W^H T^-1 conj(W)).  None where T has a
+    zero pivot, so that I + wU is singular.
     """
     n = len(blocks)
     top = blocks[:, 0, 0]
@@ -276,12 +321,14 @@ def _pencil_cayley(blocks: np.ndarray):
     diag[1::2] = top[1::2].conj() + _OMEGA * bottom[1::2]
     off = blocks[:-1, 0, 1].copy()
     off[::2] *= _OMEGA
-    rhs = _half_product(blocks, 0, np.eye(n, dtype=complex))
+    conj = takagi.conj()
+    rhs = _half_product(conj, 0, np.eye(n, dtype=complex))
     with np.errstate(all="ignore"):
         solution = _tridiagonal_solve(off.tolist(), diag.tolist(), off.tolist() + [0j], rhs)
-    if solution is not None:
-        solution *= -2.0 * _OMEGA
-    return solution
+        if solution is None:
+            return None
+        sandwich = _half_product((2.0 * _OMEGA) * conj.transpose(0, 2, 1), 0, solution).imag
+        return sandwich + sandwich.T
 
 
 def _tridiagonal_solve(sub: list, diag: list, sup: list, rhs: np.ndarray):
@@ -378,15 +425,19 @@ def szego_quadrature(snake: SnakeFactorization, n: int, theta: float) -> Quadrat
     The truncations of all shapes are unitarily similar by a similarity
     that fixes the first basis vector, so the rule is read from the
     alternating one, U = L M, whose half-products are block-diagonal: the
-    Cayley pass takes C from the tridiagonal pencil and applies U as L (M V).
+    Cayley pass takes the real W^H A W from the tridiagonal pencil, with W
+    the Takagi factor of conj(M), and applies U to V = W Q as L (conj(W) Q).
     Where that pass fails, the general eigensolver runs on the snake's own
     dense truncation.
     """
     n = _rule_size(n)
     theta, blocks = _corner_blocks(snake, n, theta)
     check("truncation blocks are not unitary", _block_defect(blocks), 1e-12)
+    takagi = _takagi_blocks(blocks)
     pairs = _cayley_pairs(
-        _pencil_cayley(blocks), lambda v: _half_product(blocks, 1, _half_product(blocks, 0, v))
+        _pencil_cayley(blocks, takagi),
+        lambda q: _half_product(takagi, 0, q),
+        lambda q: _half_product(blocks, 1, _half_product(takagi.conj(), 0, q)),
     )
     if pairs is None:
         pairs = _general_pairs(truncate_para_unitary(snake, n, theta).matrix)

@@ -18,6 +18,7 @@ from snakefact.quadrature import (
     _corner_blocks,
     _half_product,
     _principal_argument,
+    _takagi_blocks,
     _tridiagonal_solve,
     apply_rule,
     eigen_unitary,
@@ -37,6 +38,26 @@ from snakefact.snake import (
 
 def free_snake(m):
     return SnakeFactorization(SchurSequence([0.0] * (m + 1)), hessenberg_shape(m))
+
+
+def parameter_family(rng, family, count, lo, hi):
+    """Schur parameters: all zero, or with |alpha| in [lo, hi] and real, purely
+    imaginary, of random phase, or of random phase with every third one zero,
+    or of random phase at |alpha| = 0.999."""
+    if family == "zero":
+        return np.zeros(count, dtype=complex)
+    mods = rng.uniform(lo, hi, size=count)
+    if family == "real":
+        return mods * rng.choice([-1.0, 1.0], size=count) + 0j
+    if family == "imaginary":
+        return 1j * mods * rng.choice([-1.0, 1.0], size=count)
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=count))
+    if family == "near_one":
+        return 0.999 * phases
+    alphas = mods * phases
+    if family == "third_zero":
+        alphas[::3] = 0.0
+    return alphas
 
 
 def cyclic_shift(n):
@@ -244,12 +265,34 @@ class TestCayleyPass:
         # one op of the rules benchmark: n = 256, |alpha| in [0.05, 0.8], from
         # the pencil alone, without the dense snake product
         monkeypatch.setattr("snakefact.quadrature._snake_product", refuse)
+        # and from a real symmetric eigenproblem
+        eigh, inputs = np.linalg.eigh, []
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda a, UPLO="L": inputs.append(a.dtype) or eigh(a, UPLO)
+        )
         rng = np.random.default_rng(256)
         snake = SnakeFactorization(
             random_schur(rng, 256, 0.05, 0.8), GeneratingSequence(random_bits(rng, 255))
         )
         rule = szego_quadrature(snake, 256, float(rng.uniform(-np.pi, np.pi)))
         assert rule.n == 256
+        assert inputs == [np.dtype(np.float64)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_power_sums_of_a_benchmark_rule(self, seed):
+        # the check of the rules benchmark: sum_k w_k lambda_k^j = (T^j)_00,
+        # the right side from matrix-vector products with the truncation T
+        rng = np.random.default_rng([seed, 256])
+        snake = SnakeFactorization(
+            random_schur(rng, 256, 0.05, 0.8), GeneratingSequence(random_bits(rng, 255))
+        )
+        theta = float(rng.uniform(-np.pi, np.pi))
+        rule = szego_quadrature(snake, 256, theta)
+        t = truncate_para_unitary(snake, 256, theta).matrix
+        v = t[:, 0]
+        for j in range(1, 5):
+            assert abs(np.dot(rule.weights, rule.nodes**j) - v[0]) <= 1e-10
+            v = t @ v
 
     def test_node_at_minus_conj_omega_falls_back(self, monkeypatch):
         # I + wU is singular for w = e^{i}, so the Cayley transform does not exist
@@ -295,18 +338,40 @@ class TestPencil:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 64, 65])
     def test_rule_matches_the_dense_route(self, n):
-        # an even n puts the corner in L, an odd n in M
+        # an even n puts the corner in L, an odd n in M; real, imaginary and
+        # zero parameters are the degenerate directions of the Takagi blocks
         rng = np.random.default_rng(100 + n)
-        schur = random_schur(rng, n, 0.05, 0.8)
-        theta = float(rng.uniform(-np.pi, np.pi))
-        shapes = [hessenberg_shape(n - 1), cmv_shape(n - 1)]
-        for gen in shapes + [GeneratingSequence(random_bits(rng, n - 1))]:
-            snake = SnakeFactorization(schur, gen)
-            rule = szego_quadrature(snake, n, theta)
-            values, vecs = eigen_unitary(truncate_para_unitary(snake, n, theta).matrix)
-            order = np.argsort(_principal_argument(values), kind="stable")
-            assert np.max(np.abs(rule.nodes - values[order])) <= 1e-12
-            assert np.max(np.abs(rule.weights - np.abs(vecs[0, order]) ** 2)) <= 1e-12
+        for family in ["complex", "real", "imaginary", "third_zero"]:
+            schur = SchurSequence(parameter_family(rng, family, n, 0.05, 0.8))
+            theta = float(rng.uniform(-np.pi, np.pi))
+            shapes = [hessenberg_shape(n - 1), cmv_shape(n - 1)]
+            for gen in shapes + [GeneratingSequence(random_bits(rng, n - 1))]:
+                snake = SnakeFactorization(schur, gen)
+                rule = szego_quadrature(snake, n, theta)
+                values, vecs = eigen_unitary(truncate_para_unitary(snake, n, theta).matrix)
+                order = np.argsort(_principal_argument(values), kind="stable")
+                assert np.max(np.abs(rule.nodes - values[order])) <= 1e-12
+                assert np.max(np.abs(rule.weights - np.abs(vecs[0, order]) ** 2)) <= 1e-12
+
+    @pytest.mark.parametrize("family", ["zero", "real", "imaginary", "near_one"])
+    @pytest.mark.parametrize("n", [2, 3, 16, 17])
+    def test_takagi_factor(self, n, family):
+        # W is unitary with W W^T = conj(M), and turns the Cayley matrix real
+        rng = np.random.default_rng(n)
+        alphas = parameter_family(rng, family, n, 0.05, 0.95)
+        snake = SnakeFactorization(
+            SchurSequence(alphas), GeneratingSequence([k % 2 for k in range(1, n)])
+        )
+        _, blocks = _corner_blocks(snake, n, 0.4)
+        eye = np.eye(n, dtype=complex)
+        w = _half_product(_takagi_blocks(blocks), 0, eye)
+        m = _half_product(blocks, 0, eye)
+        assert np.max(np.abs(w @ w.conj().T - eye)) <= 1e-15
+        assert np.max(np.abs(w @ w.T - m.conj())) <= 1e-15
+        u = truncate_para_unitary(snake, n, 0.4).matrix
+        cayley = 1j * np.linalg.solve(eye + np.exp(1j) * u, eye - np.exp(1j) * u)
+        sandwich = w.conj().T @ cayley @ w
+        assert np.max(np.abs(sandwich.imag)) <= 1e-14 * np.linalg.norm(cayley, 2)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tridiagonal_solve_matches_a_dense_solve(self, seed):
@@ -327,13 +392,21 @@ class TestPencil:
 
 
 class TestExtendedPrecision:
+    # The nodes are the zeros of B(z) = z phi_{n-1}(z) - e^{i theta} phi*_{n-1}(z),
+    # refined from the rule's own nodes at 40 digits, and the weights are
+    # the Christoffel numbers 1 / sum_{j<n} |phi_j(z)|^2 there.
     def test_rule_matches_a_40_digit_reference(self):
-        # The nodes are the zeros of B(z) = z phi_{n-1}(z) - e^{i theta} phi*_{n-1}(z),
-        # refined from the rule's own nodes at 40 digits, and the weights are
-        # the Christoffel numbers 1 / sum_{j<n} |phi_j(z)|^2 there.
+        self.check_rule("complex", 0.8)
+
+    def test_imaginary_parameters_match_a_40_digit_reference(self):
+        # every Takagi block at a purely imaginary alpha
+        self.check_rule("imaginary", 0.9)
+
+    @staticmethod
+    def check_rule(family, hi):
         n, theta = 48, 0.7
         rng = np.random.default_rng(48)
-        schur = random_schur(rng, n, 0.05, 0.8)
+        schur = SchurSequence(parameter_family(rng, family, n, 0.05, hi))
         snake = SnakeFactorization(schur, GeneratingSequence(random_bits(rng, n - 1)))
         rule = szego_quadrature(snake, n, theta)
         with mpmath.workdps(40):
