@@ -21,20 +21,21 @@ to zero, NumPy's general eigensolver followed by one QR factorization takes
 over, so no other library is needed.
 
 A rule does not depend on the shape, so ``szego_quadrature`` never forms
-the dense truncation on its common path.  It reads the alternating
-factorization U = L M from the canonical blocks, with L the block-diagonal
-product of the odd factors and M that of the even ones; the corner is the
-1 x 1 block of factor n - 1.  Since I + wU = L (L^H + wM), the Cayley matrix
-comes from the tridiagonal T = L^H + wM (the pencil of Bunse-Gerstner and
-Elsner, and of Cantero, Moral and Velazquez) by one tridiagonal solve with
-partial pivoting.  Every block is symmetric and conjugates to its inverse,
-so x -> conj(M x) maps U to U^-1 and commutes with A; in the basis of the
+the snake's dense truncation.  It reads the alternating factorization
+U = L M from the canonical blocks, with L the block-diagonal product of the
+odd factors and M that of the even ones; the corner is the 1 x 1 block of
+factor n - 1.  Since I + wU = L (L^H + wM), the Cayley matrix comes from
+the tridiagonal T = L^H + wM (the pencil of Bunse-Gerstner and Elsner, and
+of Cantero, Moral and Velazquez) by one solve; T is complex symmetric, and
+its elimination is the Szego recursion at -conj(w), so it needs no row
+interchanges.  Every block is symmetric and conjugates to its inverse, so
+x -> conj(M x) maps U to U^-1 and commutes with A; in the basis of the
 block-diagonal Takagi factor W of conj(M) = W W^T it is plain conjugation,
 so W^H A W is real and NumPy's real symmetric eigensolver gives its
 eigenvectors Q.  The eigenvectors of U are W Q, and U acts on them as
 L (conj(W) Q).  Unitarity is checked block by block.  Where the pencil pass
-fails, the general eigensolver and one QR run on the snake's dense
-truncation; ``eigen_unitary`` keeps the dense complex solve.
+fails, the general eigensolver and one QR run on L M, built from the same
+blocks; ``eigen_unitary`` keeps the dense complex solve.
 """
 
 from __future__ import annotations
@@ -143,7 +144,11 @@ def eigen_unitary(matrix: np.ndarray):
     if n > _MAX_EIG_SIZE:
         raise ValueError(f"matrix size {n} exceeds the supported {_MAX_EIG_SIZE}")
     check("input is not unitary", unitarity_defect(matrix), 1e-10, ValueError)
-    return _eigen_unitary(matrix)
+    pairs = _cayley_pairs(_dense_cayley(matrix), lambda q: q, matrix.__matmul__)
+    values, vecs = _checked_pairs(*(pairs or _general_pairs(matrix)))
+    # A unit column has a component of modulus >= n**-0.5, so every column has a lead.
+    lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(len(vecs))]
+    return values, vecs * (np.conj(lead) / np.abs(lead))
 
 
 def _rule_size(n) -> int:
@@ -155,15 +160,6 @@ def _rule_size(n) -> int:
     if n > _MAX_EIG_SIZE:
         raise ValueError(f"rule size n = {n} exceeds the supported {_MAX_EIG_SIZE}")
     return n
-
-
-def _eigen_unitary(matrix: np.ndarray):
-    """`eigen_unitary` for a square complex input of a supported size, known to be unitary."""
-    pairs = _cayley_pairs(_dense_cayley(matrix), lambda q: q, matrix.__matmul__)
-    values, vecs = _checked_pairs(*(pairs or _general_pairs(matrix)))
-    # A unit column has a component of modulus >= n**-0.5, so every column has a lead.
-    lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(len(vecs))]
-    return values, vecs * (np.conj(lead) / np.abs(lead))
 
 
 def _checked_pairs(values: np.ndarray, vecs: np.ndarray, residual: float):
@@ -310,8 +306,8 @@ def _pencil_cayley(blocks: np.ndarray, takagi: np.ndarray):
     B conj(B) = I, so the antiunitary x -> conj(M x) maps U to U^-1 and
     commutes with A; it is plain conjugation in the basis W of
     ``_takagi_blocks``, so W^H A W is real.  Since M W = conj(W), twice
-    W^H A W is S + S^T with S = Im(2w W^H T^-1 conj(W)).  None where T has a
-    zero pivot, so that I + wU is singular.
+    W^H A W is S + S^T with S = Im(2w W^H T^-1 conj(W)).  None where T, and
+    with it I + wU, is singular.
     """
     n = len(blocks)
     top = blocks[:, 0, 0]
@@ -324,54 +320,47 @@ def _pencil_cayley(blocks: np.ndarray, takagi: np.ndarray):
     conj = takagi.conj()
     rhs = _half_product(conj, 0, np.eye(n, dtype=complex))
     with np.errstate(all="ignore"):
-        solution = _tridiagonal_solve(off.tolist(), diag.tolist(), off.tolist() + [0j], rhs)
+        solution = _pencil_solve(diag.tolist(), off.tolist(), rhs)
         if solution is None:
             return None
         sandwich = _half_product((2.0 * _OMEGA) * conj.transpose(0, 2, 1), 0, solution).imag
         return sandwich + sandwich.T
 
 
-def _tridiagonal_solve(sub: list, diag: list, sup: list, rhs: np.ndarray):
-    """Solution of T X = B by Gaussian elimination with partial pivoting, or None.
+def _pencil_solve(diag: list, off: list, rhs: np.ndarray):
+    """Solution of T X = B for the pencil T = L^H + wM, or None at a zero pivot.
 
-    LAPACK's gtsv: the factorization runs on Python scalars, where ``sub``,
-    ``diag`` and ``sup`` are the bands of T, ``sup`` padded with one zero,
-    and are overwritten.  Each elimination step then costs the rows of B
-    one 2-term product, and each back-substitution step one 3-term product.
-    None where a pivot is exactly zero.
+    T is tridiagonal and complex symmetric, so its diagonal ``diag`` and
+    off-diagonal ``off``, as Python scalars, give all of it.  Elimination
+    without row interchanges factors T = F D F^T, F unit lower bidiagonal,
+    with f_k = t_{k,k+1} / d_k and the pivots d_0 = t_00 and
+    d_{k+1} = t_{k+1,k+1} - f_k t_{k,k+1}.  The k x k leading minor of T is
+    the monic Szego polynomial Phi_k at -conj(w) up to a unimodular factor,
+    so |d_k| = |Phi_{k+1}(-conj(w)) / Phi_k(-conj(w))|: the elimination is
+    the Szego recursion.  Since Phi_{k+1} = z Phi_k - conj(alpha_k) Phi*_k
+    and |Phi*_k| = |Phi_k| on |z| = 1, 1 - |alpha_k| <= |d_k| <= 1 + |alpha_k|
+    for k < n - 1.  With |t_{k,k+1}| = rho_k, |f_k|^2 |d_k| =
+    rho_k^2 / |d_k| <= 1 + |alpha_k|, so |F| |D| |F^T| <= 4 entrywise and
+    the elimination is backward stable without pivoting.  Only the last
+    pivot, where the corner e^{i theta} enters, can vanish, and it does
+    where I + wU is singular.  Each step costs the rows of B one 2-term
+    update.
     """
-    n = len(diag)
-    sup2 = [0j] * n
-    swaps = [False] * (n - 1)
-    steps = []
-    for i in range(n - 1):
-        if abs(diag[i]) < abs(sub[i]):
-            # Interchange rows i and i + 1; row i + 1 then has no entry in column i + 2.
-            diag[i], sup[i], sup2[i], sub[i], diag[i + 1], sup[i + 1] = (
-                sub[i], diag[i + 1], sup[i + 1], diag[i], sup[i], 0j
-            )
-            swaps[i] = True
-        if diag[i] == 0:
-            return None
-        fact = sub[i] / diag[i]
-        diag[i + 1] -= fact * sup[i]
-        sup[i + 1] -= fact * sup2[i]
-        # The new row i + 1 as a combination of the rows i and i + 1 before the step.
-        steps.append((1.0, -fact) if swaps[i] else (-fact, 1.0))
-    if diag[n - 1] == 0:
+    try:
+        pivots = [diag[0]]
+        for t, d in zip(off, diag[1:]):
+            pivots.append(d - t * t / pivots[-1])
+        factors = [t / d for t, d in zip(off, pivots)]
+        inverses = [1.0 / d for d in pivots]
+    except ZeroDivisionError:
         return None
-    x = np.zeros((n + 2, rhs.shape[1]), dtype=complex)
-    x[:n] = rhs
-    for i, (swap, step) in enumerate(zip(swaps, np.array(steps))):
-        row = step.dot(x[i : i + 2])
-        if swap:
-            x[i] = x[i + 1]
-        x[i + 1] = row
-    pivots = np.array(diag)
-    back = np.column_stack((1.0 / pivots, -np.array(sup) / pivots, -np.array(sup2) / pivots))
-    for i in range(n - 1, -1, -1):
-        x[i] = back[i].dot(x[i : i + 3])
-    return x[:n]
+    x = np.array(rhs, dtype=complex)
+    for i, f in enumerate(factors):
+        x[i + 1] -= f * x[i]
+    x *= np.array(inverses)[:, None]
+    for i in range(len(factors) - 1, -1, -1):
+        x[i] -= factors[i] * x[i + 1]
+    return x
 
 
 class QuadratureRule:
@@ -388,8 +377,12 @@ class QuadratureRule:
             raise NumericalError(
                 f"nodes nearly coincide (min separation {sep:.3e}); pick another theta"
             )
-        if not np.all(weights > 0.0):
-            raise NumericalError("quadrature weights must be strictly positive")
+        bad = np.count_nonzero(~(weights > 0.0))
+        if bad:
+            raise NumericalError(
+                f"quadrature weights must be strictly positive ({bad} of {weights.size} "
+                f"are not; smallest {np.min(weights):.3e})"
+            )
         check("quadrature weights do not sum to 1", abs(weights.sum() - 1.0), 1e-10)
         self.nodes = nodes
         self.weights = weights
@@ -427,11 +420,11 @@ def szego_quadrature(snake: SnakeFactorization, n: int, theta: float) -> Quadrat
     alternating one, U = L M, whose half-products are block-diagonal: the
     Cayley pass takes the real W^H A W from the tridiagonal pencil, with W
     the Takagi factor of conj(M), and applies U to V = W Q as L (conj(W) Q).
-    Where that pass fails, the general eigensolver runs on the snake's own
-    dense truncation.
+    Where that pass fails, the general eigensolver runs on L M, from the
+    blocks already checked, so the shape never enters.
     """
     n = _rule_size(n)
-    theta, blocks = _corner_blocks(snake, n, theta)
+    _, blocks = _corner_blocks(snake, n, theta)
     check("truncation blocks are not unitary", _block_defect(blocks), 1e-12)
     takagi = _takagi_blocks(blocks)
     pairs = _cayley_pairs(
@@ -440,7 +433,8 @@ def szego_quadrature(snake: SnakeFactorization, n: int, theta: float) -> Quadrat
         lambda q: _half_product(blocks, 1, _half_product(takagi.conj(), 0, q)),
     )
     if pairs is None:
-        pairs = _general_pairs(truncate_para_unitary(snake, n, theta).matrix)
+        eye = np.eye(n, dtype=complex)
+        pairs = _general_pairs(_half_product(blocks, 1, _half_product(blocks, 0, eye)))
     values, vecs = _checked_pairs(*pairs)
     weights = np.abs(vecs[0, :]) ** 2
     order = np.argsort(_principal_argument(values), kind="stable")

@@ -17,9 +17,9 @@ from snakefact.quadrature import (
     QuadratureRule,
     _corner_blocks,
     _half_product,
+    _pencil_solve,
     _principal_argument,
     _takagi_blocks,
-    _tridiagonal_solve,
     apply_rule,
     eigen_unitary,
     principal_truncation,
@@ -38,6 +38,16 @@ from snakefact.snake import (
 
 def free_snake(m):
     return SnakeFactorization(SchurSequence([0.0] * (m + 1)), hessenberg_shape(m))
+
+
+def refuse_the_snake_truncation(monkeypatch):
+    """Make the snake's shape-dependent product and dense truncation raise."""
+
+    def refuse(*args):
+        raise AssertionError("the snake's dense truncation ran")
+
+    monkeypatch.setattr("snakefact.quadrature._snake_product", refuse)
+    monkeypatch.setattr("snakefact.quadrature.truncate_para_unitary", refuse)
 
 
 def parameter_family(rng, family, count, lo, hi):
@@ -306,6 +316,7 @@ class TestCayleyPass:
     def test_rule_with_a_node_at_minus_conj_omega(self, monkeypatch):
         # the free rule has the nodes z^n = e^{i theta}; this theta puts one at e^{i(pi-1)}
         calls = count_eig_calls(monkeypatch)
+        refuse_the_snake_truncation(monkeypatch)
         n = 8
         rule = szego_quadrature(free_snake(n - 1), n, n * (np.pi - 1.0) % (2.0 * np.pi))
         assert calls == [(n, n)]
@@ -316,11 +327,27 @@ class TestCayleyPass:
         # alternating +-0.99 localizes eigenvectors so far from index 0 that
         # the smallest true weight is about 1e-466
         calls = count_eig_calls(monkeypatch)
+        refuse_the_snake_truncation(monkeypatch)
         alphas = [0.99 * (-1) ** k for k in range(256)]
         snake = SnakeFactorization(SchurSequence(alphas), hessenberg_shape(255))
         rule = szego_quadrature(snake, 256, 0.3)
         assert calls == [(256, 256)]
         assert np.all(rule.weights > 0.0)
+
+    def test_zero_weights_are_counted(self):
+        # at |alpha| = 1 - 1e-8 the pencil pass refuses and eig + QR leaves
+        # most weights below the smallest float64
+        rng = np.random.default_rng(7)
+        alphas = (1 - 1e-8) * np.exp(1j * rng.uniform(-np.pi, np.pi, 128))
+        snake = SnakeFactorization(
+            SchurSequence(alphas), GeneratingSequence(random_bits(rng, 127))
+        )
+        with pytest.raises(
+            NumericalError,
+            match=r"^quadrature weights must be strictly positive "
+            r"\(\d+ of 128 are not; smallest 0\.000e\+00\)$",
+        ):
+            szego_quadrature(snake, 128, 0.3)
 
 
 class TestPencil:
@@ -373,22 +400,36 @@ class TestPencil:
         sandwich = w.conj().T @ cayley @ w
         assert np.max(np.abs(sandwich.imag)) <= 1e-14 * np.linalg.norm(cayley, 2)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_tridiagonal_solve_matches_a_dense_solve(self, seed):
-        # small diagonals force row interchanges at most steps
-        rng = np.random.default_rng(seed)
-        n = 40
-        sub, sup = (rng.normal(size=(2, n - 1)) + 1j * rng.normal(size=(2, n - 1)))
-        diag = (rng.normal(size=n) + 1j * rng.normal(size=n)) * rng.choice([1e-3, 1.0], size=n)
+    @pytest.mark.parametrize("family", ["complex", "real", "imaginary", "near_one"])
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 256])
+    def test_pencil_solve(self, n, family):
+        # T = L^H + wM from the half-products is complex symmetric and
+        # tridiagonal; elimination on it needs no interchange, since its
+        # pivots d_k are Szego ratios
+        rng = np.random.default_rng([n, 20])
+        alphas = parameter_family(rng, family, n, 0.05, 0.95)
+        snake = SnakeFactorization(SchurSequence(alphas), hessenberg_shape(n - 1))
+        _, blocks = _corner_blocks(snake, n, float(rng.uniform(-np.pi, np.pi)))
+        eye = np.eye(n, dtype=complex)
+        pencil = _half_product(blocks, 1, eye).conj().T + np.exp(1j) * _half_product(blocks, 0, eye)
+        diag, off = np.diag(pencil), np.diag(pencil, 1)
+        assert np.array_equal(pencil, np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        diag, off = diag.tolist(), off.tolist()
         rhs = rng.normal(size=(n, 7)) + 1j * rng.normal(size=(n, 7))
-        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-        got = _tridiagonal_solve(sub.tolist(), diag.tolist(), sup.tolist() + [0j], rhs)
-        want = np.linalg.solve(dense, rhs)
+        want = np.linalg.solve(pencil, rhs)
+        got = _pencil_solve(diag, off, rhs)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # solving a leading (k + 1) x (k + 1) block against its last unit
+        # vector leaves 1 / d_k in the last entry
+        leading = [(diag[: k + 1], off[:k], eye[: k + 1, k : k + 1]) for k in range(n - 1)]
+        pivots = 1.0 / np.abs([_pencil_solve(*args)[-1, 0] for args in leading])
+        mods = np.abs(alphas[: n - 1])
+        assert np.all(1.0 - mods <= pivots)
+        assert np.all(pivots <= 1.0 + mods)
 
-    def test_tridiagonal_solve_refuses_a_zero_pivot(self):
-        assert _tridiagonal_solve([0j], [0j, 1.0], [1.0, 0j], np.eye(2)) is None
-        assert _tridiagonal_solve([1.0], [1.0, 1.0], [1.0, 0j], np.eye(2)) is None
+    def test_pencil_solve_refuses_a_zero_pivot(self):
+        # [[1, 1], [1, 1]] is singular at its last pivot
+        assert _pencil_solve([1.0, 1.0], [1.0], np.eye(2)) is None
 
 
 class TestExtendedPrecision:
