@@ -4,10 +4,13 @@ Subcommands: build, entry, expand, bandwidth, quadrature, verify.  Each
 declares only the flags it reads, from the groups shape (--shape
 hessenberg|cmv with --m Givens factors, --s bits or --monomials exponents),
 Schur (--alphas, or a --measure whose parameters ``oracle.schur_parameters``
-gives), --n, and --format/--out.  Each builds one record: --format json
-writes it with complex numbers as [re, im] pairs, and the default text and,
-for expand and quadrature, --format csv render it.  Exit codes: 0 success,
-1 verification failure, 2 invalid input, 3 numerical failure.
+gives), --n, and --format/--out.  An n-point rule reads alpha_0 ..
+alpha_{n-2} and no shape, so quadrature takes no shape flag: --alphas gives
+at least n - 1 parameters and --measure is asked for exactly n - 1.  Each
+subcommand builds one record: --format json writes it with complex numbers
+as [re, im] pairs, and the default text and, for expand and quadrature,
+--format csv render it.  Exit codes: 0 success, 1 verification failure,
+2 invalid input, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -183,15 +186,14 @@ def _schur_source(args):
     return alphas, None if args.measure is None else _load_measure(args.measure)
 
 
-def _resolve(args, factors: tuple[str, int] | None = None, required: bool = True):
+def _resolve(args, required: bool = True):
     """(shape, Schur parameters, --measure's measure or None) from the flags.
 
-    The count of --alphas, else ``factors``, a (source, count) pair, sizes a
-    named shape without --m.  Without a Schur flag the parameters are None
-    if not ``required``.
+    The count of --alphas sizes a named shape without --m.  Without a Schur
+    flag the parameters are None if not ``required``.
     """
     alphas, measure = _schur_source(args)
-    gen = _resolve_shape(args, factors if alphas is None else ("number of --alphas", len(alphas)))
+    gen = _resolve_shape(args, None if alphas is None else ("number of --alphas", len(alphas)))
     count = len(gen) + 1
     if alphas is not None:
         if len(alphas) != count:
@@ -287,8 +289,11 @@ def cmd_bandwidth(args) -> int:
 
 def cmd_quadrature(args) -> int:
     n = _rule_size(args.n)
-    gen, schur, measure = _resolve(args, factors=("n", n))
-    rule = szego_quadrature(SnakeFactorization(schur, gen), n, args.theta)
+    alphas, measure = _schur_source(args)
+    if alphas is None and measure is None:
+        raise ValueError("no Schur parameters given; use --alphas or --measure")
+    schur = SchurSequence(alphas) if measure is None else schur_parameters(measure, n - 1)
+    rule = szego_quadrature(schur, n, args.theta)
     record = {"n": n, "theta": args.theta, "nodes": rule.nodes.tolist(), "weights": rule.weights.tolist()}
     if args.verify:
         if measure is None:
@@ -400,7 +405,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
     command("bandwidth", cmd_bandwidth, "structural lower/upper bandwidths of a shape",
             (_shape_flags,))
     p = command("quadrature", cmd_quadrature, "n-point Szego rule (nodes and weights)",
-                (_shape_flags, _schur_flags, _size_flag), ("json", "csv"))
+                (_schur_flags, _size_flag), ("json", "csv"))
     p.add_argument("--theta", type=float, default=0.0, help="corner phase in radians (default 0)")
     p.add_argument("--verify", action="store_true",
                    help="append the max exactness defect over the optimal subspace")

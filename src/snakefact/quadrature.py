@@ -20,8 +20,9 @@ Where that pass fails its own residual, or some first component underflows
 to zero, NumPy's general eigensolver followed by one QR factorization takes
 over, so no other library is needed.
 
-A rule does not depend on the shape, so ``szego_quadrature`` never forms
-the snake's dense truncation.  It reads the alternating factorization
+A rule does not depend on the shape: alpha_0 .. alpha_{n-2} and theta fix
+the n-point rule, so ``szego_quadrature`` takes a Schur sequence and never
+forms the snake's dense truncation.  It reads the alternating factorization
 U = L M from the canonical blocks, with L the block-diagonal product of the
 odd factors and M that of the even ones; the corner is the 1 x 1 block of
 factor n - 1.  Since I + wU = L (L^H + wM), the Cayley matrix comes from
@@ -53,6 +54,7 @@ from .errors import (
     real_argument,
     unitarity_defect,
 )
+from .schur import SchurSequence
 from .snake import SnakeFactorization, _snake_product
 
 __all__ = [
@@ -84,27 +86,35 @@ class ParaUnitaryTruncation:
 
 
 def _truncation_blocks(snake: SnakeFactorization, n: int) -> np.ndarray:
-    """Writable copy of the canonical blocks of the first n factors of an n x n truncation."""
+    """Canonical blocks of the first n factors of the snake's n x n truncation, read-only."""
     if n - 1 > len(snake.gen):
         raise ShapeError(
             f"size {n} needs shape bits through s_{n - 1}; only {len(snake.gen)} stored"
         )
-    return snake.schur._blocks[:n].copy()
+    return snake.schur._blocks[:n]
 
 
-def _corner_blocks(snake: SnakeFactorization, n: int, theta) -> tuple[float, np.ndarray]:
-    """(theta, blocks) of an n-point para-unitary truncation, with the corner e^{i theta} set."""
+def _corner_blocks(schur: SchurSequence | SnakeFactorization, n: int, theta):
+    """(theta, blocks) of an n-point para-unitary truncation: blocks 0 .. n-2 and the corner.
+
+    ``schur`` is a SchurSequence, or a SnakeFactorization whose sequence is
+    read.  Factor n - 1 enters only through its (0, 0) entry, e^{i theta}, so
+    alpha_{n-1} is never read and the rest of its block stays zero.
+    """
     theta = real_argument("theta", theta)
     if not math.isfinite(theta):
         raise ValueError(f"theta = {theta} is not finite")
-    blocks = _truncation_blocks(snake, n)
-    blocks[n - 1, 0, 0] = np.exp(1j * theta)
-    return theta, blocks
+    schur = schur.schur if isinstance(schur, SnakeFactorization) else schur
+    if n - 1 > len(schur):
+        raise ShapeError(f"n = {n} needs {n - 1} Schur parameters; only {len(schur)} given")
+    corner = [[np.exp(1j * theta), 0.0], [0.0, 0.0]]
+    return theta, np.concatenate((schur._blocks[: n - 1], [corner]))
 
 
 def truncate_para_unitary(snake: SnakeFactorization, n: int, theta: float) -> ParaUnitaryTruncation:
     """Unitary n x n truncation with corner phase e^{i theta}."""
     n = int_argument("n", n, 2)
+    _truncation_blocks(snake, n)  # the shape must place factor n - 1, the corner
     theta, blocks = _corner_blocks(snake, n, theta)
     return ParaUnitaryTruncation(n, theta, _snake_product(snake, blocks)[:n, :n])
 
@@ -372,7 +382,9 @@ class QuadratureRule:
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
         check("quadrature nodes left the unit circle", np.max(np.abs(np.abs(nodes) - 1.0)), 1e-10)
-        sep = np.min(np.abs(nodes[:, None] - nodes[None, :]) + 2.0 * np.eye(nodes.size))
+        # The closest two nodes are neighbours in angle, the last and the first included.
+        ring = nodes[np.argsort(np.angle(nodes))]
+        sep = np.min(np.abs(ring - np.roll(ring, 1)) if nodes.size > 1 else [], initial=2.0)
         if not sep > 1e-8:
             raise NumericalError(
                 f"nodes nearly coincide (min separation {sep:.3e}); pick another theta"
@@ -406,8 +418,12 @@ def _principal_argument(z: np.ndarray) -> np.ndarray:
     return np.where(ang >= np.pi - 1e-12, ang - 2.0 * np.pi, ang)
 
 
-def szego_quadrature(snake: SnakeFactorization, n: int, theta: float) -> QuadratureRule:
-    """n-point Szego rule for the measure with the snake's Schur parameters.
+def szego_quadrature(schur: SchurSequence | SnakeFactorization, n: int, theta: float) -> QuadratureRule:
+    """n-point Szego rule for the measure with Schur parameters ``schur``.
+
+    ``schur`` is a SchurSequence of at least n - 1 parameters, or a
+    SnakeFactorization, whose sequence is read; the rule reads alpha_0 ..
+    alpha_{n-2} and theta, and never the shape.
 
     Nodes are the eigenvalues of the para-unitary truncation and the weight
     of each node is the squared modulus of the first component of its
@@ -424,7 +440,7 @@ def szego_quadrature(snake: SnakeFactorization, n: int, theta: float) -> Quadrat
     blocks already checked, so the shape never enters.
     """
     n = _rule_size(n)
-    _, blocks = _corner_blocks(snake, n, theta)
+    _, blocks = _corner_blocks(schur, n, theta)
     check("truncation blocks are not unitary", _block_defect(blocks), 1e-12)
     takagi = _takagi_blocks(blocks)
     pairs = _cayley_pairs(

@@ -23,7 +23,9 @@ from .oracle import (
 )
 from .quadrature import (
     _MAX_EIG_SIZE,
+    _principal_argument,
     _rule_size,
+    eigen_unitary,
     exactness_defect,
     szego_quadrature,
     truncate_para_unitary,
@@ -92,6 +94,22 @@ def measured_bandwidths(gen: GeneratingSequence, schur: SchurSequence | None = N
     return int((rows - cols).max(initial=0)), int((cols - rows).max(initial=0))
 
 
+def _rule_defect(seq: SchurSequence, matrix: np.ndarray, theta: float) -> float:
+    """Largest node or weight gap between the rule and the eigenpairs of a truncation.
+
+    The rule reads no shape, so this ties it to each snake's own truncation;
+    a rule or an eigensolve that fails its contract has an infinite defect.
+    """
+    try:
+        rule = szego_quadrature(seq, len(matrix), theta)
+        values, vecs = eigen_unitary(matrix)
+    except NumericalError:
+        return float("inf")
+    order = np.argsort(_principal_argument(values), kind="stable")
+    node_gap = np.max(np.abs(rule.nodes - values[order]))
+    return float(max(node_gap, np.max(np.abs(rule.weights - np.abs(vecs[0, order]) ** 2))))
+
+
 def suite_unitarity(rng, m=None, n=None, schur=None, measures=None):
     results = []
     m = len(schur) - 1 if schur is not None else 12 if m is None else m
@@ -102,9 +120,11 @@ def suite_unitarity(rng, m=None, n=None, schur=None, measures=None):
         results.append(CaseResult("unitarity", f"window/{name}/m={m}", defect, 1e-13))
         for size in sorted({max(2, (m + 1) // 2), m + 1}):
             for theta in (0.0, 0.7):
-                defect = unitarity_defect(truncate_para_unitary(snake, size, theta).matrix)
-                case = f"truncation/{name}/n={size}/theta={theta}"
-                results.append(CaseResult("unitarity", case, defect, 1e-12))
+                matrix = truncate_para_unitary(snake, size, theta).matrix
+                case = f"{name}/n={size}/theta={theta}"
+                for kind, defect in (("truncation", unitarity_defect(matrix)),
+                                     ("rule", _rule_defect(seq, matrix, theta))):
+                    results.append(CaseResult("unitarity", f"{kind}/{case}", defect, 1e-12))
     return results
 
 
@@ -167,14 +187,13 @@ def suite_exactness(rng, m=None, n=None, schur=None, measures=None):
     sizes = (4, 8) if n is None else (n,)
     measures = measures or _default_measures()
     for mname, measure in measures.items():
-        table = moments(measure, max(sizes))
+        table = moments(measure, max(sizes) - 1)
         for size in sizes:
-            seq = schur_from_moments(table, size)
-            snake = SnakeFactorization(seq, hessenberg_shape(size - 1))
+            seq = schur_from_moments(table, size - 1)
             for theta in (0.0, 0.7):
                 case = f"{mname}/n={size}/theta={theta}"
                 try:
-                    defect = exactness_defect(szego_quadrature(snake, size, theta), table)
+                    defect = exactness_defect(szego_quadrature(seq, size, theta), table)
                 except NumericalError:
                     defect = float("inf")
                 results.append(CaseResult("exactness", case, defect, 1e-9))

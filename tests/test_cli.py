@@ -203,21 +203,28 @@ class TestQuadrature:
         report = json.loads(out)
         assert report["exactness_defect"] <= 1e-9
 
-    def test_shape_invariant_output(self, capsys):
-        alphas = "0.4,0.1-0.2j,0.3,0.2,0.1j,0.25,0.15,0.1,0.2,0.1,0.05,0.2"
-        outputs = []
-        for shape in ("hessenberg", "cmv"):
-            code, out, _ = run(
-                capsys, "quadrature", "--shape", shape, "--m", "12",
-                "--alphas", alphas, "--n", "12", "--theta", "0.3", "--format", "json",
-            )
-            assert code == 0
-            report = json.loads(out)
-            rounded = [
-                [f"{re:.12g}", f"{im:.12g}"] for re, im in report["nodes"]
-            ] + [[f"{w:.12g}"] for w in report["weights"]]
-            outputs.append(json.dumps(rounded))
-        assert outputs[0] == outputs[1]
+    @pytest.mark.parametrize("flag, value", [
+        ("--shape", "cmv"), ("--s", "1,0"), ("--monomials", "0,-1"), ("--m", "3"),
+    ])
+    def test_shape_flags_rejected(self, capsys, flag, value):
+        # a rule reads only its Schur parameters, so quadrature declares no shape flag
+        code, out, err = run(capsys, "quadrature", "--measure", "lebesgue", "--n", "4", flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {flag} {value}" in err
+
+    def test_alphas_give_n_minus_one_parameters(self, capsys):
+        # a 5-point rule reads alpha_0 .. alpha_3 and no shape bit
+        code, out, err = run(capsys, "quadrature", "--alphas", "0.3,0.2,0.1,0.4", "--n", "5",
+                             "--verify", "--format", "json")
+        assert code == 0, err
+        report = json.loads(out)
+        assert len(report["nodes"]) == 5
+        assert report["exactness_defect"] <= 1e-12
+        code, out, err = run(capsys, "quadrature", "--alphas", "0.3,0.2,0.1", "--n", "5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: n = 5 needs 4 Schur parameters; only 3 given\n"
 
     def test_csv_output(self, capsys):
         code, out, _ = run(
@@ -323,7 +330,7 @@ class TestVerify:
         assert "overall: PASS" in out
 
     def test_suites_ask_for_the_moments_they_read(self, monkeypatch):
-        # oracle-equivalence reads mu_j up to n + 1, exactness up to n
+        # oracle-equivalence reads mu_j up to n + 1, exactness up to n - 1
         asked = []
         exact = verify_mod.moments
 
@@ -334,7 +341,7 @@ class TestVerify:
         monkeypatch.setattr(verify_mod, "moments", spy)
         verify_mod.run_suites(["oracle-equivalence", "exactness"], n=5,
                               measure=verify_mod.BernsteinSzego([0.3]))
-        assert asked == [6, 5]
+        assert asked == [6, 4]
 
     def test_corrupted_alpha(self, capsys):
         code, _, err = run(capsys, "verify", "--alphas", "1.2")
@@ -571,18 +578,23 @@ class TestErrors:
         assert "theta" in err
 
     def test_grid_with_too_few_atoms(self, capsys):
-        # three atoms carry only alpha_0 and alpha_1 inside the unit disk
+        # three atoms carry only alpha_0 and alpha_1 inside the unit disk,
+        # which is what a 3-point rule reads
         grid = '{"type":"grid","points":[[-2,0.25],[0,0.5],[2,0.25]]}'
         code, _, err = run(capsys, "quadrature", "--measure", grid, "--n", "4")
         assert code == 2
         assert "3 distinct atoms" in err
-        code, _, _ = run(capsys, "quadrature", "--measure", grid, "--n", "2", "--verify")
-        assert code == 0
+        for n in ("2", "3"):
+            code, _, err = run(capsys, "quadrature", "--measure", grid, "--n", n, "--verify")
+            assert code == 0, err
+        code, _, err = run(capsys, "verify", "--suite", "exactness", "--measure", grid, "--n", "3")
+        assert code == 0, err
 
-    @pytest.mark.parametrize("n, exit_code", [(48, 0), (56, 3), (60, 3), (63, 3), (64, 2)])
+    @pytest.mark.parametrize("n, exit_code", [(48, 0), (56, 3), (60, 3), (63, 3), (64, 3), (65, 2)])
     def test_grid_ladder_exit_codes(self, capsys, n, exit_code):
-        # 64 atoms carry 63 Schur parameters: within them float64 is the
-        # limit (exit 3), and only past them is the input at fault (exit 2)
+        # 64 atoms carry the 63 Schur parameters of a 64-point rule: within
+        # them float64 is the limit (exit 3), and only past them is the
+        # input at fault (exit 2)
         points = np.column_stack(grid64()).tolist()
         code, _, err = run(capsys, "quadrature", "--measure",
                            json.dumps({"type": "grid", "points": points}), "--n", str(n), "--verify")
@@ -594,7 +606,7 @@ class TestErrors:
     def test_grid_within_its_atoms_names_float64_sums(self, capsys):
         points = np.column_stack(grid64()).tolist()
         measure = json.dumps({"type": "grid", "points": points})
-        code, out, err = run(capsys, "quadrature", "--measure", measure, "--n", "63", "--verify")
+        code, out, err = run(capsys, "quadrature", "--measure", measure, "--n", "64", "--verify")
         assert code == 3
         assert out == ""
         assert err == (
@@ -631,16 +643,18 @@ class TestErrors:
         assert out == ""
         assert err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("atoms", [5, 8])
+    @pytest.mark.parametrize("atoms", [5, 8, 16])
     def test_grid_gives_one_parameter_fewer_than_atoms(self, capsys, atoms):
-        # k atoms carry k - 1 Schur parameters, read off moments up to k - 1
+        # k atoms carry k - 1 Schur parameters, read off moments up to k - 1,
+        # and those are what rules of up to k points read
         thetas = -np.pi + 2 * np.pi * (np.arange(atoms) + 0.5) / atoms
         weights = np.arange(1, atoms + 1) / (atoms * (atoms + 1) / 2)
         grid = json.dumps({"type": "grid", "points": np.column_stack([thetas, weights]).tolist()})
-        code, out, err = run(capsys, "quadrature", "--measure", grid, "--n", str(atoms - 1),
-                             "--verify", "--format", "json")
-        assert code == 0, err
-        assert json.loads(out)["exactness_defect"] <= 1e-9
+        for n in (atoms - 1, atoms):
+            code, out, err = run(capsys, "quadrature", "--measure", grid, "--n", str(n),
+                                 "--verify", "--format", "json")
+            assert code == 0, err
+            assert json.loads(out)["exactness_defect"] <= 1e-9
 
     def test_unknown_measure(self, capsys):
         code, _, err = run(capsys, "quadrature", "--measure", "nope", "--n", "4")
@@ -663,7 +677,6 @@ class TestErrors:
         ["build", "--s", "1,0", "--m", "7"],
         ["build", "--shape", "bits", "--s", "1,0", "--m", "3"],
         ["bandwidth", "--monomials", "0,-1,1", "--m", "3"],
-        ["quadrature", "--measure", "lebesgue", "--n", "4", "--m", "3"],
     ])
     def test_m_without_a_named_shape(self, capsys, argv):
         # --m counts the factors of a named shape; elsewhere it would be dropped
@@ -689,7 +702,7 @@ class TestErrors:
 
         monkeypatch.setattr("snakefact.cli.schur_parameters", unreachable)
         monkeypatch.setattr("snakefact.quadrature.truncate_para_unitary", unreachable)
-        monkeypatch.setattr("snakefact.quadrature._truncation_blocks", unreachable)
+        monkeypatch.setattr("snakefact.quadrature._corner_blocks", unreachable)
         code, out, err = run(capsys, "quadrature", "--measure", "lebesgue", "--n", "1025")
         assert code == 2
         assert out == ""

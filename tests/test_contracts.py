@@ -83,13 +83,15 @@ def _eigen_residual_site(value, monkeypatch):
 
 def _rule_blocks_site(value, monkeypatch):
     # Canonical blocks of validated parameters are unitary by construction,
-    # so the value is planted in the copy of the blocks that the rule reads.
-    def planted(snake, n):
-        blocks = snake.schur._blocks[:n].copy()
-        blocks[0, 0, 0] = value
-        return blocks
+    # so the value is planted in the blocks that the rule builds.
+    build = quadrature._corner_blocks
 
-    monkeypatch.setattr(quadrature, "_truncation_blocks", planted)
+    def planted(schur, n, theta):
+        theta, blocks = build(schur, n, theta)
+        blocks[0, 0, 0] = value
+        return theta, blocks
+
+    monkeypatch.setattr(quadrature, "_corner_blocks", planted)
     snake = SnakeFactorization(SchurSequence([0.3, 0.2, 0.1]), hessenberg_shape(2))
     szego_quadrature(snake, 3, 0.0)
 

@@ -483,7 +483,7 @@ class TestSzegoQuadrature:
             raise AssertionError("n-sized work started for an oversized rule")
 
         monkeypatch.setattr("snakefact.quadrature.truncate_para_unitary", unreachable)
-        monkeypatch.setattr("snakefact.quadrature._truncation_blocks", unreachable)
+        monkeypatch.setattr("snakefact.quadrature._corner_blocks", unreachable)
         with pytest.raises(ValueError, match="n = 1025 exceeds the supported 1024"):
             szego_quadrature(free_snake(4), 1025, 0.0)
 
@@ -523,6 +523,21 @@ class TestSzegoQuadrature:
             else:
                 assert np.max(np.abs(rule.nodes - reference.nodes)) <= 1e-10
                 assert np.max(np.abs(rule.weights - reference.weights)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17])
+    def test_reads_only_the_first_n_minus_one_parameters(self, n):
+        # the snake-based rule, bit for bit, from alpha_0 .. alpha_{n-2} alone
+        rng = np.random.default_rng([n, 21])
+        schur = random_schur(rng, n)
+        snake = SnakeFactorization(schur, GeneratingSequence(random_bits(rng, n - 1)))
+        want = szego_quadrature(snake, n, 0.6)
+        got = szego_quadrature(SchurSequence(schur.alphas[: n - 1]), n, 0.6)
+        np.testing.assert_array_equal(got.nodes, want.nodes)
+        np.testing.assert_array_equal(got.weights, want.weights)
+
+    def test_needs_n_minus_one_parameters(self):
+        with pytest.raises(ShapeError, match=r"^n = 5 needs 4 Schur parameters; only 3 given$"):
+            szego_quadrature(SchurSequence([0.3, 0.2, 0.1]), 5, 0.0)
 
     def test_theta_families_differ(self):
         rng = np.random.default_rng(27)
@@ -567,6 +582,12 @@ class TestQuadratureRuleValidation:
     def test_rejects_coincident_nodes(self):
         with pytest.raises(NumericalError, match="coincide"):
             QuadratureRule([1.0, 1.0 + 1e-12], [0.5, 0.5])
+
+    def test_rejects_coincident_nodes_in_any_order(self):
+        # the close pair is neither adjacent in the input nor away from the cut at -1
+        angles = [0.5, -np.pi, 2.0, np.pi - 5e-9, -1.0]
+        with pytest.raises(NumericalError, match=r"min separation 5\.000e-09"):
+            QuadratureRule(np.exp(1j * np.array(angles)), [0.2] * 5)
 
     def test_rejects_bad_weight_sum(self):
         with pytest.raises(NumericalError, match="sum"):
