@@ -33,14 +33,20 @@ interchanges.  Every block is symmetric and conjugates to its inverse, so
 x -> conj(M x) maps U to U^-1 and commutes with A; in the basis of the
 block-diagonal Takagi factor W of conj(M) = W W^T it is plain conjugation,
 so W^H A W is real and NumPy's real symmetric eigensolver gives its
-eigenvectors Q.  The eigenvectors of U are W Q, and U acts on them as
-L (conj(W) Q).  Unitarity is checked block by block.  Where the pencil pass
-fails, the general eigensolver and one QR run on L M, built from the same
-blocks; ``eigen_unitary`` keeps the dense complex solve.
+eigenvectors Q.  One product Z = conj(W) Q serves the rest: the
+eigenvectors of U are V = W Q = conj(Z), since Q is real, U acts on them as
+L Z, and the Rayleigh quotients are sum_i Z_ij (L Z)_ij.  Unitarity is
+checked block by block, and orthonormality on the real factors: Q^T Q and
+the 2 x 2 blocks of W bound max|V^H V - I| from above, so the complex
+V^H V is never formed.  Where the pencil pass fails, the general
+eigensolver and one QR run on L M, built from the same blocks, and measure
+V^H V directly; so does ``eigen_unitary``, which keeps the dense complex
+solve.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -50,6 +56,7 @@ from .errors import (
     NumericalError,
     ShapeError,
     check,
+    complex_argument,
     int_argument,
     real_argument,
     unitarity_defect,
@@ -70,6 +77,8 @@ __all__ = [
 
 _MAX_EIG_SIZE = 1024
 _OMEGA = np.exp(1j)
+_EPS = float(np.finfo(float).eps)
+_EYE2 = np.eye(2)
 
 
 class ParaUnitaryTruncation:
@@ -126,7 +135,7 @@ def principal_truncation(snake: SnakeFactorization, n: int) -> np.ndarray:
 
 
 def eigen_unitary(matrix: np.ndarray):
-    """Eigendecomposition of a dense unitary matrix of size at most 1024.
+    """Eigendecomposition of a dense unitary matrix of size 1 to 1024.
 
     Returns (eigenvalues, eigenvectors) with orthonormal eigenvector columns
     scaled so that the first component of modulus above 1e-12 in each column
@@ -144,20 +153,23 @@ def eigen_unitary(matrix: np.ndarray):
     column of V with earlier ones, and for a unitary (hence normal) input
     only those of an equal or nearby eigenvalue are not already orthogonal
     to it, so the columns stay eigenvectors while becoming orthonormal, also
-    when eigenvalues repeat or cluster.  Residuals and orthonormality are
-    verified against the contract before returning.
+    when eigenvalues repeat or cluster.  Residuals and orthonormality, as
+    max|V^H V - I| of the returned vectors, are verified against the
+    contract before returning.
     """
     matrix = np.asarray(matrix, dtype=complex)
-    n = matrix.shape[0]
-    if matrix.ndim != 2 or matrix.shape != (n, n):
-        raise ValueError("input must be a square matrix")
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
+        raise ValueError(f"input must be a nonempty square matrix, got shape {matrix.shape}")
+    n = len(matrix)
     if n > _MAX_EIG_SIZE:
         raise ValueError(f"matrix size {n} exceeds the supported {_MAX_EIG_SIZE}")
     check("input is not unitary", unitarity_defect(matrix), 1e-10, ValueError)
-    pairs = _cayley_pairs(_dense_cayley(matrix), lambda q: q, matrix.__matmul__)
+    pairs = _cayley_pairs(
+        _dense_cayley(matrix), lambda q: (q.conj(), matrix @ q), lambda q: unitarity_defect(q.T)
+    )
     values, vecs = _checked_pairs(*(pairs or _general_pairs(matrix)))
     # A unit column has a component of modulus >= n**-0.5, so every column has a lead.
-    lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(len(vecs))]
+    lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(n)]
     return values, vecs * (np.conj(lead) / np.abs(lead))
 
 
@@ -172,28 +184,37 @@ def _rule_size(n) -> int:
     return n
 
 
-def _checked_pairs(values: np.ndarray, vecs: np.ndarray, residual: float):
-    """(values, vecs) once the residual and the orthonormality of vecs meet their contracts."""
+def _checked_pairs(values: np.ndarray, vecs: np.ndarray, residual: float, defect: float):
+    """(values, vecs) once the residual and the orthonormality defect meet their contracts.
+
+    ``defect`` is max|V^H V - I| of ``vecs``, or an upper bound on it.
+    """
     check("eigenpair residual too large", residual, 1e-10)
-    # V^T conj(V) = conj(V^H V) has the defect of V^H V, without a conjugate copy of V.
-    check("eigenvectors are not orthonormal", unitarity_defect(vecs.T), 1e-9)
+    check("eigenvectors are not orthonormal", defect, 1e-9)
     return values, vecs
 
 
 def _general_pairs(matrix: np.ndarray):
-    """(values, vecs, residual) of the general eigensolver, orthonormalized by one QR."""
+    """(values, vecs, residual, defect) of the general eigensolver, orthonormalized by one QR."""
     try:
         values, vecs = np.linalg.eig(matrix)
         vecs = np.linalg.qr(vecs)[0]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
-    return values, vecs, _residual(matrix @ vecs, values, vecs)
+    # V^T conj(V) = conj(V^H V) has the defect of V^H V, without a conjugate copy of V.
+    return values, vecs, _residual(matrix @ vecs, values, vecs), unitarity_defect(vecs.T)
 
 
 def _residual(image: np.ndarray, values: np.ndarray, vecs: np.ndarray) -> float:
-    """Largest eigenpair residual |U v - lambda v|; overwrites the image U V."""
+    """Largest eigenpair residual |U v - lambda v|; overwrites the image U V.
+
+    The squared column norms are sums over the real and imaginary parts of
+    the float view, without the complex temporaries of ``numpy.linalg.norm``.
+    """
     image -= vecs * values
-    return float(np.max(np.linalg.norm(image, axis=0)))
+    parts = image.view(float)
+    squares = np.einsum("ij,ij->j", parts, parts)
+    return math.sqrt((squares[0::2] + squares[1::2]).max())
 
 
 def _dense_cayley(matrix: np.ndarray):
@@ -217,19 +238,22 @@ def _dense_cayley(matrix: np.ndarray):
     return cayley
 
 
-def _cayley_pairs(hermitian, basis, apply):
-    """(values, vecs, residual) of the Hermitian Cayley pass, or None where it fails.
+def _cayley_pairs(hermitian, vectors, defect):
+    """(values, vecs, residual, defect) of the Hermitian Cayley pass, or None where it fails.
 
     ``hermitian`` is W^H A W up to a positive factor, for the Hermitian
     Cayley matrix A = i (I - wU)(I + wU)^-1 of a unitary U and a unitary
     basis W, or None where I + wU is singular.  Its eigenvectors Q give the
-    eigenvectors V = W Q of U, returned by ``basis(Q)``, and ``apply(Q)``
-    returns U V.  With w = e^{i}, -conj(w) lies at the angle pi - 1, no
-    rational multiple of pi, so no spectrum of roots of unity makes I + wU
-    singular.  Upper storage makes the tridiagonal reduction pin the last
-    row of its transformation rather than the first, so every first
-    component, and with it every weight, is a full inner product rather
-    than a deflated zero.
+    eigenvectors V = W Q of U: ``vectors(Q)`` returns a new array
+    Z = conj(V) and U V, so the Rayleigh quotients V^H U V are
+    sum_i Z_ij (U V)_ij, and Z is then conjugated in place into V;
+    ``defect(Q)`` returns max|V^H V - I| or an upper bound on it.  With
+    w = e^{i}, -conj(w) lies at the angle pi - 1, no rational multiple of
+    pi, so no spectrum of roots of unity makes I + wU singular.  Upper
+    storage makes the tridiagonal reduction pin the last row of its
+    transformation rather than the first, so every first component, and
+    with it every weight, is a full inner product rather than a deflated
+    zero.
     """
     if hermitian is None:
         return None
@@ -239,13 +263,13 @@ def _cayley_pairs(hermitian, basis, apply):
         except np.linalg.LinAlgError:
             return None
         del hermitian
-        vecs = basis(q)
-        image = apply(q)
-        values = np.einsum("ij,ij->j", vecs.conj(), image)
+        conj_vecs, image = vectors(q)
+        values = np.einsum("ij,ij->j", conj_vecs, image)
+        vecs = np.conjugate(conj_vecs, out=conj_vecs)
         residual = _residual(image, values, vecs)
         if not residual <= 1e-10 or not np.all(np.abs(vecs[0]) ** 2 > 0.0):
             return None
-    return values, vecs, residual
+    return values, vecs, residual, defect(q)
 
 
 def _block_defect(blocks: np.ndarray) -> float:
@@ -279,6 +303,22 @@ def _half_product(blocks: np.ndarray, parity: int, vecs: np.ndarray) -> np.ndarr
     return out
 
 
+def _even_matrix(blocks: np.ndarray) -> np.ndarray:
+    """Dense n x n matrix of the even half-product, M for a truncation's blocks.
+
+    The blocks of ``_half_product`` at parity 0 are placed on the diagonal,
+    and the corner factor n - 1 fills entry (n - 1, n - 1) where n is odd.
+    """
+    n = len(blocks)
+    pairs = blocks[0 : n - 1 : 2]
+    out = np.zeros((n, n), dtype=blocks.dtype)
+    rows = np.arange(2 * len(pairs)).reshape(-1, 2, 1)
+    out[rows, rows.transpose(0, 2, 1)] = pairs
+    if n % 2:
+        out[n - 1, n - 1] = blocks[n - 1, 0, 0]
+    return out
+
+
 def _takagi_blocks(blocks: np.ndarray) -> np.ndarray:
     """Unitary Takagi factor W of conj(M), conj(M) = W W^T, laid out like the blocks.
 
@@ -305,7 +345,7 @@ def _takagi_blocks(blocks: np.ndarray) -> np.ndarray:
     return takagi
 
 
-def _pencil_cayley(blocks: np.ndarray, takagi: np.ndarray):
+def _pencil_cayley(blocks: np.ndarray, conj: np.ndarray):
     """Real symmetric W^H A W, up to a positive factor, from the tridiagonal pencil, or None.
 
     I + wU = L T with T = L^H + w M, tridiagonal and complex symmetric, so
@@ -315,9 +355,10 @@ def _pencil_cayley(blocks: np.ndarray, takagi: np.ndarray):
     rows i and i + 1 is rho_i.  Every block B is symmetric with
     B conj(B) = I, so the antiunitary x -> conj(M x) maps U to U^-1 and
     commutes with A; it is plain conjugation in the basis W of
-    ``_takagi_blocks``, so W^H A W is real.  Since M W = conj(W), twice
-    W^H A W is S + S^T with S = Im(2w W^H T^-1 conj(W)).  None where T, and
-    with it I + wU, is singular.
+    ``_takagi_blocks``, whose conjugate blocks ``conj`` holds, so W^H A W is
+    real.  Since M W = conj(W), twice W^H A W is S + S^T with
+    S = Im(2w W^H T^-1 conj(W)).  None where T, and with it I + wU, is
+    singular.
     """
     n = len(blocks)
     top = blocks[:, 0, 0]
@@ -327,10 +368,8 @@ def _pencil_cayley(blocks: np.ndarray, takagi: np.ndarray):
     diag[1::2] = top[1::2].conj() + _OMEGA * bottom[1::2]
     off = blocks[:-1, 0, 1].copy()
     off[::2] *= _OMEGA
-    conj = takagi.conj()
-    rhs = _half_product(conj, 0, np.eye(n, dtype=complex))
     with np.errstate(all="ignore"):
-        solution = _pencil_solve(diag.tolist(), off.tolist(), rhs)
+        solution = _pencil_solve(diag.tolist(), off.tolist(), _even_matrix(conj))
         if solution is None:
             return None
         sandwich = _half_product((2.0 * _OMEGA) * conj.transpose(0, 2, 1), 0, solution).imag
@@ -373,6 +412,39 @@ def _pencil_solve(diag: list, off: list, rhs: np.ndarray):
     return x
 
 
+def _factor_defect(q: np.ndarray, conj: np.ndarray) -> float:
+    """Upper bound on max|V^H V - I| for the rule's V = fl(W Q), from the factors Q and W.
+
+    ``q`` is the real Q from ``eigh`` and ``conj`` the conjugate blocks of
+    the Takagi factor W.  V^H V - I = (Q^T Q - I) + Q^T (W^H W - I) Q.
+    With delta = max|Q^T Q - I| every column has |q_j|^2 <= 1 + delta, so
+    entry (i, j) of the second term is at most |q_i| |q_j| eta <=
+    eta (1 + delta), eta = ||W^H W - I||_2.  W is block diagonal, so eta is
+    the largest over its 2 x 2 blocks and the corner (counted also where W
+    does not hold it), and a 2 x 2 Hermitian matrix has norm at most twice
+    its largest entry.  Rounding adds at most (n + 32) eps (1 + delta)
+    (1 + eta): each entry of fl(W Q) is a sum of two products, so
+    V = W Q + F with |F| <= gamma_2 |W| |Q| entrywise and
+    |(W Q)^H F + F^H W Q + F^H F| <= 3 gamma_2 (1 + eta)(1 + delta); the
+    computed Q^T Q is within gamma_n (1 + delta) of the exact one, and each
+    block's Gram matrix within a few units of roundoff of its own.  So the
+    bound is never below the defect of the returned vectors, and a check
+    of it can refuse more often than one of V^H V, never less.  Q^T Q is a
+    real product of one buffer with itself, which NumPy runs as a syrk; it
+    replaces the complex V^H V.
+    """
+    n = len(q)
+    gram = q.T @ q
+    gram.flat[:: n + 1] -= 1.0
+    delta = float(np.abs(gram).max())
+    pairs = conj[0 : n - 1 : 2]
+    grams = pairs.conj().transpose(0, 2, 1) @ pairs
+    grams -= _EYE2
+    eta = max(2.0 * float(np.abs(grams).max()), abs(abs(complex(conj[-1, 0, 0])) ** 2 - 1.0))
+    rounding = (n + 32) * _EPS * (1.0 + delta) * (1.0 + eta)
+    return delta + eta * (1.0 + delta) + rounding
+
+
 class QuadratureRule:
     """Nodes on the unit circle and positive weights of an n-point rule."""
 
@@ -381,6 +453,8 @@ class QuadratureRule:
         weights = np.asarray(weights, dtype=float)
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
+        if not nodes.size:
+            raise ValueError("a quadrature rule needs at least one node; it has no nodes")
         check("quadrature nodes left the unit circle", np.max(np.abs(np.abs(nodes) - 1.0)), 1e-10)
         # The closest two nodes are neighbours in angle, the last and the first included.
         ring = nodes[np.argsort(np.angle(nodes))]
@@ -435,22 +509,24 @@ def szego_quadrature(schur: SchurSequence | SnakeFactorization, n: int, theta: f
     that fixes the first basis vector, so the rule is read from the
     alternating one, U = L M, whose half-products are block-diagonal: the
     Cayley pass takes the real W^H A W from the tridiagonal pencil, with W
-    the Takagi factor of conj(M), and applies U to V = W Q as L (conj(W) Q).
-    Where that pass fails, the general eigensolver runs on L M, from the
-    blocks already checked, so the shape never enters.
+    the Takagi factor of conj(M), forms Z = conj(W) Q once, and returns
+    V = conj(Z) with U V = L Z; ``_factor_defect`` bounds the orthonormality
+    defect of V from Q and W.  Where that pass fails, the general
+    eigensolver runs on L M, from the blocks already checked, so the shape
+    never enters.
     """
     n = _rule_size(n)
     _, blocks = _corner_blocks(schur, n, theta)
     check("truncation blocks are not unitary", _block_defect(blocks), 1e-12)
-    takagi = _takagi_blocks(blocks)
-    pairs = _cayley_pairs(
-        _pencil_cayley(blocks, takagi),
-        lambda q: _half_product(takagi, 0, q),
-        lambda q: _half_product(blocks, 1, _half_product(takagi.conj(), 0, q)),
-    )
+    conj = _takagi_blocks(blocks).conj()
+
+    def vectors(q):
+        z = _half_product(conj, 0, q)
+        return z, _half_product(blocks, 1, z)
+
+    pairs = _cayley_pairs(_pencil_cayley(blocks, conj), vectors, lambda q: _factor_defect(q, conj))
     if pairs is None:
-        eye = np.eye(n, dtype=complex)
-        pairs = _general_pairs(_half_product(blocks, 1, _half_product(blocks, 0, eye)))
+        pairs = _general_pairs(_half_product(blocks, 1, _even_matrix(blocks)))
     values, vecs = _checked_pairs(*pairs)
     weights = np.abs(vecs[0, :]) ** 2
     order = np.argsort(_principal_argument(values), kind="stable")
@@ -458,10 +534,20 @@ def szego_quadrature(schur: SchurSequence | SnakeFactorization, n: int, theta: f
 
 
 def apply_rule(rule: QuadratureRule, f) -> complex:
-    """Apply the rule to a Laurent polynomial {exponent: coefficient}; exponents are integers."""
+    """Apply the rule to a Laurent polynomial {exponent: coefficient}.
+
+    Exponents are integers and coefficients finite numbers: a coefficient
+    that is not a number raises a ``TypeError``, and one that is not finite
+    a ``ValueError``, each naming "coefficient of z^<exponent>".
+    """
     values = np.zeros(rule.n, dtype=complex)
     for e, c in f.items():
-        values += c * rule.nodes ** int_argument("exponent", e, -math.inf)
+        e = int_argument("exponent", e, -math.inf)
+        name = f"coefficient of z^{e}"
+        c = complex_argument(name, c)
+        if not cmath.isfinite(c):
+            raise ValueError(f"{name} = {c} is not finite")
+        values += c * rule.nodes**e
     return complex(np.dot(rule.weights, values))
 
 

@@ -10,13 +10,17 @@ from helpers import (
     random_bits,
     random_schur,
 )
-from snakefact.errors import NumericalError, ShapeError
+from snakefact import quadrature
+from snakefact.errors import NumericalError, ShapeError, unitarity_defect
 from snakefact.expand import entry, expand_dense
 from snakefact.oracle import BernsteinSzego, Lebesgue, inner_product, moments, schur_from_moments
 from snakefact.quadrature import (
     QuadratureRule,
     _corner_blocks,
+    _even_matrix,
+    _factor_defect,
     _half_product,
+    _pencil_cayley,
     _pencil_solve,
     _principal_argument,
     _takagi_blocks,
@@ -262,6 +266,16 @@ class TestEigenUnitary:
         with pytest.raises(ValueError, match="size"):
             eigen_unitary(np.eye(1025, dtype=complex))
 
+    @pytest.mark.parametrize("shape", [(), (0, 0), (0,), (2,), (2, 3), (1, 2, 2)], ids=str)
+    def test_rejects_what_is_not_a_nonempty_square_matrix(self, shape):
+        with pytest.raises(ValueError, match=r"^input must be a nonempty square matrix, got shape"):
+            eigen_unitary(np.ones(shape))
+
+    def test_one_by_one(self):
+        values, vecs = eigen_unitary(np.array([[1j]]))
+        assert values == pytest.approx([1j], abs=1e-15)
+        assert np.array_equal(vecs, [[1.0]])
+
 
 class TestCayleyPass:
     def test_common_case_does_not_call_eig(self, monkeypatch):
@@ -363,6 +377,14 @@ class TestPencil:
         product = _half_product(blocks, 1, _half_product(blocks, 0, np.eye(n, dtype=complex)))
         assert np.max(np.abs(product - truncate_para_unitary(snake, n, 0.9).matrix)) <= 1e-15
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17])
+    def test_even_matrix_places_the_blocks_of_the_half_product(self, n):
+        rng = np.random.default_rng([n, 7])
+        _, blocks = _corner_blocks(random_schur(rng, n), n, 0.9)
+        for layout in [blocks, _takagi_blocks(blocks).conj()]:
+            dense = _half_product(layout, 0, np.eye(n, dtype=complex))
+            assert np.array_equal(_even_matrix(layout), dense)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 64, 65])
     def test_rule_matches_the_dense_route(self, n):
         # an even n puts the corner in L, an odd n in M; real, imaginary and
@@ -430,6 +452,112 @@ class TestPencil:
     def test_pencil_solve_refuses_a_zero_pivot(self):
         # [[1, 1], [1, 1]] is singular at its last pivot
         assert _pencil_solve([1.0, 1.0], [1.0], np.eye(2)) is None
+
+
+FAMILIES = ["complex", "real", "imaginary", "near_one"]
+
+
+class TestFactorBound:
+    """The pencil route bounds max|V^H V - I| from the real Q and the blocks of W."""
+
+    @staticmethod
+    def reported(monkeypatch):
+        """Record (vecs, defect) of each call of the one check site."""
+        seen = []
+        checked = quadrature._checked_pairs
+
+        def record(values, vecs, residual, defect):
+            seen.append((vecs, defect))
+            return checked(values, vecs, residual, defect)
+
+        monkeypatch.setattr(quadrature, "_checked_pairs", record)
+        return seen
+
+    # plus one rule at the largest size with |alpha| in [0.5, 0.95]
+    CASES = [(n, family) for n in [2, 3, 16, 17, 256] for family in FAMILIES] + [(1024, "large")]
+
+    @staticmethod
+    def draw(n, family):
+        rng = np.random.default_rng([n, 22])
+        if family == "large":
+            alphas = parameter_family(rng, "complex", n, 0.5, 0.95)
+        else:
+            alphas = parameter_family(rng, family, n, 0.05, 0.95)
+        return alphas, float(rng.uniform(-np.pi, np.pi))
+
+    @pytest.mark.parametrize("n, family", CASES)
+    def test_bound_is_at_least_the_defect_of_the_pencil_vectors(self, n, family):
+        alphas, theta = self.draw(n, family)
+        _, blocks = _corner_blocks(SchurSequence(alphas), n, theta)
+        conj = _takagi_blocks(blocks).conj()
+        q = np.linalg.eigh(_pencil_cayley(blocks, conj), UPLO="U")[1]
+        vecs = _half_product(conj, 0, q).conj()
+        measured = np.max(np.abs(vecs.conj().T @ vecs - np.eye(n)))
+        assert measured <= _factor_defect(q, conj) <= 1e-12
+
+    # At n = 256 and |alpha| = 0.999 most weights lie below the smallest
+    # float64, so that family has no 256-point rule to report a bound.
+    @pytest.mark.parametrize("n, family", [case for case in CASES if case != (256, "near_one")])
+    def test_the_rule_reports_the_bound(self, monkeypatch, n, family):
+        alphas, theta = self.draw(n, family)
+        calls = count_eig_calls(monkeypatch)
+        seen = self.reported(monkeypatch)
+        szego_quadrature(SchurSequence(alphas), n, theta)
+        [(vecs, defect)] = seen
+        if n == 1024:
+            # three first components of the pencil's vectors underflow to 0,
+            # so the fallback runs, and it measures V^H V itself
+            assert calls == [(n, n)]
+            assert defect == unitarity_defect(vecs.T)
+        else:
+            assert calls == []
+            measured = np.max(np.abs(vecs.conj().T @ vecs - np.eye(n)))
+            assert measured <= defect <= 1e-12
+
+    def test_a_defect_above_the_bound_is_refused(self, monkeypatch):
+        # A repeated column is still an eigenvector with a nonzero first
+        # component, so the residual passes and the pencil route keeps its
+        # vectors; only the orthonormality check, on Q^T Q, can refuse them.
+        eigh = np.linalg.eigh
+
+        def repeat_a_column(m, UPLO):
+            values, q = eigh(m, UPLO)
+            q[:, 1] = q[:, 0]
+            return values, q
+
+        calls = count_eig_calls(monkeypatch)
+        monkeypatch.setattr(quadrature.np.linalg, "eigh", repeat_a_column)
+        rng = np.random.default_rng(16)
+        with pytest.raises(NumericalError, match="orthonormal"):
+            szego_quadrature(random_schur(rng, 16), 16, 0.3)
+        assert calls == []
+
+
+class TestBenchmarkFallback:
+    """Ops of the rules benchmark (seed 1), redrawn as its workload draws them."""
+
+    @staticmethod
+    def rule_of_op(i, monkeypatch):
+        rng = np.random.default_rng([1, 1, i])
+        alphas = rng.uniform(0.05, 0.8, size=256) * np.exp(1j * rng.uniform(-np.pi, np.pi, size=256))
+        bits = [int(b) for b in rng.integers(0, 2, size=255)]
+        theta = float(rng.uniform(-np.pi, np.pi))
+        snake = SnakeFactorization(SchurSequence(alphas), GeneratingSequence(bits))
+        calls = count_eig_calls(monkeypatch)
+        rule = szego_quadrature(snake, 256, theta)
+        # the workload's check: sum_k w_k lambda_k^j = (T^j)_00
+        t = truncate_para_unitary(snake, 256, theta).matrix
+        v = t[:, 0]
+        for j in range(1, 5):
+            assert abs(np.dot(rule.weights, rule.nodes**j) - v[0]) <= 1e-10
+            v = t @ v
+        return calls
+
+    def test_op_734_falls_back_once(self, monkeypatch):
+        assert self.rule_of_op(734, monkeypatch) == [(256, 256)]
+
+    def test_op_0_stays_on_the_pencil(self, monkeypatch):
+        assert self.rule_of_op(0, monkeypatch) == []
 
 
 class TestExtendedPrecision:
@@ -573,8 +701,24 @@ class TestApplyRule:
         rule = szego_quadrature(free_snake(7), 8, 0.0)
         assert apply_rule(rule, {3: 1.0}) == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.parametrize("bad", ["1", None, [1.0], True], ids=repr)
+    def test_coefficient_not_a_number_names_its_exponent(self, bad):
+        rule = szego_quadrature(free_snake(7), 8, 0.0)
+        with pytest.raises(TypeError, match=r"^coefficient of z\^-2 must be a number"):
+            apply_rule(rule, {0: 1.0, -2: bad})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=repr)
+    def test_non_finite_coefficient_rejected(self, bad):
+        rule = szego_quadrature(free_snake(7), 8, 0.0)
+        with pytest.raises(ValueError, match=r"^coefficient of z\^3 = .* is not finite$"):
+            apply_rule(rule, {3: bad})
+
 
 class TestQuadratureRuleValidation:
+    def test_rejects_an_empty_rule(self):
+        with pytest.raises(ValueError, match="no nodes"):
+            QuadratureRule([], [])
+
     def test_rejects_off_circle_nodes(self):
         with pytest.raises(NumericalError, match="circle"):
             QuadratureRule([0.5], [1.0])
