@@ -13,9 +13,9 @@ diag(e^{i theta}, e^{i theta~}), which decouples the leading block and
 leaves it unitary: that is the para-unitary truncation, and its
 eigenvalues are the nodes.  The weights are the squared moduli of the
 first components of the orthonormal eigenvectors; taken unsquared they
-would not even sum to one.  The eigenvectors are those of the Hermitian
-Cayley transform A = i (I - wU)(I + wU)^-1 of the unitary truncation U, from
-NumPy's Hermitian eigensolver, and the nodes are their Rayleigh quotients.
+would not even sum to one.  A rule takes the eigenvectors of the Hermitian
+Cayley transform A = i (I - wU)(I + wU)^-1 of the unitary truncation U from
+NumPy's Hermitian eigensolver, and the nodes as their Rayleigh quotients.
 Where that pass fails its own residual, or some first component underflows
 to zero, NumPy's general eigensolver followed by one QR factorization takes
 over, so no other library is needed.
@@ -40,8 +40,9 @@ checked block by block, and orthonormality on the real factors: Q^T Q and
 the 2 x 2 blocks of W bound max|V^H V - I| from above, so the complex
 V^H V is never formed.  Where the pencil pass fails, the general
 eigensolver and one QR run on L M, built from the same blocks, and measure
-V^H V directly; so does ``eigen_unitary``, which keeps the dense complex
-solve.
+V^H V directly.  ``eigen_unitary`` is that general eigensolver and QR alone,
+on a dense unitary matrix: it shares no Cayley code with the rule, so it is
+an independent reference for it.
 """
 
 from __future__ import annotations
@@ -82,10 +83,14 @@ _EYE2 = np.eye(2)
 
 
 class ParaUnitaryTruncation:
-    """Result of breaking the snake at index n - 1 with a phase corner."""
+    """Result of breaking the snake at index n - 1 with a phase corner.
+
+    ``defect`` is the unitarity defect max|T T^H - I| of ``matrix`` that the
+    constructor's check measured.
+    """
 
     def __init__(self, n: int, theta: float, matrix: np.ndarray):
-        check("truncation is not unitary", unitarity_defect(matrix), 1e-12)
+        self.defect = check("truncation is not unitary", unitarity_defect(matrix), 1e-12)
         self.n = n
         self.theta = float(theta)
         self.matrix = matrix
@@ -141,21 +146,16 @@ def eigen_unitary(matrix: np.ndarray):
     scaled so that the first component of modulus above 1e-12 in each column
     is real and nonnegative.  The input must be unitary to 1e-10.
 
-    The fast pass takes the eigenvectors V of the Hermitian Cayley transform
-    A = i (I - wU)(I + wU)^-1 from ``numpy.linalg.eigh``, which returns them
-    orthonormal, and the eigenvalues as the Rayleigh quotients V^H U V.  The
-    pass falls back to the general dense solver when the solve for A fails,
-    when some eigenpair residual exceeds 1e-10 (a node near -conj(w) makes
-    A ill-conditioned), or when some first component underflows to zero, so
-    that a weight stays positive wherever a positive float64 can carry it.
-    The fallback orthonormalizes the eigenvectors V of ``numpy.linalg.eig``
-    by one QR factorization V = QR.  Each column of Q = V R^-1 combines a
-    column of V with earlier ones, and for a unitary (hence normal) input
-    only those of an equal or nearby eigenvalue are not already orthogonal
-    to it, so the columns stay eigenvectors while becoming orthonormal, also
-    when eigenvalues repeat or cluster.  Residuals and orthonormality, as
-    max|V^H V - I| of the returned vectors, are verified against the
-    contract before returning.
+    NumPy's general eigensolver gives the eigenvectors V, and one QR
+    factorization V = QR orthonormalizes them.  Each column of Q = V R^-1
+    combines a column of V with earlier ones, and for a unitary (hence
+    normal) input only those of an equal or nearby eigenvalue are not
+    already orthogonal to it, so the columns stay eigenvectors while
+    becoming orthonormal, also when eigenvalues repeat or cluster.
+    Residuals and orthonormality, as max|V^H V - I| of the returned
+    vectors, are verified against the contract before returning.  No
+    Cayley transform and no Hermitian solver enters, so this is a
+    reference independent of the rule's pencil pass.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
@@ -164,10 +164,7 @@ def eigen_unitary(matrix: np.ndarray):
     if n > _MAX_EIG_SIZE:
         raise ValueError(f"matrix size {n} exceeds the supported {_MAX_EIG_SIZE}")
     check("input is not unitary", unitarity_defect(matrix), 1e-10, ValueError)
-    pairs = _cayley_pairs(
-        _dense_cayley(matrix), lambda q: (q.conj(), matrix @ q), lambda q: unitarity_defect(q.T)
-    )
-    values, vecs = _checked_pairs(*(pairs or _general_pairs(matrix)))
+    values, vecs = _checked_pairs(*_general_pairs(matrix))
     # A unit column has a component of modulus >= n**-0.5, so every column has a lead.
     lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(n)]
     return values, vecs * (np.conj(lead) / np.abs(lead))
@@ -215,61 +212,6 @@ def _residual(image: np.ndarray, values: np.ndarray, vecs: np.ndarray) -> float:
     parts = image.view(float)
     squares = np.einsum("ij,ij->j", parts, parts)
     return math.sqrt((squares[0::2] + squares[1::2]).max())
-
-
-def _dense_cayley(matrix: np.ndarray):
-    """Hermitian Cayley matrix of a dense U, up to a positive factor, or None.
-
-    With C = (I + wU)^-1 (I - wU), i (C - C^H) is twice A = i C.  None where
-    I + wU is singular.
-    """
-    n = matrix.shape[0]
-    plus = _OMEGA * matrix
-    minus = -plus
-    plus[np.diag_indices(n)] += 1.0
-    minus[np.diag_indices(n)] += 1.0
-    try:
-        cayley = np.linalg.solve(plus, minus)
-    except np.linalg.LinAlgError:
-        return None
-    with np.errstate(all="ignore"):
-        cayley -= cayley.conj().T
-        cayley *= 1j
-    return cayley
-
-
-def _cayley_pairs(hermitian, vectors, defect):
-    """(values, vecs, residual, defect) of the Hermitian Cayley pass, or None where it fails.
-
-    ``hermitian`` is W^H A W up to a positive factor, for the Hermitian
-    Cayley matrix A = i (I - wU)(I + wU)^-1 of a unitary U and a unitary
-    basis W, or None where I + wU is singular.  Its eigenvectors Q give the
-    eigenvectors V = W Q of U: ``vectors(Q)`` returns a new array
-    Z = conj(V) and U V, so the Rayleigh quotients V^H U V are
-    sum_i Z_ij (U V)_ij, and Z is then conjugated in place into V;
-    ``defect(Q)`` returns max|V^H V - I| or an upper bound on it.  With
-    w = e^{i}, -conj(w) lies at the angle pi - 1, no rational multiple of
-    pi, so no spectrum of roots of unity makes I + wU singular.  Upper
-    storage makes the tridiagonal reduction pin the last row of its
-    transformation rather than the first, so every first component, and
-    with it every weight, is a full inner product rather than a deflated
-    zero.
-    """
-    if hermitian is None:
-        return None
-    with np.errstate(all="ignore"):
-        try:
-            q = np.linalg.eigh(hermitian, UPLO="U")[1]
-        except np.linalg.LinAlgError:
-            return None
-        del hermitian
-        conj_vecs, image = vectors(q)
-        values = np.einsum("ij,ij->j", conj_vecs, image)
-        vecs = np.conjugate(conj_vecs, out=conj_vecs)
-        residual = _residual(image, values, vecs)
-        if not residual <= 1e-10 or not np.all(np.abs(vecs[0]) ** 2 > 0.0):
-            return None
-    return values, vecs, residual, defect(q)
 
 
 def _block_defect(blocks: np.ndarray) -> float:
@@ -445,6 +387,44 @@ def _factor_defect(q: np.ndarray, conj: np.ndarray) -> float:
     return delta + eta * (1.0 + delta) + rounding
 
 
+def _pencil_pairs(blocks: np.ndarray):
+    """(values, vecs, residual, defect) of the rule's Cayley pass, or None where it fails.
+
+    ``eigh`` gives the eigenvectors Q of the real W^H A W from
+    ``_pencil_cayley``, A = i (I - wU)(I + wU)^-1 for U = L M and W the
+    Takagi factor of conj(M).  Z = conj(W) Q is formed once: the
+    eigenvectors of U are V = W Q = conj(Z), since Q is real, U V = L Z,
+    and the Rayleigh quotients V^H U V are sum_i Z_ij (L Z)_ij.  The pass
+    fails where I + wU is singular, where some eigenpair residual exceeds
+    1e-10 (a node near -conj(w) makes A ill-conditioned), or where some
+    first component underflows to zero, so that a weight stays positive
+    wherever a positive float64 can carry it.  With w = e^{i}, -conj(w)
+    lies at the angle pi - 1, no rational multiple of pi, so no spectrum of
+    roots of unity makes I + wU singular.  Upper storage makes the
+    tridiagonal reduction pin the last row of its transformation rather
+    than the first, so every first component, and with it every weight, is
+    a full inner product rather than a deflated zero.
+    """
+    conj = _takagi_blocks(blocks).conj()
+    hermitian = _pencil_cayley(blocks, conj)
+    if hermitian is None:
+        return None
+    with np.errstate(all="ignore"):
+        try:
+            q = np.linalg.eigh(hermitian, UPLO="U")[1]
+        except np.linalg.LinAlgError:
+            return None
+        del hermitian
+        z = _half_product(conj, 0, q)
+        image = _half_product(blocks, 1, z)
+        values = np.einsum("ij,ij->j", z, image)
+        vecs = np.conjugate(z, out=z)
+        residual = _residual(image, values, vecs)
+        if not residual <= 1e-10 or not np.all(np.abs(vecs[0]) ** 2 > 0.0):
+            return None
+    return values, vecs, residual, _factor_defect(q, conj)
+
+
 class QuadratureRule:
     """Nodes on the unit circle and positive weights of an n-point rule."""
 
@@ -518,15 +498,7 @@ def szego_quadrature(schur: SchurSequence | SnakeFactorization, n: int, theta: f
     n = _rule_size(n)
     _, blocks = _corner_blocks(schur, n, theta)
     check("truncation blocks are not unitary", _block_defect(blocks), 1e-12)
-    conj = _takagi_blocks(blocks).conj()
-
-    def vectors(q):
-        z = _half_product(conj, 0, q)
-        return z, _half_product(blocks, 1, z)
-
-    pairs = _cayley_pairs(_pencil_cayley(blocks, conj), vectors, lambda q: _factor_defect(q, conj))
-    if pairs is None:
-        pairs = _general_pairs(_half_product(blocks, 1, _even_matrix(blocks)))
+    pairs = _pencil_pairs(blocks) or _general_pairs(_half_product(blocks, 1, _even_matrix(blocks)))
     values, vecs = _checked_pairs(*pairs)
     weights = np.abs(vecs[0, :]) ** 2
     order = np.argsort(_principal_argument(values), kind="stable")

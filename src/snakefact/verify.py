@@ -99,6 +99,9 @@ def _rule_defect(seq: SchurSequence, matrix: np.ndarray, theta: float) -> float:
 
     The rule reads no shape, so this ties it to each snake's own truncation;
     a rule or an eigensolve that fails its contract has an infinite defect.
+    The eigenpairs come from ``eigen_unitary``, NumPy's general eigensolver
+    and one QR on the dense truncation, which shares no Cayley code with
+    the rule's pencil pass.
     """
     try:
         rule = szego_quadrature(seq, len(matrix), theta)
@@ -120,10 +123,10 @@ def suite_unitarity(rng, m=None, n=None, schur=None, measures=None):
         results.append(CaseResult("unitarity", f"window/{name}/m={m}", defect, 1e-13))
         for size in sorted({max(2, (m + 1) // 2), m + 1}):
             for theta in (0.0, 0.7):
-                matrix = truncate_para_unitary(snake, size, theta).matrix
+                truncation = truncate_para_unitary(snake, size, theta)
                 case = f"{name}/n={size}/theta={theta}"
-                for kind, defect in (("truncation", unitarity_defect(matrix)),
-                                     ("rule", _rule_defect(seq, matrix, theta))):
+                for kind, defect in (("truncation", truncation.defect),
+                                     ("rule", _rule_defect(seq, truncation.matrix, theta))):
                     results.append(CaseResult("unitarity", f"{kind}/{case}", defect, 1e-12))
     return results
 

@@ -39,7 +39,11 @@ def grid64():
 
 
 def count_eig_calls(monkeypatch):
-    """Record the shape of each input to numpy.linalg.eig, the Cayley pass's fallback."""
+    """Record the shape of each input to numpy.linalg.eig.
+
+    The rule calls it only where its Cayley pass fails; ``eigen_unitary``
+    calls it once, always.
+    """
     calls = []
     eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m.shape) or eig(m))

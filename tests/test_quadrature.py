@@ -258,6 +258,20 @@ class TestEigenUnitary:
         weights, ref_weights = np.abs(vecs[0]) ** 2, np.abs(ref_vecs[0]) ** 2
         assert np.max(np.abs(weights[order] - ref_weights[ref_order])) <= 1e-12
 
+    def test_one_eig_and_no_eigh_on_a_truncation(self, monkeypatch):
+        # the reference shares no solver with the rule's Cayley pass, and
+        # still gives the same rule
+        rng = np.random.default_rng(64)
+        snake = SnakeFactorization(random_schur(rng, 64), GeneratingSequence(random_bits(rng, 63)))
+        rule = szego_quadrature(snake, 64, 0.7)
+        calls = count_eig_calls(monkeypatch)
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: pytest.fail("eigh ran"))
+        values, vecs = eigen_unitary(truncate_para_unitary(snake, 64, 0.7).matrix)
+        assert calls == [(64, 64)]
+        order = np.argsort(_principal_argument(values), kind="stable")
+        assert np.max(np.abs(rule.nodes - values[order])) <= 1e-12
+        assert np.max(np.abs(rule.weights - np.abs(vecs[0, order]) ** 2)) <= 1e-12
+
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             eigen_unitary(np.diag([1.0, 2.0]).astype(complex))
@@ -282,12 +296,9 @@ class TestCayleyPass:
         def refuse(*args):
             raise AssertionError("the general eigensolver or the dense truncation ran")
 
-        monkeypatch.setattr(np.linalg, "eig", refuse)
-        rng = np.random.default_rng(64)
-        snake = SnakeFactorization(random_schur(rng, 64), GeneratingSequence(random_bits(rng, 63)))
-        eigen_unitary(truncate_para_unitary(snake, 64, 0.7).matrix)
         # one op of the rules benchmark: n = 256, |alpha| in [0.05, 0.8], from
         # the pencil alone, without the dense snake product
+        monkeypatch.setattr(np.linalg, "eig", refuse)
         monkeypatch.setattr("snakefact.quadrature._snake_product", refuse)
         # and from a real symmetric eigenproblem
         eigh, inputs = np.linalg.eigh, []
@@ -319,7 +330,9 @@ class TestCayleyPass:
             v = t @ v
 
     def test_node_at_minus_conj_omega_falls_back(self, monkeypatch):
-        # I + wU is singular for w = e^{i}, so the Cayley transform does not exist
+        # I + wU is singular for w = e^{i}, where the rule's Cayley transform
+        # does not exist; eigen_unitary, the rule's reference, runs the
+        # general eigensolver alone and has no such blind spot
         calls = count_eig_calls(monkeypatch)
         spectrum = np.array([-np.exp(-1j), 1.0, 1j, -1.0])
         values, vecs = eigen_unitary(np.diag(spectrum))
