@@ -15,10 +15,9 @@ eigenvalues are the nodes.  The weights are the squared moduli of the
 first components of the orthonormal eigenvectors; taken unsquared they
 would not even sum to one.  A rule takes the eigenvectors of the Hermitian
 Cayley transform A = i (I - wU)(I + wU)^-1 of the unitary truncation U from
-NumPy's Hermitian eigensolver, and the nodes as their Rayleigh quotients.
-Where that pass fails its own residual, or some first component underflows
-to zero, NumPy's general eigensolver followed by one QR factorization takes
-over, so no other library is needed.
+NumPy's Hermitian eigensolver, and the nodes as their Rayleigh quotients;
+NumPy's general eigensolver and one QR factorization are its fallback, so
+no other library is needed.
 
 A rule does not depend on the shape: alpha_0 .. alpha_{n-2} and theta fix
 the n-point rule, so ``szego_quadrature`` takes a Schur sequence and never
@@ -27,22 +26,21 @@ U = L M from the canonical blocks, with L the block-diagonal product of the
 odd factors and M that of the even ones; the corner is the 1 x 1 block of
 factor n - 1.  Since I + wU = L (L^H + wM), the Cayley matrix comes from
 the tridiagonal T = L^H + wM (the pencil of Bunse-Gerstner and Elsner, and
-of Cantero, Moral and Velazquez) by one solve; T is complex symmetric, and
-its elimination is the Szego recursion at -conj(w), so it needs no row
-interchanges.  Every block is symmetric and conjugates to its inverse, so
-x -> conj(M x) maps U to U^-1 and commutes with A; in the basis of the
-block-diagonal Takagi factor W of conj(M) = W W^T it is plain conjugation,
-so W^H A W is real and NumPy's real symmetric eigensolver gives its
-eigenvectors Q.  One product Z = conj(W) Q serves the rest: the
-eigenvectors of U are V = W Q = conj(Z), since Q is real, U acts on them as
-L Z, and the Rayleigh quotients are sum_i Z_ij (L Z)_ij.  Unitarity is
-checked block by block, and orthonormality on the real factors: Q^T Q and
-the 2 x 2 blocks of W bound max|V^H V - I| from above, so the complex
-V^H V is never formed.  Where the pencil pass fails, the general
-eigensolver and one QR run on L M, built from the same blocks, and measure
-V^H V directly.  ``eigen_unitary`` is that general eigensolver and QR alone,
-on a dense unitary matrix: it shares no Cayley code with the rule, so it is
-an independent reference for it.
+of Cantero, Moral and Velazquez).  T is complex symmetric, its elimination
+is the Szego recursion at -conj(w), and its inverse is semiseparable, so no
+system is solved: above its 2 x 2 diagonal blocks the eigensolver's matrix
+is one real rank-2 product times powers of two.  Every block is symmetric
+and conjugates to its inverse, so x -> conj(M x) maps U to U^-1 and
+commutes with A; in the basis of the block-diagonal Takagi factor W of
+conj(M) = W W^T it is plain conjugation, so W^H A W is real and NumPy's
+real symmetric eigensolver gives its eigenvectors Q.  One product
+Z = conj(W) Q serves the rest: V = W Q = conj(Z), U V = L Z, and the
+Rayleigh quotients are sum_i Z_ij (L Z)_ij.  Unitarity is checked block by
+block, and orthonormality on the real factors Q and W, never on V^H V.
+Where the pencil pass fails, the general eigensolver and one QR run on L M,
+built from the same blocks, and measure V^H V directly.  ``eigen_unitary``
+is that general eigensolver and QR alone, on a dense unitary matrix: it
+shares no Cayley code with the rule, so it is an independent reference.
 """
 
 from __future__ import annotations
@@ -245,22 +243,6 @@ def _half_product(blocks: np.ndarray, parity: int, vecs: np.ndarray) -> np.ndarr
     return out
 
 
-def _even_matrix(blocks: np.ndarray) -> np.ndarray:
-    """Dense n x n matrix of the even half-product, M for a truncation's blocks.
-
-    The blocks of ``_half_product`` at parity 0 are placed on the diagonal,
-    and the corner factor n - 1 fills entry (n - 1, n - 1) where n is odd.
-    """
-    n = len(blocks)
-    pairs = blocks[0 : n - 1 : 2]
-    out = np.zeros((n, n), dtype=blocks.dtype)
-    rows = np.arange(2 * len(pairs)).reshape(-1, 2, 1)
-    out[rows, rows.transpose(0, 2, 1)] = pairs
-    if n % 2:
-        out[n - 1, n - 1] = blocks[n - 1, 0, 0]
-    return out
-
-
 def _takagi_blocks(blocks: np.ndarray) -> np.ndarray:
     """Unitary Takagi factor W of conj(M), conj(M) = W W^T, laid out like the blocks.
 
@@ -287,71 +269,82 @@ def _takagi_blocks(blocks: np.ndarray) -> np.ndarray:
     return takagi
 
 
-def _pencil_cayley(blocks: np.ndarray, conj: np.ndarray):
-    """Real symmetric W^H A W, up to a positive factor, from the tridiagonal pencil, or None.
+def _pencil_pivots(diag: list, off: list):
+    """Pivots d_k of T = F D F^T from T's diagonal and off-diagonal, or None where one is zero."""
+    pivots = [diag[0]]
+    try:
+        for t, d in zip(off, diag[1:]):
+            pivots.append(d - t * t / pivots[-1])
+    except ZeroDivisionError:
+        return None
+    return pivots if pivots[-1] else None
 
-    I + wU = L T with T = L^H + w M, tridiagonal and complex symmetric, so
-    the Cayley matrix (I + wU)^-1 (I - wU) is I - 2w T^-1 M.  Row i of T
-    carries the top of factor i and the bottom of factor i - 1 (of L's
-    identity for i = 0), one from each half-product, and the coupling of
-    rows i and i + 1 is rho_i.  Every block B is symmetric with
-    B conj(B) = I, so the antiunitary x -> conj(M x) maps U to U^-1 and
-    commutes with A; it is plain conjugation in the basis W of
-    ``_takagi_blocks``, whose conjugate blocks ``conj`` holds, so W^H A W is
-    real.  Since M W = conj(W), twice W^H A W is S + S^T with
-    S = Im(2w W^H T^-1 conj(W)).  None where T, and with it I + wU, is
-    singular.
+
+def _pencil_cayley(blocks: np.ndarray, conj: np.ndarray):
+    """Upper triangle of twice the real W^H A W from the tridiagonal pencil, or None.
+
+    I + wU = L T with T = L^H + wM, so the Cayley matrix (I + wU)^-1 (I - wU)
+    is I - 2w T^-1 M, and W^H A W = Im(2w K T^-1 K^T) with K = W^H, since
+    M W = conj(W); ``conj`` holds the blocks of conj(W).
+
+    Elimination without interchanges factors T = F D F^T.  The k x k leading
+    minor of T is the monic Szego polynomial Phi_k at -conj(w) up to a
+    unimodular factor, so |d_k| = |Phi_{k+1} / Phi_k| there, and as
+    Phi_{k+1} = z Phi_k - conj(alpha_k) Phi*_k with |Phi*_k| = |Phi_k| on
+    |z| = 1, 1 - |alpha_k| <= |d_k| <= 1 + |alpha_k| for k < n - 1.  With
+    r_k = -t_{k,k+1} / d_k, |r_k|^2 |d_k| = rho_k^2 / |d_k| <= 1 + |alpha_k|,
+    so |F| |D| |F^T| <= 4 entrywise and no pivoting is needed.  Only the last
+    pivot, where the corner e^{i theta} enters, can vanish, and it does where
+    I + wU is singular.
+
+    T^-1 is semiseparable: for i <= j, (T^-1)_ij = g_j Pi_j / Pi_i with
+    Pi_m = r_0 .. r_{m-1} and g_j = (T^-1)_jj = 1 / d_j + r_j^2 g_{j+1}.  So
+    above the 2 x 2 diagonal blocks of K the matrix is one real rank-2
+    product, and within block s, s + 1 only (T^-1)_{s+1,s} departs from it,
+    which one O(n) term corrects.  Pi spans thousands of bits for |alpha|
+    near 1, so it is kept as a mantissa and a power of two for ``ldexp``.
+    The strict lower triangle is zero.
     """
     n = len(blocks)
-    top = blocks[:, 0, 0]
-    bottom = np.concatenate(([1.0], blocks[:-1, 1, 1]))
+    top, bottom = blocks[:, 0, 0], np.concatenate(([1.0], blocks[:-1, 1, 1]))
+    # Row i has the top of factor i and the bottom of factor i - 1 (1 at i = 0);
     # M tops the even rows and L the odd ones.
     diag = bottom.conj() + _OMEGA * top
     diag[1::2] = top[1::2].conj() + _OMEGA * bottom[1::2]
     off = blocks[:-1, 0, 1].copy()
     off[::2] *= _OMEGA
-    with np.errstate(all="ignore"):
-        solution = _pencil_solve(diag.tolist(), off.tolist(), _even_matrix(conj))
-        if solution is None:
-            return None
-        sandwich = _half_product((2.0 * _OMEGA) * conj.transpose(0, 2, 1), 0, solution).imag
-        return sandwich + sandwich.T
-
-
-def _pencil_solve(diag: list, off: list, rhs: np.ndarray):
-    """Solution of T X = B for the pencil T = L^H + wM, or None at a zero pivot.
-
-    T is tridiagonal and complex symmetric, so its diagonal ``diag`` and
-    off-diagonal ``off``, as Python scalars, give all of it.  Elimination
-    without row interchanges factors T = F D F^T, F unit lower bidiagonal,
-    with f_k = t_{k,k+1} / d_k and the pivots d_0 = t_00 and
-    d_{k+1} = t_{k+1,k+1} - f_k t_{k,k+1}.  The k x k leading minor of T is
-    the monic Szego polynomial Phi_k at -conj(w) up to a unimodular factor,
-    so |d_k| = |Phi_{k+1}(-conj(w)) / Phi_k(-conj(w))|: the elimination is
-    the Szego recursion.  Since Phi_{k+1} = z Phi_k - conj(alpha_k) Phi*_k
-    and |Phi*_k| = |Phi_k| on |z| = 1, 1 - |alpha_k| <= |d_k| <= 1 + |alpha_k|
-    for k < n - 1.  With |t_{k,k+1}| = rho_k, |f_k|^2 |d_k| =
-    rho_k^2 / |d_k| <= 1 + |alpha_k|, so |F| |D| |F^T| <= 4 entrywise and
-    the elimination is backward stable without pivoting.  Only the last
-    pivot, where the corner e^{i theta} enters, can vanish, and it does
-    where I + wU is singular.  Each step costs the rows of B one 2-term
-    update.
-    """
-    try:
-        pivots = [diag[0]]
-        for t, d in zip(off, diag[1:]):
-            pivots.append(d - t * t / pivots[-1])
-        factors = [t / d for t, d in zip(off, pivots)]
-        inverses = [1.0 / d for d in pivots]
-    except ZeroDivisionError:
+    pivots = _pencil_pivots(diag.tolist(), off.tolist())
+    if pivots is None:
         return None
-    x = np.array(rhs, dtype=complex)
-    for i, f in enumerate(factors):
-        x[i + 1] -= f * x[i]
-    x *= np.array(inverses)[:, None]
-    for i in range(len(factors) - 1, -1, -1):
-        x[i] -= factors[i] * x[i + 1]
-    return x
+    half, full = (n + 1) // 2, n // 2  # blocks of K, with and without a 1 x 1 corner
+    with np.errstate(all="ignore"):
+        ratio = np.concatenate((-off / np.array(pivots[:-1]), (1.0, 1.0)))[: 2 * half]
+        g = [1.0 / pivots[-1]]
+        for d, r in zip(pivots[-2::-1], ratio[n - 2 :: -1].tolist()):
+            g.append(1.0 / d + r * r * g[-1])
+        g = np.array(g[::-1] + [0.0] * (2 * half - n), dtype=complex)
+        # Pi_s at each block start s = 2p; each ratio pair is scaled toward modulus 1
+        r = ratio[0::2]
+        step = np.concatenate(((1.0,), r[:-1] * ratio[1:-1:2]))
+        shift = -np.frexp(np.abs(step) * math.sqrt(0.5))[1]
+        scale = np.multiply.accumulate(np.ldexp(1.0, shift) * step)
+        # block p's generators K_p [1, 1 / r_s] / Pi_s and Pi_s K_p [g_s, g_{s+1} r_s]
+        coef = np.empty((2, half, 1, 2), dtype=complex)
+        coef[0, :, 0, 0], coef[1, :, 0] = 1.0 / scale, g.reshape(half, 2) * scale[:, None]
+        coef[0, :, 0, 1], coef[1, :, 0, 1] = coef[0, :, 0, 0] / r, coef[1, :, 0, 1] * r
+        sides = coef @ conj[0::2]
+        # Im(x y) = (Im x, Re x) . (Re y, Im y), the float views of i conj(x) and y
+        left = np.conj((-4j * _OMEGA) * sides[0]).view(float).reshape(-1, 2)[:n]
+        h = left @ sides[1].view(float).reshape(-1, 2)[:n].T
+        exponent = np.add.accumulate(shift, dtype=np.int32).repeat(2)[:n]
+        np.ldexp(h, np.subtract.outer(exponent, exponent), out=h)
+        # (T^-1)_{s+1,s} is g_{s+1} r_s, not the rank-one g_s / r_s
+        delta = (-4j * _OMEGA) * (g[1:n:2] * r[:full] - g[0 : n - 1 : 2] / r[:full])
+        pairs = conj[0 : n - 1 : 2]
+        diagonal = np.ndarray((full, 2, 2), float, h, strides=(2 * sum(h.strides), *h.strides))
+        diagonal += (delta[:, None, None] * pairs[:, 1, :, None] * pairs[:, 0, None, :]).real
+        np.copyto(h, 0.0, where=np.tri(n, k=-1, dtype=bool))
+        return h
 
 
 def _factor_defect(q: np.ndarray, conj: np.ndarray) -> float:
@@ -390,12 +383,9 @@ def _factor_defect(q: np.ndarray, conj: np.ndarray) -> float:
 def _pencil_pairs(blocks: np.ndarray):
     """(values, vecs, residual, defect) of the rule's Cayley pass, or None where it fails.
 
-    ``eigh`` gives the eigenvectors Q of the real W^H A W from
-    ``_pencil_cayley``, A = i (I - wU)(I + wU)^-1 for U = L M and W the
-    Takagi factor of conj(M).  Z = conj(W) Q is formed once: the
-    eigenvectors of U are V = W Q = conj(Z), since Q is real, U V = L Z,
-    and the Rayleigh quotients V^H U V are sum_i Z_ij (L Z)_ij.  The pass
-    fails where I + wU is singular, where some eigenpair residual exceeds
+    ``eigh`` gives the eigenvectors Q of ``_pencil_cayley``'s real W^H A W,
+    and Z = conj(W) Q gives V = conj(Z) and U V = L Z.  The pass fails
+    where I + wU is singular, where some eigenpair residual exceeds
     1e-10 (a node near -conj(w) makes A ill-conditioned), or where some
     first component underflows to zero, so that a weight stays positive
     wherever a positive float64 can carry it.  With w = e^{i}, -conj(w)
@@ -488,17 +478,16 @@ def szego_quadrature(schur: SchurSequence | SnakeFactorization, n: int, theta: f
     The truncations of all shapes are unitarily similar by a similarity
     that fixes the first basis vector, so the rule is read from the
     alternating one, U = L M, whose half-products are block-diagonal: the
-    Cayley pass takes the real W^H A W from the tridiagonal pencil, with W
-    the Takagi factor of conj(M), forms Z = conj(W) Q once, and returns
-    V = conj(Z) with U V = L Z; ``_factor_defect`` bounds the orthonormality
-    defect of V from Q and W.  Where that pass fails, the general
-    eigensolver runs on L M, from the blocks already checked, so the shape
-    never enters.
+    Cayley pass reads the real W^H A W of the tridiagonal pencil, and where
+    it fails the general eigensolver runs on L M, from the blocks already
+    checked, so the shape never enters.
     """
     n = _rule_size(n)
     _, blocks = _corner_blocks(schur, n, theta)
     check("truncation blocks are not unitary", _block_defect(blocks), 1e-12)
-    pairs = _pencil_pairs(blocks) or _general_pairs(_half_product(blocks, 1, _even_matrix(blocks)))
+    pairs = _pencil_pairs(blocks) or _general_pairs(
+        _half_product(blocks, 1, _half_product(blocks, 0, np.eye(n, dtype=complex)))
+    )
     values, vecs = _checked_pairs(*pairs)
     weights = np.abs(vecs[0, :]) ** 2
     order = np.argsort(_principal_argument(values), kind="stable")

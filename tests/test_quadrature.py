@@ -17,11 +17,10 @@ from snakefact.oracle import BernsteinSzego, Lebesgue, inner_product, moments, s
 from snakefact.quadrature import (
     QuadratureRule,
     _corner_blocks,
-    _even_matrix,
     _factor_defect,
     _half_product,
     _pencil_cayley,
-    _pencil_solve,
+    _pencil_pivots,
     _principal_argument,
     _takagi_blocks,
     apply_rule,
@@ -390,14 +389,6 @@ class TestPencil:
         product = _half_product(blocks, 1, _half_product(blocks, 0, np.eye(n, dtype=complex)))
         assert np.max(np.abs(product - truncate_para_unitary(snake, n, 0.9).matrix)) <= 1e-15
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17])
-    def test_even_matrix_places_the_blocks_of_the_half_product(self, n):
-        rng = np.random.default_rng([n, 7])
-        _, blocks = _corner_blocks(random_schur(rng, n), n, 0.9)
-        for layout in [blocks, _takagi_blocks(blocks).conj()]:
-            dense = _half_product(layout, 0, np.eye(n, dtype=complex))
-            assert np.array_equal(_even_matrix(layout), dense)
-
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 64, 65])
     def test_rule_matches_the_dense_route(self, n):
         # an even n puts the corner in L, an odd n in M; real, imaginary and
@@ -439,32 +430,75 @@ class TestPencil:
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 256])
     def test_pencil_solve(self, n, family):
         # T = L^H + wM from the half-products is complex symmetric and
-        # tridiagonal; elimination on it needs no interchange, since its
-        # pivots d_k are Szego ratios
+        # tridiagonal, and the closed form of 2 Im(2w E^T T^-1 E), E = conj(W),
+        # matches a dense solve; elimination on T needs no interchange, since
+        # its pivots d_k are Szego ratios
         rng = np.random.default_rng([n, 20])
         alphas = parameter_family(rng, family, n, 0.05, 0.95)
         snake = SnakeFactorization(SchurSequence(alphas), hessenberg_shape(n - 1))
         _, blocks = _corner_blocks(snake, n, float(rng.uniform(-np.pi, np.pi)))
-        eye = np.eye(n, dtype=complex)
-        pencil = _half_product(blocks, 1, eye).conj().T + np.exp(1j) * _half_product(blocks, 0, eye)
+        pencil = dense_pencil(blocks)
         diag, off = np.diag(pencil), np.diag(pencil, 1)
         assert np.array_equal(pencil, np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        diag, off = diag.tolist(), off.tolist()
-        rhs = rng.normal(size=(n, 7)) + 1j * rng.normal(size=(n, 7))
-        want = np.linalg.solve(pencil, rhs)
-        got = _pencil_solve(diag, off, rhs)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        # solving a leading (k + 1) x (k + 1) block against its last unit
-        # vector leaves 1 / d_k in the last entry
-        leading = [(diag[: k + 1], off[:k], eye[: k + 1, k : k + 1]) for k in range(n - 1)]
-        pivots = 1.0 / np.abs([_pencil_solve(*args)[-1, 0] for args in leading])
+        conj = _takagi_blocks(blocks).conj()
+        e = _half_product(conj, 0, np.eye(n, dtype=complex))
+        want = 2.0 * np.imag(2.0 * np.exp(1j) * e.T @ np.linalg.solve(pencil, e))
+        got = _pencil_cayley(blocks, conj)
+        upper = np.triu_indices(n)
+        assert np.max(np.abs(got[upper] - want[upper])) <= 1e-12 * np.max(np.abs(want[upper]))
+        assert not np.any(np.tril(got, -1))
+        pivots = np.abs(_pencil_pivots(diag.tolist(), off.tolist())[:-1])
         mods = np.abs(alphas[: n - 1])
         assert np.all(1.0 - mods <= pivots)
         assert np.all(pivots <= 1.0 + mods)
 
     def test_pencil_solve_refuses_a_zero_pivot(self):
         # [[1, 1], [1, 1]] is singular at its last pivot
-        assert _pencil_solve([1.0, 1.0], [1.0], np.eye(2)) is None
+        assert _pencil_pivots([1.0, 1.0], [1.0]) is None
+
+    @pytest.mark.parametrize("lo, hi", [(0.9, 0.99), (0.99, 0.999)])
+    def test_closed_form_stays_finite_at_the_largest_size(self, lo, hi):
+        # log2 |Pi_m| spans thousands of bits here, so the semiseparable
+        # generators only stay finite with their powers of two kept apart
+        n = 1024
+        rng = np.random.default_rng([n, 24])
+        alphas = parameter_family(rng, "complex", n, lo, hi)
+        _, blocks = _corner_blocks(SchurSequence(alphas), n, float(rng.uniform(-np.pi, np.pi)))
+        conj = _takagi_blocks(blocks).conj()
+        got = _pencil_cayley(blocks, conj)
+        assert np.all(np.isfinite(got))
+        want = row_by_row_cayley(blocks, conj)
+        upper = np.triu_indices(n)
+        assert np.max(np.abs(got[upper] - want[upper])) <= 1e-13 * np.max(np.abs(want[upper]))
+
+
+def dense_pencil(blocks):
+    """The tridiagonal pencil T = L^H + wM, w = e^i, as a dense matrix."""
+    eye = np.eye(len(blocks), dtype=complex)
+    return _half_product(blocks, 1, eye).conj().T + np.exp(1j) * _half_product(blocks, 0, eye)
+
+
+def row_by_row_cayley(blocks, conj):
+    """Twice W^H A W from T X = conj(W), T = L^H + wM, solved by elimination row by row.
+
+    T = F D F^T with f_k = t_{k,k+1} / d_k; each step updates one row of X,
+    and S = Im(2w W^H X) gives the symmetric S + S^T.
+    """
+    n = len(blocks)
+    pencil = dense_pencil(blocks)
+    diag, off = np.diag(pencil).tolist(), np.diag(pencil, 1).tolist()
+    pivots = [diag[0]]
+    for t, d in zip(off, diag[1:]):
+        pivots.append(d - t * t / pivots[-1])
+    factors = [t / d for t, d in zip(off, pivots)]
+    x = _half_product(conj, 0, np.eye(n, dtype=complex))
+    for i, f in enumerate(factors):
+        x[i + 1] -= f * x[i]
+    x /= np.array(pivots)[:, None]
+    for i in range(n - 2, -1, -1):
+        x[i] -= factors[i] * x[i + 1]
+    sandwich = _half_product((2.0 * np.exp(1j)) * conj.transpose(0, 2, 1), 0, x).imag
+    return sandwich + sandwich.T
 
 
 FAMILIES = ["complex", "real", "imaginary", "near_one"]
