@@ -11,41 +11,37 @@ subcommand builds one record: --format json writes it with complex numbers
 as [re, im] pairs, and the default text and, for expand and quadrature,
 --format csv render it.  Exit codes: 0 success, 1 verification failure,
 2 invalid input, 3 numerical failure.
+
+At start-up only the shape layer and ``errors`` are imported, neither of
+which loads NumPy; each subcommand imports the numerical layers it runs
+when it runs, so build without a Schur flag and bandwidth never load them.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import itertools
 import json
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import verify as verify_mod
-from .errors import NumericalError, int_argument
-from .expand import bandwidths, entry, expand_dense, path
-from .oracle import BernsteinSzego, Geronimus, GridMeasure, Lebesgue, moments, schur_parameters
-from .quadrature import _principal_argument, _rule_size, exactness_defect, szego_quadrature
-from .schur import SchurSequence
-from .snake import (
+from .errors import SUITE_NAMES, NumericalError, int_argument
+from .shape import (
     GeneratingSequence,
-    SnakeFactorization,
+    bandwidths,
     cmv_shape,
     hessenberg_shape,
+    multiplication_orders,
     shape_from_monomials,
 )
 
 DEFAULT_SEED = 12345
 
-_MEASURE_NAMES = {"lebesgue": Lebesgue}
+_MEASURE_NAMES = ("lebesgue",)
 
 # The bits of a named shape are built in Python, so a much larger --m would
-# seem to hang: `bandwidth` of 2^20 factors takes 0.74 s and 150 MB on a
-# 2-vCPU Xeon.
+# seem to hang: `bandwidth` of 2^20 factors takes 0.7 s and 103 MB
+# (hessenberg) to 1.0 s and 135 MB (cmv) on a 2-vCPU Xeon.
 _MAX_NAMED_FACTORS = 2**20
 
 
@@ -89,14 +85,16 @@ def _load_measure(text: str):
                 raise ValueError(f"--measure file {text!r} is not JSON: {exc}") from None
     if descriptor is None:
         name = text.strip().lower()
-        if name in _MEASURE_NAMES:
-            return _MEASURE_NAMES[name]()
-        raise ValueError(
-            f"unknown measure {text!r}; use a name ({sorted(_MEASURE_NAMES)}), "
-            "a JSON descriptor, or a path to one"
-        )
+        if name not in _MEASURE_NAMES:
+            raise ValueError(
+                f"unknown measure {text!r}; use a name ({sorted(_MEASURE_NAMES)}), "
+                "a JSON descriptor, or a path to one"
+            )
+        descriptor = {"type": name}
     if not isinstance(descriptor, dict) or "type" not in descriptor:
         raise ValueError("measure descriptor must be a JSON object with a 'type' field")
+    from .oracle import BernsteinSzego, Geronimus, GridMeasure, Lebesgue
+
     kind = descriptor["type"]
     if kind == "lebesgue":
         return Lebesgue()
@@ -201,8 +199,12 @@ def _resolve(args, required: bool = True):
                 f"a shape with {len(gen)} bits needs exactly {count} Schur parameters, "
                 f"got {len(alphas)}"
             )
+        from .schur import SchurSequence
+
         return gen, SchurSequence(alphas), None
     if measure is not None:
+        from .oracle import schur_parameters
+
         return gen, schur_parameters(measure, count), measure
     if required:
         raise ValueError("no Schur parameters given; use --alphas or --measure")
@@ -224,13 +226,8 @@ def _emit(args, record: dict, text, csv=None) -> None:
 
 def cmd_build(args) -> int:
     gen, schur, _ = _resolve(args, required=False)
-    snake = SnakeFactorization(schur or SchurSequence([0.0] * (len(gen) + 1)), gen)
-    record = {
-        "s": list(gen.bits),
-        "p": list(gen.p),
-        "left": list(snake.left_order),
-        "right": list(snake.right_order),
-    }
+    left, right = multiplication_orders(gen)
+    record = {"s": list(gen.bits), "p": list(gen.p), "left": list(left), "right": list(right)}
     if schur is not None:
         record["alphas"] = list(schur.alphas)
 
@@ -245,6 +242,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_entry(args) -> int:
+    from .expand import entry, path
+    from .snake import SnakeFactorization
+
     gen, schur, _ = _resolve(args)
     snake = SnakeFactorization(schur, gen)
     d = path(gen, args.i, args.j)
@@ -264,6 +264,9 @@ def cmd_entry(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    from .expand import expand_dense
+    from .snake import SnakeFactorization
+
     gen, schur, _ = _resolve(args)
     record = {"n": args.n, "matrix": expand_dense(SnakeFactorization(schur, gen), args.n).tolist()}
 
@@ -288,6 +291,12 @@ def cmd_bandwidth(args) -> int:
 
 
 def cmd_quadrature(args) -> int:
+    import numpy as np
+
+    from .oracle import BernsteinSzego, moments, schur_parameters
+    from .quadrature import _principal_argument, _rule_size, exactness_defect, szego_quadrature
+    from .schur import SchurSequence
+
     n = _rule_size(args.n)
     alphas, measure = _schur_source(args)
     if alphas is None and measure is None:
@@ -322,6 +331,12 @@ def cmd_quadrature(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import dataclasses
+    import itertools
+
+    from .schur import SchurSequence
+    from .verify import run_suites
+
     alphas, measure = _schur_source(args)
     schur = None if alphas is None else SchurSequence(alphas)
     seed_text = os.environ.get("SNAKE_SEED", str(DEFAULT_SEED))
@@ -329,7 +344,7 @@ def cmd_verify(args) -> int:
         seed = int(seed_text)
     except ValueError:
         raise ValueError(f"SNAKE_SEED must be a decimal integer, got {seed_text!r}") from None
-    results = verify_mod.run_suites(
+    results = run_suites(
         [args.suite] if args.suite else None, seed=seed, m=args.m, n=args.n,
         schur=schur, measure=measure,
     )
@@ -412,7 +427,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
     p = command("verify", cmd_verify, "run the invariant suites", (_schur_flags, _size_flag))
     p.add_argument("--m", type=int,
                    help="number of shape bits (unitarity default 12; bandwidth default 8, at most 16)")
-    p.add_argument("--suite", choices=sorted(verify_mod.SUITES),
+    p.add_argument("--suite", choices=sorted(SUITE_NAMES),
                    help="run a single suite with per-case output")
 
     return parser

@@ -8,14 +8,16 @@ is not a number and an angle or weight that is not a real number raise
 computation to meet its accuracy contract derive from ``NumericalError``.
 A contract holds when its measured defect is ``<= bound``, a test that NaN
 fails.
+
+Loading this module loads no NumPy: the functions that compute with it
+import it when they run, so the shape layer and the command line's start-up
+can use the checks here for free.
 """
 
 import cmath
 import math
 import operator
-from dataclasses import dataclass
-
-import numpy as np
+import sys
 
 
 class InvalidSchurParameter(ValueError):
@@ -54,6 +56,12 @@ class ConvergenceError(NumericalError):
     """An eigensolver failed to converge."""
 
 
+# The verify suites in the order they run.  The command line offers them as
+# --suite choices without loading the suites; verify.SUITES maps each to its
+# function.
+SUITE_NAMES = ("unitarity", "oracle-equivalence", "bandwidth", "round-trip", "exactness")
+
+
 def check(what: str, value, bound: float, exc: type = NumericalError) -> float:
     """Return the measured ``value`` when it is within ``bound``.
 
@@ -86,12 +94,21 @@ def int_argument(name: str, value, lo: int = 0, exc: type = ValueError) -> int:
     raise TypeError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
 
 
-_NUMBER_TYPES = (int, float, complex, np.number)
-_REAL_TYPES = (int, float, np.integer, np.floating)
+# Python number types, then the names of the NumPy abstract scalar types.
+_NUMBER_TYPES = ((int, float, complex), ("number",))
+_REAL_TYPES = ((int, float), ("integer", "floating"))
 
 
 def _is_number_type(cls: type, kinds: tuple = _NUMBER_TYPES) -> bool:
-    return issubclass(cls, kinds) and not issubclass(cls, bool)
+    python_types, numpy_names = kinds
+    if issubclass(cls, bool):
+        return False
+    if issubclass(cls, python_types):
+        return True
+    # A NumPy scalar exists only once NumPy is loaded, so NumPy is looked up
+    # rather than imported: a process that never loads it never pays for it.
+    np = sys.modules.get("numpy")
+    return np is not None and issubclass(cls, tuple(getattr(np, name) for name in numpy_names))
 
 
 def complex_argument(name: str, value) -> complex:
@@ -130,12 +147,14 @@ def real_argument(name: str, value) -> float:
     raise TypeError(f"{name} must be a real number, got {type(value).__name__} {value!r}")
 
 
-def real_arguments(name: str, values) -> np.ndarray:
+def real_arguments(name: str, values):
     """``values`` as a float array; the ``TypeError`` names "<name> <index>".
 
     An array of integer or floating dtype passes at array speed; otherwise
     each distinct element type is checked once, as in ``complex_arguments``.
     """
+    import numpy as np
+
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
         values = np.asarray(values, dtype=object)
         if not all(_is_number_type(cls, _REAL_TYPES) for cls in set(map(type, values.flat))):
@@ -146,6 +165,8 @@ def real_arguments(name: str, values) -> np.ndarray:
 
 def unitarity_defect(m) -> float:
     """max|M M^H - I| of a square array; NaN when an entry is not finite."""
+    import numpy as np
+
     if not np.isfinite(m).all():
         return math.nan
     # An integer or boolean product is cast, so that 1 is subtracted in floating point.
@@ -154,13 +175,11 @@ def unitarity_defect(m) -> float:
     return float(np.max(np.abs(gram)))
 
 
-@dataclass
-class CaseResult:
-    suite: str
-    case: str
-    defect: float
-    tolerance: float
+def __getattr__(name: str):
+    # The verify suites' record is a dataclass that lives with them; it stays
+    # importable from here without loading NumPy for every user of this module.
+    if name == "CaseResult":
+        from .verify import CaseResult
 
-    @property
-    def passed(self) -> bool:
-        return self.defect <= self.tolerance
+        return CaseResult
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

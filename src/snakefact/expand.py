@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import int_argument
-from .snake import GeneratingSequence, SnakeFactorization
+from .shape import GeneratingSequence, bandwidths
+from .snake import SnakeFactorization
 
 __all__ = ["PathDescriptor", "path", "entry", "bandwidths", "expand_dense"]
 
@@ -90,18 +91,6 @@ def entry(snake: SnakeFactorization, i: int, j: int) -> complex:
     for k in d.K:
         value *= blocks[k, 0, 1]
     return complex(value)
-
-
-def bandwidths(gen: GeneratingSequence) -> tuple[int, int]:
-    """Structural (lower, upper) bandwidths of the factorization.
-
-    The farthest any row's nonzero column range reaches below (lower) and
-    above (upper) the diagonal: one more than the longest run of ones and
-    of zeros among the stored bits.  These count structural nonzeros: an
-    entry in the band can still vanish for some parameters (alpha_k = 0).
-    """
-    return (max(i - lo for i, lo in enumerate(gen._lo)),
-            max(hi - i for i, hi in enumerate(gen._hi)))
 
 
 def expand_dense(snake: SnakeFactorization, n: int) -> np.ndarray:

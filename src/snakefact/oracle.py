@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import MomentError, NumericalError, check, int_argument, real_arguments
 from .schur import SchurSequence, _coefficients, _one_parameter, evaluate_phi
-from .snake import GeneratingSequence
+from .shape import GeneratingSequence
 
 __all__ = [
     "Lebesgue",

@@ -1,30 +1,26 @@
-"""Generating sequences and snake-shaped Givens factorizations.
+"""Snake-shaped Givens factorizations.
 
-A generating sequence is a bit string s_1 .. s_m with partial sums
-p_n = s_1 + ... + s_n; it fixes the order in which the monomials z^j are
-orthogonalized (s_n = 1 means the nth monomial has a negative exponent).
-The multiplication-by-z operator in the resulting orthonormal Laurent basis
-is an ordered product of Givens factors G_{0,1} G_{1,2} ...: factor 0 starts
-the right-hand product, and each subsequent factor k is multiplied onto the
-running product from the right when s_k = 0 and from the left when s_k = 1.
-The all-zeros sequence gives the unitary Hessenberg factorization, the
-alternating sequence the five-diagonal (CMV) one.
-
-A snake is stored as the pair (Schur sequence, generating sequence) plus the
-derived multiplication order.  The canonical Givens blocks are built once,
+The shape of a snake, its generating sequence and the order in which its
+Givens factors are multiplied, lives in ``shape`` and is re-exported here.
+A snake is stored as the pair (Schur sequence, generating sequence) plus
+that multiplication order.  The canonical Givens blocks are built once,
 with the Schur sequence, and are read-only, so the parameters and the
 blocks can never drift apart.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-
 import numpy as np
 
 from .errors import ShapeError, check, int_argument, unitarity_defect
 from .schur import SchurSequence, _one_parameter
+from .shape import (
+    GeneratingSequence,
+    cmv_shape,
+    hessenberg_shape,
+    multiplication_orders,
+    shape_from_monomials,
+)
 
 __all__ = [
     "GeneratingSequence",
@@ -35,97 +31,6 @@ __all__ = [
     "shape_from_monomials",
     "materialize_window",
 ]
-
-
-class GeneratingSequence:
-    """Order bits s_1 .. s_m plus the prefix counts p_0 .. p_m.
-
-    p_0 = 0 and p_n - p_{n-1} = s_n, so 0 <= p_n <= n and both p_n and
-    n - p_n are non-decreasing by construction.
-
-    The shape fixes the zero pattern: entry (i, j) of the product is a
-    structural nonzero exactly when ``_lo[i] <= j <= _hi[i]``, for rows
-    i = 0 .. m + 1.  ``_lo[i]`` is the last index below i with s = 0 (0
-    when there is none) and ``_hi[i]`` the first index above i with s = 1
-    (m + 1 when there is none).
-    """
-
-    def __init__(self, bits):
-        raw = tuple(bits)
-        for n, b in enumerate(raw, start=1):
-            if b not in (0, 1):
-                raise ShapeError(f"shape bit s_{n} = {b!r}; bits must be 0 or 1")
-        self.bits = bits = tuple(int(b) for b in raw)
-        self.p = tuple(itertools.accumulate(bits, initial=0))
-        m = len(bits)
-        lo = [0] * (m + 2)
-        for i in range(2, m + 2):
-            lo[i] = lo[i - 1] if bits[i - 2] else i - 1
-        hi = [m + 1] * (m + 2)
-        for i in range(m - 1, -1, -1):
-            hi[i] = i + 1 if bits[i] else hi[i + 1]
-        self._lo = tuple(lo)
-        self._hi = tuple(hi)
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GeneratingSequence) and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash(self.bits)
-
-    def __repr__(self) -> str:
-        return f"GeneratingSequence({list(self.bits)!r})"
-
-    def s(self, n: int) -> int:
-        """Bit s_n for 1 <= n <= m."""
-        if not 1 <= int_argument("n", n) <= len(self.bits):
-            raise IndexError(f"s_{n} undefined; stored bits cover 1..{len(self.bits)}")
-        return self.bits[n - 1]
-
-
-def hessenberg_shape(m: int) -> GeneratingSequence:
-    """All monomials of positive power: the unitary Hessenberg ordering."""
-    return GeneratingSequence((0,) * int_argument("m", m, 1, ShapeError))
-
-
-def cmv_shape(m: int) -> GeneratingSequence:
-    """Alternating positive and negative powers: the five-diagonal ordering."""
-    m = int_argument("m", m, 1, ShapeError)
-    return GeneratingSequence(tuple((k + 1) % 2 for k in range(1, m + 1)))
-
-
-def shape_from_monomials(exponents) -> GeneratingSequence:
-    """Generating sequence for an explicit monomial order z^{r_0}, z^{r_1}, ...
-
-    The order must start at r_0 = 0 and every prefix {r_0, ..., r_n} must be
-    a contiguous integer range, i.e. each new exponent extends the covered
-    range by exactly one on either end.  s_n = 1 exactly when r_n < 0.
-    Exponents are integers; any other value raises ``TypeError``.
-    """
-    exps = [int_argument(f"exponent r_{n}", r, -math.inf) for n, r in enumerate(exponents)]
-    if not exps:
-        raise ShapeError("empty monomial order")
-    if exps[0] != 0:
-        raise ShapeError(f"monomial order must start with exponent 0, got {exps[0]}")
-    lo = hi = 0
-    bits = []
-    for n, r in enumerate(exps[1:], start=1):
-        if r == lo - 1:
-            lo = r
-            bits.append(1)
-        elif r == hi + 1:
-            hi = r
-            bits.append(0)
-        else:
-            seen = "{" + ",".join(str(e) for e in exps[: n + 1]) + "}"
-            raise ShapeError(
-                f"prefix {seen} is not a contiguous range "
-                f"(exponent {r} at index {n} does not extend [{lo},{hi}] by one)"
-            )
-    return GeneratingSequence(bits)
 
 
 class GivensFactor:
@@ -160,9 +65,7 @@ class SnakeFactorization:
     The generating sequence supplies bits s_1 .. s_m and the Schur sequence
     must supply exactly the m + 1 parameters alpha_0 .. alpha_m; length
     mismatches are rejected rather than padded.  ``left_order`` and
-    ``right_order`` list the factor indices of the two half-products in
-    multiplication order (leftmost factor first), with factor 0 starting the
-    right-hand product.
+    ``right_order`` are the shape's ``multiplication_orders``.
     """
 
     def __init__(self, schur: SchurSequence, gen: GeneratingSequence):
@@ -173,12 +76,7 @@ class SnakeFactorization:
             )
         self.schur = schur
         self.gen = gen
-        left: list[int] = []
-        right = [0]
-        for k, bit in enumerate(gen.bits, start=1):
-            (left if bit else right).append(k)
-        self.left_order = tuple(reversed(left))
-        self.right_order = tuple(right)
+        self.left_order, self.right_order = multiplication_orders(gen)
 
     @property
     def num_factors(self) -> int:

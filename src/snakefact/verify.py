@@ -9,11 +9,12 @@ generator so runs are reproducible (the CLI seeds it from SNAKE_SEED).
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CaseResult, NumericalError, int_argument, unitarity_defect
-from .expand import bandwidths, expand_dense
+from .errors import SUITE_NAMES, NumericalError, int_argument, unitarity_defect
+from .expand import expand_dense
 from .oracle import (
     BernsteinSzego,
     Lebesgue,
@@ -31,13 +32,8 @@ from .quadrature import (
     truncate_para_unitary,
 )
 from .schur import SchurSequence
-from .snake import (
-    GeneratingSequence,
-    SnakeFactorization,
-    cmv_shape,
-    hessenberg_shape,
-    materialize_window,
-)
+from .shape import GeneratingSequence, bandwidths, cmv_shape, hessenberg_shape
+from .snake import SnakeFactorization, materialize_window
 
 __all__ = ["CaseResult", "SUITES", "run_suites", "measured_bandwidths"]
 
@@ -47,6 +43,20 @@ _MAX_BANDWIDTH_BITS = 16
 # The unitarity suite's largest truncation, of size m + 1, must be a
 # supported rule size.
 _MAX_UNITARITY_BITS = _MAX_EIG_SIZE - 1
+
+
+@dataclass
+class CaseResult:
+    """One case of a suite: its measured defect and the tolerance it must meet."""
+
+    suite: str
+    case: str
+    defect: float
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return self.defect <= self.tolerance
 
 
 def _random_shape(rng, m: int) -> GeneratingSequence:
@@ -203,13 +213,8 @@ def suite_exactness(rng, m=None, n=None, schur=None, measures=None):
     return results
 
 
-SUITES = {
-    "unitarity": suite_unitarity,
-    "oracle-equivalence": suite_oracle_equivalence,
-    "bandwidth": suite_bandwidth,
-    "round-trip": suite_round_trip,
-    "exactness": suite_exactness,
-}
+SUITES = dict(zip(SUITE_NAMES, (suite_unitarity, suite_oracle_equivalence, suite_bandwidth,
+                                 suite_round_trip, suite_exactness)))
 
 
 def run_suites(

@@ -700,7 +700,7 @@ class TestErrors:
         def unreachable(*args):
             raise AssertionError("n-sized work started for an oversized rule")
 
-        monkeypatch.setattr("snakefact.cli.schur_parameters", unreachable)
+        monkeypatch.setattr("snakefact.oracle.schur_parameters", unreachable)
         monkeypatch.setattr("snakefact.quadrature.truncate_para_unitary", unreachable)
         monkeypatch.setattr("snakefact.quadrature._corner_blocks", unreachable)
         code, out, err = run(capsys, "quadrature", "--measure", "lebesgue", "--n", "1025")
