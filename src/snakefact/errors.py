@@ -135,6 +135,23 @@ def complex_arguments(name: str, values) -> tuple:
     return tuple(map(complex, values))
 
 
+def laurent_argument(f) -> dict:
+    """A Laurent polynomial {exponent: coefficient} as a dict of ints to complex numbers.
+
+    Exponents go through ``int_argument`` with no lower bound.  A
+    coefficient that is not a number raises a ``TypeError``, and one that
+    is not finite a ``ValueError``, each naming "coefficient of z^<exponent>".
+    """
+    terms = {}
+    for e, c in f.items():
+        e = int_argument("exponent", e, -math.inf)
+        name = f"coefficient of z^{e}"
+        if not cmath.isfinite(c := complex_argument(name, c)):
+            raise ValueError(f"{name} = {c} is not finite")
+        terms[e] = c
+    return terms
+
+
 def real_argument(name: str, value) -> float:
     """``value`` as a float, for an int, float or NumPy integer or floating value.
 

@@ -26,11 +26,9 @@ coefficients of psi_k.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import MomentError, NumericalError, check, int_argument, real_arguments
+from .errors import MomentError, NumericalError, check, int_argument, laurent_argument, real_arguments
 from .schur import SchurSequence, _coefficients, _one_parameter, evaluate_phi
 from .shape import GeneratingSequence
 
@@ -141,7 +139,7 @@ class MomentTable:
         vals[0] = 1.0
         self._mu = np.concatenate((np.conj(vals[:0:-1]), vals))
         try:
-            np.linalg.cholesky(self._gram(np.arange(self.jmax + 1)))
+            np.linalg.cholesky(self._gram(list(range(self.jmax + 1))))
         except np.linalg.LinAlgError as exc:
             raise MomentError(
                 "moment Toeplitz matrix is not positive definite; the values do not come "
@@ -149,14 +147,27 @@ class MomentTable:
                 f"{self.jmax} atoms"
             ) from exc
 
-    def _gram(self, exps: np.ndarray, shift: int = 0) -> np.ndarray:
-        """Matrix of <z^{e_a}, z^{e_b + shift}> = mu_{e_a - e_b - shift}."""
-        return self._mu[self.jmax + exps[:, None] - exps[None, :] - shift]
+    def _reach(self, span: int) -> int:
+        """The table offset of mu_0, once every moment with |j| <= ``span`` is stored.
+
+        The one statement of the moment range: every read of the table checks it.
+        """
+        if span > self.jmax:
+            raise MomentError(f"needs moments up to |j| = {span}; the table has jmax = {self.jmax}")
+        return self.jmax
+
+    def _gram(self, rows, cols=None, shift: int = 0) -> np.ndarray:
+        """Matrix of <z^{r_a}, z^{c_b + shift}> = mu_{r_a - c_b - shift}.
+
+        ``rows`` and ``cols`` (by default ``rows``) are lists of int
+        exponents, so the span of the read comes from their ends in Python.
+        """
+        cols = rows if cols is None else cols
+        span = max(max(rows) - min(cols) - shift, max(cols) - min(rows) + shift)
+        return self._mu[self._reach(span) - shift + np.subtract.outer(rows, cols)]
 
     def mu(self, j: int) -> complex:
-        if abs(j) > self.jmax:
-            raise MomentError(f"moment {j} outside the stored range +-{self.jmax}")
-        return complex(self._mu[self.jmax + j])
+        return complex(self._mu[self._reach(abs(j)) + j])
 
     def __repr__(self) -> str:
         return f"MomentTable(jmax={self.jmax})"
@@ -242,28 +253,21 @@ def schur_parameters(measure, count: int) -> SchurSequence:
 def inner_product(table: MomentTable, f, g) -> complex:
     """<f, g> = sum conj(f_a) g_b mu_{a-b} for Laurent coefficient mappings.
 
-    The exponents, the keys of ``f`` and ``g``, are integers.
+    Both are checked by ``errors.laurent_argument``: integer exponents and
+    finite number coefficients.
     """
+    f, g = laurent_argument(f), laurent_argument(g)
     if not f or not g:
         return 0j
-    a, b = (np.array([int_argument("exponent", e, -math.inf) for e in h]) for h in (f, g))
-    span = max(a.max() - b.min(), b.max() - a.min())
-    if span > table.jmax:
-        raise MomentError(
-            f"inner product needs moments up to |j| = {span}, table has {table.jmax}"
-        )
-    fa, gb = np.array(list(f.values()), dtype=complex), np.array(list(g.values()), dtype=complex)
-    return complex(fa.conj() @ table._mu[table.jmax + a[:, None] - b[None, :]] @ gb)
+    return complex(np.conj([*f.values()]) @ table._gram([*f], [*g]) @ np.array([*g.values()]))
 
 
-def _exponents(gen: GeneratingSequence, n: int) -> np.ndarray:
+def _exponents(gen: GeneratingSequence, n: int) -> list:
     """Exponents of the monomials at positions 0 .. n of the ordering."""
-    return np.array(
-        [0] + [-gen.p[k] if gen.s(k) == 1 else k - gen.p[k] for k in range(1, n + 1)]
-    )
+    return [0] + [-gen.p[k] if gen.s(k) == 1 else k - gen.p[k] for k in range(1, n + 1)]
 
 
-def _gram_schmidt(table: MomentTable, exps: np.ndarray) -> np.ndarray:
+def _gram_schmidt(table: MomentTable, exps) -> np.ndarray:
     """Upper-triangular C; column k holds psi_k over the monomials z^{exps}.
 
     The coefficient of the monomial new at position k is C[k, k] = 1/R[k, k],
@@ -288,19 +292,11 @@ def gram_schmidt_laurent(table: MomentTable, gen: GeneratingSequence, n: int):
 
     Each psi_k is returned as a coefficient mapping, normalized so that the
     coefficient of the monomial that is new at position k is real positive.
-    Requires the conservative moment range jmax >= 2 max(p_n, n - p_n) + 2.
+    The exponents 0 .. n span a range of n + 1 integers, so jmax >= n suffices.
     """
-    n = int_argument("n", n)
-    if n > len(gen):
-        raise ValueError(f"index {n} exceeds the {len(gen)} stored shape bits")
-    needed = 2 * max(gen.p[n], n - gen.p[n]) + 2
-    if table.jmax < needed:
-        raise MomentError(f"need jmax >= {needed} for degree {n}, table has {table.jmax}")
-    exps = _exponents(gen, n)
+    exps = _exponents(gen, gen._index(n))
     c = _gram_schmidt(table, exps)
-    return [
-        {int(e): complex(c[a, k]) for a, e in enumerate(exps[: k + 1])} for k in range(n + 1)
-    ]
+    return [{e: complex(c[a, k]) for a, e in enumerate(exps[: k + 1])} for k in range(len(exps))]
 
 
 def schur_from_moments(table: MomentTable, n: int) -> SchurSequence:
@@ -312,10 +308,7 @@ def schur_from_moments(table: MomentTable, n: int) -> SchurSequence:
     forces conj(alpha_k) = -rho_k phi_{k+1}(0) / kappa_k, and eliminating
     rho_k = kappa_k / kappa_{k+1} gives alpha_k = -conj(phi_{k+1}(0)) / kappa_{k+1}.
     """
-    n = int_argument("n", n, 1)
-    if table.jmax < n:
-        raise MomentError(f"need jmax >= {n}, table has {table.jmax}")
-    c = _gram_schmidt(table, np.arange(n + 1))
+    c = _gram_schmidt(table, list(range(int_argument("n", n, 1) + 1)))
     return SchurSequence(-np.conj(c[0, 1:]) / np.diag(c)[1:])
 
 
@@ -327,8 +320,6 @@ def matrix_entry_oracle(table: MomentTable, gen: GeneratingSequence, i: int, j: 
 
 def multiplication_matrix(table: MomentTable, gen: GeneratingSequence, n: int) -> np.ndarray:
     """Dense n x n matrix of <psi_i, z psi_j>, sharing one Gram-Schmidt run."""
-    if table.jmax < int_argument("n", n, 1):
-        raise MomentError(f"need jmax >= {n}, table has {table.jmax}")
-    exps = _exponents(gen, n - 1)
+    exps = _exponents(gen, int_argument("n", n, 1) - 1)
     c = _gram_schmidt(table, exps)
     return c.conj().T @ table._gram(exps, shift=1) @ c

@@ -45,7 +45,6 @@ shares no Cayley code with the rule, so it is an independent reference.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -55,13 +54,13 @@ from .errors import (
     NumericalError,
     ShapeError,
     check,
-    complex_argument,
     int_argument,
+    laurent_argument,
     real_argument,
     unitarity_defect,
 )
 from .schur import SchurSequence
-from .snake import SnakeFactorization, _snake_product
+from .snake import SnakeFactorization, _snake_product, _window, materialize_window
 
 __all__ = [
     "ParaUnitaryTruncation",
@@ -97,26 +96,15 @@ class ParaUnitaryTruncation:
         return f"ParaUnitaryTruncation(n={self.n}, theta={self.theta})"
 
 
-def _truncation_blocks(snake: SnakeFactorization, n: int) -> np.ndarray:
-    """Canonical blocks of the first n factors of the snake's n x n truncation, read-only."""
-    if n - 1 > len(snake.gen):
-        raise ShapeError(
-            f"size {n} needs shape bits through s_{n - 1}; only {len(snake.gen)} stored"
-        )
-    return snake.schur._blocks[:n]
-
-
-def _corner_blocks(schur: SchurSequence | SnakeFactorization, n: int, theta):
+def _corner_blocks(schur: SchurSequence, n: int, theta):
     """(theta, blocks) of an n-point para-unitary truncation: blocks 0 .. n-2 and the corner.
 
-    ``schur`` is a SchurSequence, or a SnakeFactorization whose sequence is
-    read.  Factor n - 1 enters only through its (0, 0) entry, e^{i theta}, so
+    Factor n - 1 enters only through its (0, 0) entry, e^{i theta}, so
     alpha_{n-1} is never read and the rest of its block stays zero.
     """
     theta = real_argument("theta", theta)
     if not math.isfinite(theta):
         raise ValueError(f"theta = {theta} is not finite")
-    schur = schur.schur if isinstance(schur, SnakeFactorization) else schur
     if n - 1 > len(schur):
         raise ShapeError(f"n = {n} needs {n - 1} Schur parameters; only {len(schur)} given")
     corner = [[np.exp(1j * theta), 0.0], [0.0, 0.0]]
@@ -126,15 +114,15 @@ def _corner_blocks(schur: SchurSequence | SnakeFactorization, n: int, theta):
 def truncate_para_unitary(snake: SnakeFactorization, n: int, theta: float) -> ParaUnitaryTruncation:
     """Unitary n x n truncation with corner phase e^{i theta}."""
     n = int_argument("n", n, 2)
-    _truncation_blocks(snake, n)  # the shape must place factor n - 1, the corner
-    theta, blocks = _corner_blocks(snake, n, theta)
+    _window(snake, n - 1)  # the shape must place factor n - 1, the corner
+    theta, blocks = _corner_blocks(snake.schur, n, theta)
     return ParaUnitaryTruncation(n, theta, _snake_product(snake, blocks)[:n, :n])
 
 
 def principal_truncation(snake: SnakeFactorization, n: int) -> np.ndarray:
     """Leading n x n block of the infinite matrix (not unitary)."""
     n = int_argument("n", n, 2)
-    return _snake_product(snake, _truncation_blocks(snake, n))[:n, :n]
+    return materialize_window(snake, n - 1)[:n, :n]
 
 
 def eigen_unitary(matrix: np.ndarray):
@@ -483,6 +471,7 @@ def szego_quadrature(schur: SchurSequence | SnakeFactorization, n: int, theta: f
     checked, so the shape never enters.
     """
     n = _rule_size(n)
+    schur = schur.schur if isinstance(schur, SnakeFactorization) else schur
     _, blocks = _corner_blocks(schur, n, theta)
     check("truncation blocks are not unitary", _block_defect(blocks), 1e-12)
     pairs = _pencil_pairs(blocks) or _general_pairs(
@@ -497,17 +486,11 @@ def szego_quadrature(schur: SchurSequence | SnakeFactorization, n: int, theta: f
 def apply_rule(rule: QuadratureRule, f) -> complex:
     """Apply the rule to a Laurent polynomial {exponent: coefficient}.
 
-    Exponents are integers and coefficients finite numbers: a coefficient
-    that is not a number raises a ``TypeError``, and one that is not finite
-    a ``ValueError``, each naming "coefficient of z^<exponent>".
+    ``errors.laurent_argument`` checks it: integer exponents and finite
+    number coefficients.
     """
     values = np.zeros(rule.n, dtype=complex)
-    for e, c in f.items():
-        e = int_argument("exponent", e, -math.inf)
-        name = f"coefficient of z^{e}"
-        c = complex_argument(name, c)
-        if not cmath.isfinite(c):
-            raise ValueError(f"{name} = {c} is not finite")
+    for e, c in laurent_argument(f).items():
         values += c * rule.nodes**e
     return complex(np.dot(rule.weights, values))
 

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidSchurParameter, check, complex_argument, complex_arguments, int_argument
+from .errors import (InvalidSchurParameter, NumericalError, check, complex_argument,
+                     complex_arguments, int_argument)
 
 __all__ = [
     "SchurSequence",
@@ -95,6 +96,12 @@ class SchurSequence:
         if k >= len(self.alphas):
             raise IndexError(f"parameter index k = {k} outside 0..{len(self.alphas) - 1}")
         return k
+
+    def _degree(self, n) -> int:
+        """``n`` as a Szego degree: phi_n reads alpha_0 .. alpha_{n-1}."""
+        if int_argument("n", n) > len(self.alphas):
+            raise ValueError(f"degree {n} needs {n} Schur parameters, have {len(self.alphas)}")
+        return n
 
     def alpha(self, k: int) -> complex:
         return self.alphas[self._index(k)]
@@ -173,12 +180,57 @@ def szego_step(pair: PolynomialPair, alpha_k: complex) -> PolynomialPair:
 
 def polynomial_pair(schur: SchurSequence, n: int) -> PolynomialPair:
     """Coefficients of (phi_n, phi_n*) for the given Schur parameters."""
-    if int_argument("n", n) > len(schur):
-        raise ValueError(f"degree {n} needs {n} Schur parameters, have {len(schur)}")
     phi, star = np.ones((2, 1), dtype=complex)
-    for phi, star in _coefficients(schur.alphas[:n], phi, star):
+    for phi, star in _coefficients(schur.alphas[: schur._degree(n)], phi, star):
         pass
     return PolynomialPair(phi, star)
+
+
+def _points(z) -> np.ndarray:
+    """``z`` as a complex array of finite points; the errors name ``z``.
+
+    A scalar goes through ``errors.complex_argument``, and an array must
+    have a numeric dtype other than bool.
+    """
+    zz = np.asarray(z if isinstance(z, np.ndarray) or np.ndim(z) else complex_argument("z", z))
+    if zz.dtype.kind not in "iufc":
+        raise TypeError(f"z must hold numbers, got an array of dtype {zz.dtype}")
+    if not (finite := np.isfinite(zz)).all():
+        raise ValueError(f"z = {zz.flat[np.argmin(finite)]} is not finite")
+    return zz.astype(complex, copy=False)
+
+
+def _value_steps(schur: SchurSequence, n: int, z: np.ndarray):
+    """(phi_k(z), phi_k*(z)) for k = 0 .. n by the two-term value recursion."""
+    pair = np.ones((2, *z.shape), dtype=complex)
+    yield pair
+    for alpha, rho in zip(schur.alphas[:n], schur.rhos):
+        yield (pair := _szego_update(z * pair[0], pair[1], alpha, rho))
+
+
+def _finite(values, z: np.ndarray, degree):
+    """``values`` once each is finite at every point of ``z``.
+
+    Otherwise ``NumericalError`` names the first point where one is not,
+    and ``degree(point)``, the degree at which its values left float64.
+    """
+    if not (finite := np.isfinite(values).all(axis=0)).all():
+        point = z.flat[np.argmin(finite)]
+        raise NumericalError(f"the value of degree {degree(point)} at z = {point} leaves float64")
+    return values
+
+
+def _szego_values(schur: SchurSequence, n: int, z: np.ndarray):
+    """(phi_n(z), phi_n*(z)) at the points ``z``, checked finite by ``_finite``."""
+
+    def degree(point):  # a value that is not finite stays so: the replay finds where it left
+        steps = enumerate(_value_steps(schur, n, point))
+        return next((k for k, pair in steps if not np.isfinite(pair).all()), n)
+
+    with np.errstate(all="ignore"):
+        for pair in _value_steps(schur, n, z):
+            pass
+        return _finite(pair, z, degree)
 
 
 def evaluate_phi(schur: SchurSequence, n: int, z):
@@ -186,17 +238,12 @@ def evaluate_phi(schur: SchurSequence, n: int, z):
 
     Running the recursion on values instead of coefficients costs O(n) per
     point and avoids the cancellation that coefficient expansion can suffer.
-    ``z`` may be a scalar or an ndarray; the recursion is applied elementwise.
+    ``z`` may be a scalar or an ndarray of finite numbers; the recursion is
+    applied elementwise.  A value beyond float64 raises ``NumericalError``
+    naming the degree at which it left and the first such point.
     """
-    if int_argument("n", n) > len(schur):
-        raise ValueError(f"degree {n} needs {n} Schur parameters, have {len(schur)}")
-    zz = np.asarray(z, dtype=complex)
-    phi, star = np.ones((2, *zz.shape), dtype=complex)
-    for alpha, rho in zip(schur.alphas[:n], schur.rhos):
-        phi, star = _szego_update(zz * phi, star, alpha, rho)
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return complex(phi), complex(star)
-    return phi, star
+    phi, star = _szego_values(schur, schur._degree(n), _points(z))
+    return (complex(phi), complex(star)) if np.ndim(phi) == 0 else (phi, star)
 
 
 def laurent_basis(schur: SchurSequence, gen, n: int, z):
@@ -205,17 +252,13 @@ def laurent_basis(schur: SchurSequence, gen, n: int, z):
     For the ordering fixed by the generating sequence ``gen`` the nth basis
     element is z^{-p_n} phi_n(z) when the nth monomial has a positive power
     (s_n = 0) and z^{-p_n} phi_n*(z) when it is negative (s_n = 1).  The
-    index 0 element is the constant 1 either way.
+    index 0 element is the constant 1 either way.  ``z`` is checked as in
+    ``evaluate_phi``, and a value beyond float64 raises ``NumericalError``.
     """
-    if int_argument("n", n) > len(gen):
-        raise ValueError(f"index {n} exceeds the {len(gen)} stored shape bits")
-    zz = np.asarray(z, dtype=complex)
-    if np.any(zz == 0):
+    n = gen._index(n)
+    if np.any((zz := _points(z)) == 0):
         raise ValueError("z = 0 is outside the domain of a Laurent polynomial")
-    phi, star = evaluate_phi(schur, n, zz)
-    s_n = gen.s(n) if n >= 1 else 0
-    p_n = gen.p[n]
-    value = zz ** (-p_n) * (star if s_n == 1 else phi)
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return complex(value)
-    return value
+    phi, star = _szego_values(schur, schur._degree(n), zz)
+    with np.errstate(all="ignore"):
+        (value,) = _finite([zz ** (-gen.p[n]) * (star if n and gen.s(n) else phi)], zz, lambda _: n)
+    return complex(value) if np.ndim(value) == 0 else value

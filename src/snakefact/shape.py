@@ -80,6 +80,12 @@ class GeneratingSequence:
             raise IndexError(f"s_{n} undefined; stored bits cover 1..{len(self.bits)}")
         return self.bits[n - 1]
 
+    def _index(self, n) -> int:
+        """``n`` as a position 0 .. m of the ordering; beyond the bits it raises ``ValueError``."""
+        if int_argument("n", n) > len(self.bits):
+            raise ValueError(f"index {n} exceeds the {len(self.bits)} stored shape bits")
+        return n
+
 
 def hessenberg_shape(m: int) -> GeneratingSequence:
     """All monomials of positive power: the unitary Hessenberg ordering."""

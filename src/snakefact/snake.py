@@ -121,9 +121,12 @@ def materialize_window(snake: SnakeFactorization, m: int) -> np.ndarray:
     entry (i, j) with max(i, j) <= m agrees with the whole snake.  Entries
     in the last row and column are truncation artifacts.
     """
-    m = int_argument("m", m)
-    if m >= snake.num_factors:
-        raise ShapeError(
-            f"window needs factors 0..{m} but only 0..{snake.num_factors - 1} exist"
-        )
+    m = _window(snake, int_argument("m", m))
     return _snake_product(snake, snake.schur._blocks[: m + 1])
+
+
+def _window(snake: SnakeFactorization, m: int) -> int:
+    """``m`` once the snake has the factors 0 .. m of a window or truncation through index m."""
+    if m >= snake.num_factors:
+        raise ShapeError(f"window needs factors 0..{m} but only 0..{snake.num_factors - 1} exist")
+    return m

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,6 +277,89 @@ class TestInnerProduct:
         with pytest.raises(MomentError, match="moments up to"):
             inner_product(table, {3: 1.0}, {-3: 1.0})
 
+    @pytest.mark.parametrize("bad", [None, True, "x", [1.0]])
+    def test_coefficient_not_a_number_names_its_exponent(self, bad):
+        table = moments(Lebesgue(), 4)
+        for f, g in (({-2: bad}, {0: 1.0}), ({0: 1.0}, {1: 0.5, -2: bad})):
+            with pytest.raises(TypeError, match=r"^coefficient of z\^-2 must be a number"):
+                inner_product(table, f, g)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_coefficient_rejected(self, bad):
+        table = moments(Lebesgue(), 4)
+        for f, g in (({3: bad}, {0: 1.0}), ({0: 1.0}, {3: bad})):
+            with pytest.raises(ValueError, match=r"^coefficient of z\^3 = .* is not finite$"):
+                inner_product(table, f, g)
+
+    def test_empty_polynomial_is_zero_after_checks(self):
+        table = moments(Lebesgue(), 4)
+        assert inner_product(table, {}, {1: 2.0}) == 0j
+        with pytest.raises(TypeError, match="exponent must be an integer"):
+            inner_product(table, {}, {1.0: 2.0})
+
+
+def range_message(span, jmax):
+    """The one message of a moment read past the table, as a pattern."""
+    return re.escape(f"needs moments up to |j| = {span}; the table has jmax = {jmax}")
+
+
+class TestMomentRange:
+    # Every prefix of a snake's monomial order is a contiguous exponent
+    # range, so psi_0 .. psi_n read only mu_j with |j| <= n.
+    SHAPES = {"hessenberg": (0,) * 9, "cmv": tuple(cmv_shape(9).bits), "mixed": MIXED_BITS}
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gram_schmidt_needs_only_jmax_n(self, shape):
+        gen = GeneratingSequence(self.SHAPES[shape])
+        n = len(gen)
+        measure = BernsteinSzego(SIX_PARAMETERS)
+        wide = gram_schmidt_laurent(moments(measure, 2 * n + 2), gen, n)
+        assert gram_schmidt_laurent(moments(measure, n), gen, n) == wide
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gram_schmidt_one_moment_short(self, shape):
+        gen = GeneratingSequence(self.SHAPES[shape])
+        n = len(gen)
+        with pytest.raises(MomentError, match=range_message(n, n - 1)):
+            gram_schmidt_laurent(moments(BernsteinSzego(SIX_PARAMETERS), n - 1), gen, n)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_multiplication_matrix_one_moment_short(self, shape):
+        # the shifted Gram reads mu_{-n}; a table that stops at n - 1 must
+        # refuse it rather than wrap round to mu_{n-1}
+        gen = GeneratingSequence(self.SHAPES[shape])
+        n = len(gen) + 1
+        measure = BernsteinSzego(SIX_PARAMETERS)
+        multiplication_matrix(moments(measure, n), gen, n)
+        with pytest.raises(MomentError, match=range_message(n, n - 1)):
+            multiplication_matrix(moments(measure, n - 1), gen, n)
+
+    def test_shifted_gram_does_not_wrap(self):
+        table = moments(Lebesgue(), 4)
+        with pytest.raises(MomentError, match=range_message(5, 4)):
+            table._gram(range(5), shift=1)
+
+    def test_schur_from_moments_one_moment_short(self):
+        with pytest.raises(MomentError, match=range_message(5, 4)):
+            schur_from_moments(moments(Lebesgue(), 4), 5)
+
+    @pytest.mark.parametrize("f, g, span", [
+        ({3: 1.0}, {-1: 1.0}, 4),
+        ({-1: 1.0}, {3: 1.0}, 4),
+        ({-2: 1.0, 1: 0.5}, {0: 1.0, 2: 0.5j}, 4),
+    ])
+    def test_inner_product_one_moment_short(self, f, g, span):
+        table = moments(BernsteinSzego([0.6]), span)
+        assert inner_product(table, f, g) == pytest.approx(np.conj(inner_product(table, g, f)))
+        with pytest.raises(MomentError, match=range_message(span, span - 1)):
+            inner_product(moments(BernsteinSzego([0.6]), span - 1), f, g)
+
+    def test_mu_outside_the_table(self):
+        table = moments(Lebesgue(), 3)
+        assert table.mu(-3) == 0.0
+        with pytest.raises(MomentError, match=range_message(4, 3)):
+            table.mu(-4)
+
 
 class TestGramSchmidt:
     def test_lebesgue_keeps_monomials(self):
@@ -318,7 +403,7 @@ class TestGramSchmidt:
                     assert got.get(e, 0j) == pytest.approx(want.get(e, 0j), abs=1e-9)
 
     def test_moment_range_precondition(self):
-        table = moments(Lebesgue(), 4)
+        table = moments(Lebesgue(), 3)
         with pytest.raises(MomentError, match="jmax"):
             gram_schmidt_laurent(table, hessenberg_shape(4), 4)
 

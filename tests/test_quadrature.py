@@ -35,6 +35,7 @@ from snakefact.snake import (
     SnakeFactorization,
     cmv_shape,
     hessenberg_shape,
+    _snake_product,
     materialize_window,
 )
 
@@ -181,6 +182,42 @@ class TestPrincipalTruncation:
             spectra.append(np.sort_complex(values))
         assert np.max(np.abs(spectra[0] - spectra[1])) <= 1e-10
         assert np.max(np.abs(spectra[0] - spectra[2])) <= 1e-10
+
+
+class TestTruncationWindow:
+    # Both truncations are the leading block of the product of the snake's
+    # first n factors, the window through factor n - 1, and refuse a size
+    # whose corner factor the shape does not place.
+    @pytest.mark.parametrize("shape", ["hessenberg", "cmv", "random"])
+    def test_truncations_are_window_products(self, shape):
+        rng = np.random.default_rng([26, len(shape)])
+        m = 14
+        gen = {"hessenberg": hessenberg_shape(m), "cmv": cmv_shape(m),
+               "random": GeneratingSequence(random_bits(rng, m))}[shape]
+        snake = SnakeFactorization(random_schur(rng, m + 1), gen)
+        blocks = snake.schur._blocks
+        for n in range(2, m + 2):
+            want = _snake_product(snake, blocks[:n])[:n, :n]
+            np.testing.assert_array_equal(principal_truncation(snake, n), want)
+            theta = float(rng.uniform(-np.pi, np.pi))
+            corner = [[np.exp(1j * theta), 0.0], [0.0, 0.0]]
+            want = _snake_product(snake, np.concatenate((blocks[: n - 1], [corner])))[:n, :n]
+            np.testing.assert_array_equal(truncate_para_unitary(snake, n, theta).matrix, want)
+
+    @pytest.mark.parametrize("shape", ["hessenberg", "cmv", "random"])
+    def test_one_factor_past_the_shape(self, shape):
+        rng = np.random.default_rng([27, len(shape)])
+        m = 6
+        gen = {"hessenberg": hessenberg_shape(m), "cmv": cmv_shape(m),
+               "random": GeneratingSequence(random_bits(rng, m))}[shape]
+        snake = SnakeFactorization(random_schur(rng, m + 1), gen)
+        message = rf"^window needs factors 0\.\.{m + 1} but only 0\.\.{m} exist$"
+        for truncation in (principal_truncation, lambda s, n: truncate_para_unitary(s, n, 0.3)):
+            truncation(snake, m + 1)
+            with pytest.raises(ShapeError, match=message):
+                truncation(snake, m + 2)
+        with pytest.raises(ShapeError, match=message):
+            materialize_window(snake, m + 1)
 
 
 class TestEigenUnitary:
@@ -385,7 +422,7 @@ class TestPencil:
         snake = SnakeFactorization(
             random_schur(rng, n), GeneratingSequence([k % 2 for k in range(1, n)])
         )
-        _, blocks = _corner_blocks(snake, n, 0.9)
+        _, blocks = _corner_blocks(snake.schur, n, 0.9)
         product = _half_product(blocks, 1, _half_product(blocks, 0, np.eye(n, dtype=complex)))
         assert np.max(np.abs(product - truncate_para_unitary(snake, n, 0.9).matrix)) <= 1e-15
 
@@ -415,7 +452,7 @@ class TestPencil:
         snake = SnakeFactorization(
             SchurSequence(alphas), GeneratingSequence([k % 2 for k in range(1, n)])
         )
-        _, blocks = _corner_blocks(snake, n, 0.4)
+        _, blocks = _corner_blocks(snake.schur, n, 0.4)
         eye = np.eye(n, dtype=complex)
         w = _half_product(_takagi_blocks(blocks), 0, eye)
         m = _half_product(blocks, 0, eye)
@@ -436,7 +473,7 @@ class TestPencil:
         rng = np.random.default_rng([n, 20])
         alphas = parameter_family(rng, family, n, 0.05, 0.95)
         snake = SnakeFactorization(SchurSequence(alphas), hessenberg_shape(n - 1))
-        _, blocks = _corner_blocks(snake, n, float(rng.uniform(-np.pi, np.pi)))
+        _, blocks = _corner_blocks(snake.schur, n, float(rng.uniform(-np.pi, np.pi)))
         pencil = dense_pencil(blocks)
         diag, off = np.diag(pencil), np.diag(pencil, 1)
         assert np.array_equal(pencil, np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))

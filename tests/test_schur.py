@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import random_schur
 from snakefact.cli import main
-from snakefact.errors import InvalidSchurParameter
+from snakefact.errors import InvalidSchurParameter, NumericalError
 from snakefact.oracle import Geronimus
 from snakefact.schur import (
     PolynomialPair,
@@ -230,6 +231,86 @@ class TestEvaluatePhi:
     def test_requires_enough_parameters(self):
         with pytest.raises(ValueError):
             evaluate_phi(SchurSequence([0.1]), 2, 1.0)
+
+
+def reference_values(schur, n, z):
+    """(phi_n(z), phi_n*(z)) by the plain value recursion, with no checks."""
+    zz = np.asarray(z, dtype=complex)
+    phi, star = np.ones((2, *zz.shape), dtype=complex)
+    for alpha, rho in zip(schur.alphas[:n], schur.rhos):
+        z_phi = zz * phi
+        phi, star = (z_phi - np.conj(alpha) * star) / rho, (star - alpha * z_phi) / rho
+    return phi, star
+
+
+class TestSzegoValuesAtTheBoundary:
+    EVALUATIONS = {
+        "evaluate_phi": lambda seq, z: evaluate_phi(seq, 3, z),
+        "laurent_basis": lambda seq, z: laurent_basis(seq, cmv_shape(3), 3, z),
+    }
+
+    @pytest.mark.parametrize("which", EVALUATIONS)
+    @pytest.mark.parametrize("bad", ["x", None, True, [1.0, "x"], np.array([True]), [None]])
+    def test_z_not_a_number_is_named(self, which, bad):
+        with pytest.raises(TypeError, match="^z must"):
+            self.EVALUATIONS[which](SchurSequence([0.3, 0.2j, -0.1]), bad)
+
+    @pytest.mark.parametrize("which", EVALUATIONS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf), [1.0, np.nan], np.array(np.inf)])
+    def test_z_not_finite_is_named(self, which, bad):
+        with pytest.raises(ValueError, match=r"^z = .* is not finite$"):
+            self.EVALUATIONS[which](SchurSequence([0.3, 0.2j, -0.1]), bad)
+
+    @pytest.mark.parametrize("z", [0.3 - 0.4j, 2, np.float32(0.5), np.array(0.7j), [1j, 2], np.arange(1, 4)])
+    def test_number_types_accepted(self, z):
+        seq = SchurSequence([0.3, 0.2j, -0.1])
+        phi, star = evaluate_phi(seq, 3, z)
+        want = reference_values(seq, 3, z)
+        assert np.array_equal(phi, want[0]) and np.array_equal(star, want[1])
+        assert np.shape(phi) == np.shape(z)
+
+    def test_finite_values_unchanged(self):
+        # the checked route does the reference's arithmetic, value for value
+        for seed in range(6):
+            rng = np.random.default_rng([seed, 26])
+            seq = random_schur(rng, 256, lo=0.05, hi=0.8)
+            gen = cmv_shape(255)
+            z = np.exp(1j * rng.uniform(-np.pi, np.pi, 8)) * rng.uniform(0.5, 1.5, 8)
+            for n in (0, 1, 17, 128, 255):
+                phi, star = evaluate_phi(seq, n, z)
+                want_phi, want_star = reference_values(seq, n, z)
+                assert np.array_equal(phi, want_phi) and np.array_equal(star, want_star)
+                assert evaluate_phi(seq, n, complex(z[0])) == reference_values(seq, n, complex(z[0]))
+                side = want_star if n and gen.s(n) else want_phi
+                assert np.array_equal(laurent_basis(seq, gen, n, z), z ** (-gen.p[n]) * side)
+
+    def test_overflow_names_degree_and_first_point(self):
+        # |alpha| in [0.9, 0.99] drives phi_n past float64 well before n = 1024
+        rng = np.random.default_rng([1024, 0])
+        seq = SchurSequence(rng.uniform(0.9, 0.99, 1024) * np.exp(1j * rng.uniform(-np.pi, np.pi, 1024)))
+        z = np.exp(1j * rng.uniform(-np.pi, np.pi, 4))
+        with np.errstate(all="ignore"):
+            final = reference_values(seq, 1024, z)
+            first = int(np.argmin(np.isfinite(final).all(axis=0)))  # the first point that overflows
+            phi = star = 1.0 + 0j
+            for degree, (alpha, rho) in enumerate(zip(seq.alphas, seq.rhos), start=1):
+                z_phi = z[first] * phi
+                phi, star = (z_phi - np.conj(alpha) * star) / rho, (star - alpha * z_phi) / rho
+                if not (np.isfinite(phi) and np.isfinite(star)):
+                    break
+        assert degree < 1024
+        point = re.escape(str(z[first]))
+        message = rf"^the value of degree {degree} at z = {point} leaves float64$"
+        with pytest.raises(NumericalError, match=message):
+            evaluate_phi(seq, 1024, z)
+        with pytest.raises(NumericalError, match=message):
+            laurent_basis(seq, cmv_shape(1023), 1023, z)
+        assert np.isfinite(evaluate_phi(seq, degree - 1, z[first])).all()
+
+    def test_laurent_power_beyond_float64(self):
+        seq = SchurSequence([0.3, 0.2j, -0.1, 0.2, 0.1])
+        with pytest.raises(NumericalError, match=r"^the value of degree 4 at z = 1e-200j leaves float64$"):
+            laurent_basis(seq, cmv_shape(4), 4, [1.0, 1e-200j])
 
 
 class TestLaurentBasis:
