@@ -4,8 +4,8 @@ moment-based oracle for independent validation.
 
 Each public name is imported from its module on first use and then kept
 here, so ``import snakefact`` loads nothing numerical until a name that
-needs NumPy is touched; the shape names come from ``snakefact.shape``,
-which never loads it.
+needs NumPy is touched; the shape names come from ``snakefact.shape``
+and ``SchurSequence`` from ``snakefact.parameters``, which never load it.
 """
 
 import importlib
@@ -17,10 +17,11 @@ _HOMES = {
     "oracle": ("BernsteinSzego", "Geronimus", "GridMeasure", "Lebesgue", "MomentTable",
                "gram_schmidt_laurent", "inner_product", "matrix_entry_oracle", "moments",
                "multiplication_matrix", "schur_from_moments", "schur_parameters"),
+    "parameters": ("SchurSequence",),
     "quadrature": ("ParaUnitaryTruncation", "QuadratureRule", "apply_rule", "eigen_unitary",
                    "exactness_defect", "principal_truncation", "szego_quadrature",
                    "truncate_para_unitary"),
-    "schur": ("PolynomialPair", "SchurSequence", "dual", "evaluate_phi", "laurent_basis",
+    "schur": ("PolynomialPair", "dual", "evaluate_phi", "laurent_basis",
               "polynomial_pair", "szego_step"),
     "shape": ("GeneratingSequence", "bandwidths", "cmv_shape", "hessenberg_shape",
               "shape_from_monomials"),

@@ -13,8 +13,9 @@ as [re, im] pairs, and the default text and, for expand and quadrature,
 2 invalid input, 3 numerical failure.
 
 At start-up only the shape layer and ``errors`` are imported, neither of
-which loads NumPy; each subcommand imports the numerical layers it runs
-when it runs, so build without a Schur flag and bandwidth never load them.
+which loads NumPy; each subcommand imports the layers it runs when it runs.
+``parameters``, ``snake`` and ``expand`` load NumPy only for an array, so
+bandwidth, and build and entry without --measure, never load it.
 """
 
 from __future__ import annotations
@@ -185,30 +186,28 @@ def _schur_source(args):
 
 
 def _resolve(args, required: bool = True):
-    """(shape, Schur parameters, --measure's measure or None) from the flags.
+    """(shape, snake) from the flags; the snake is None without a Schur flag if not ``required``.
 
-    The count of --alphas sizes a named shape without --m.  Without a Schur
-    flag the parameters are None if not ``required``.
+    The count of --alphas sizes a named shape without --m, and
+    ``SnakeFactorization`` checks that count against the shape.
     """
     alphas, measure = _schur_source(args)
     gen = _resolve_shape(args, None if alphas is None else ("number of --alphas", len(alphas)))
-    count = len(gen) + 1
     if alphas is not None:
-        if len(alphas) != count:
-            raise ValueError(
-                f"a shape with {len(gen)} bits needs exactly {count} Schur parameters, "
-                f"got {len(alphas)}"
-            )
-        from .schur import SchurSequence
+        from .parameters import SchurSequence
 
-        return gen, SchurSequence(alphas), None
-    if measure is not None:
+        schur = SchurSequence(alphas)
+    elif measure is not None:
         from .oracle import schur_parameters
 
-        return gen, schur_parameters(measure, count), measure
-    if required:
+        schur = schur_parameters(measure, len(gen) + 1)
+    elif required:
         raise ValueError("no Schur parameters given; use --alphas or --measure")
-    return gen, None, None
+    else:
+        return gen, None
+    from .snake import SnakeFactorization
+
+    return gen, SnakeFactorization(schur, gen)
 
 
 def _emit(args, record: dict, text, csv=None) -> None:
@@ -225,11 +224,11 @@ def _emit(args, record: dict, text, csv=None) -> None:
 
 
 def cmd_build(args) -> int:
-    gen, schur, _ = _resolve(args, required=False)
+    gen, snake = _resolve(args, required=False)
     left, right = multiplication_orders(gen)
     record = {"s": list(gen.bits), "p": list(gen.p), "left": list(left), "right": list(right)}
-    if schur is not None:
-        record["alphas"] = list(schur.alphas)
+    if snake is not None:
+        record["alphas"] = list(snake.schur.alphas)
 
     def text(r):
         lines = [f"{key}: " + ",".join(map(str, r[key])) for key in ("s", "p", "left", "right")]
@@ -243,10 +242,8 @@ def cmd_build(args) -> int:
 
 def cmd_entry(args) -> int:
     from .expand import entry, path
-    from .snake import SnakeFactorization
 
-    gen, schur, _ = _resolve(args)
-    snake = SnakeFactorization(schur, gen)
+    gen, snake = _resolve(args)
     d = path(gen, args.i, args.j)
     record = {"i": args.i, "j": args.j, "value": entry(snake, args.i, args.j), "r": d.r, "t": d.t,
               "K": list(d.K), "b": d.b, "monotone": d.monotone}
@@ -265,10 +262,9 @@ def cmd_entry(args) -> int:
 
 def cmd_expand(args) -> int:
     from .expand import expand_dense
-    from .snake import SnakeFactorization
 
-    gen, schur, _ = _resolve(args)
-    record = {"n": args.n, "matrix": expand_dense(SnakeFactorization(schur, gen), args.n).tolist()}
+    _, snake = _resolve(args)
+    record = {"n": args.n, "matrix": expand_dense(snake, args.n).tolist()}
 
     def text(r):
         return [" ".join(map(_pair_text, row)) for row in r["matrix"]]

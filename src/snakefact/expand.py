@@ -20,13 +20,16 @@ and a table of running rho products.  That table has n rows of at most
 L + 1 entries, L the longest run of equal bits, so it is never larger than
 the output.  Each product is multiplied up from 1.0, because a ratio of
 prefix products would be 0/0 once the products underflow.
+
+``path`` and ``entry`` load no NumPy: ``entry`` multiplies the Schur
+sequence's scalar blocks as Python complex numbers, x_r times y_t and then
+each inner rho in turn, from a tuple of the rho's that the first call on a
+sequence caches in O(m).  Only ``expand_dense`` imports NumPy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from collections import namedtuple
 
 from .errors import int_argument
 from .shape import GeneratingSequence, bandwidths
@@ -35,9 +38,8 @@ from .snake import SnakeFactorization
 __all__ = ["PathDescriptor", "path", "entry", "bandwidths", "expand_dense"]
 
 
-@dataclass(frozen=True)
-class PathDescriptor:
-    """Geometry of the path that determines entry (i, j).
+class PathDescriptor(namedtuple("PathDescriptor", "i j r t K b monotone")):
+    """Geometry of the path that determines entry (i, j), as a named tuple.
 
     ``r`` and ``t`` are the indices of the outermost segments on the row and
     column side, ``K`` the (possibly empty) index range of the segments
@@ -46,13 +48,7 @@ class PathDescriptor:
     a single-segment path (r = t).
     """
 
-    i: int
-    j: int
-    r: int
-    t: int
-    K: range
-    b: int | None
-    monotone: bool
+    __slots__ = ()
 
 
 def path(gen: GeneratingSequence, i: int, j: int) -> PathDescriptor:
@@ -84,16 +80,18 @@ def entry(snake: SnakeFactorization, i: int, j: int) -> complex:
     d = path(snake.gen, i, j)
     if not d.monotone:
         return 0j
-    blocks = snake.schur._blocks
+    schur = snake.schur
+    x = schur._block(d.r)[i - d.r]
     if d.r == d.t:
-        return complex(blocks[d.r, i - d.r, j - d.t])
-    value = blocks[d.r, i - d.r, d.b] * blocks[d.t, 1 - d.b, j - d.t]
+        return x[j - d.t]
+    value = x[d.b] * schur._block(d.t)[1 - d.b][j - d.t]
+    rhos = schur._rhos
     for k in d.K:
-        value *= blocks[k, 0, 1]
-    return complex(value)
+        value *= rhos[k]
+    return value
 
 
-def expand_dense(snake: SnakeFactorization, n: int) -> np.ndarray:
+def expand_dense(snake: SnakeFactorization, n: int):
     """Dense n x n matrix of closed-form entries.
 
     The structural nonzeros form one flat list, row i covering the columns
@@ -108,6 +106,8 @@ def expand_dense(snake: SnakeFactorization, n: int) -> np.ndarray:
     and the other arrays length nnz, so the fixed cost at small n is a few
     dozen numpy calls.
     """
+    import numpy as np
+
     n = int_argument("n", n, 1)
     gen = snake.gen
     if n - 1 > len(gen):

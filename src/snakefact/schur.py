@@ -13,7 +13,9 @@ starting from phi_0 = phi_0* = 1.  The dual of a degree-n polynomial p is
 p*(z) = z^n conj(p(1/conj(z))), i.e. the reversed, conjugated coefficient
 vector.  Orthonormal Laurent polynomials for a mixed ordering of positive and
 negative monomials are power-shifted copies of phi_n or phi_n*; see
-``laurent_basis``.
+``laurent_basis``.  ``SchurSequence`` and the rho formula live in
+``parameters``, which loads no NumPy, and ``SchurSequence`` is re-exported
+here.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share between threads.
@@ -23,8 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (InvalidSchurParameter, NumericalError, check, complex_argument,
-                     complex_arguments, int_argument)
+from .errors import NumericalError, check, complex_argument
+from .parameters import SchurSequence, _one_parameter, _rho
 
 __all__ = [
     "SchurSequence",
@@ -37,11 +39,6 @@ __all__ = [
 ]
 
 
-def _rho(alpha):
-    """rho = sqrt(1 - |alpha|^2) of a scalar or elementwise of an array."""
-    return np.sqrt(1.0 - (alpha.real * alpha.real + alpha.imag * alpha.imag))
-
-
 def _szego_update(z_phi, star, alpha, rho):
     """One step of the Szego recursion on values or on shifted coefficient arrays."""
     return (z_phi - np.conj(alpha) * star) / rho, (star - alpha * z_phi) / rho
@@ -49,69 +46,10 @@ def _szego_update(z_phi, star, alpha, rho):
 
 def _coefficients(alphas, phi, star):
     """Bare coefficient arrays (phi_k, phi_k*) from (phi, star) on, one pair per parameter."""
-    for alpha, rho in zip(alphas, _rho(np.asarray(alphas, dtype=complex))):
+    for alpha, rho in zip(alphas, _rho(np.asarray(alphas, dtype=complex), np.sqrt)):
         z_phi, star = np.concatenate(([0j], phi)), np.concatenate((star, [0j]))
         phi, star = _szego_update(z_phi, star, alpha, rho)
         yield phi, star
-
-
-class SchurSequence:
-    """Validated finite sequence of Schur parameters alpha_0 .. alpha_{m-1}.
-
-    Every parameter must be a finite number with |alpha_k| < 1 strictly;
-    offending inputs are rejected with the index of the first bad entry.
-    Construction also builds the read-only (m, 2, 2) array ``_blocks`` of
-    the canonical Givens blocks [[conj(alpha_k), rho_k], [rho_k, -alpha_k]],
-    the one place the block formula is stated: snake products, truncations
-    and the path rule slice it, and the rho_k are read from its off-diagonal.
-    """
-
-    def __init__(self, alphas):
-        alphas = complex_arguments("parameter", alphas)
-        if not alphas:
-            raise ValueError("a Schur sequence needs at least one parameter")
-        for k, a in enumerate(alphas):
-            if not abs(a) < 1.0:
-                raise InvalidSchurParameter(k, a)
-        self.alphas = alphas
-        values = np.array(alphas, dtype=complex)
-        blocks = np.empty((values.size, 2, 2), dtype=complex)
-        blocks[:, 0, 0] = values.conj()
-        blocks[:, 0, 1] = blocks[:, 1, 0] = _rho(values)
-        blocks[:, 1, 1] = -values
-        blocks.flags.writeable = False
-        self._blocks = blocks
-
-    def __len__(self) -> int:
-        return len(self.alphas)
-
-    def __iter__(self):
-        return iter(self.alphas)
-
-    def __repr__(self) -> str:
-        return f"SchurSequence({list(self.alphas)!r})"
-
-    def _index(self, k) -> int:
-        k = int_argument("k", k)
-        if k >= len(self.alphas):
-            raise IndexError(f"parameter index k = {k} outside 0..{len(self.alphas) - 1}")
-        return k
-
-    def _degree(self, n) -> int:
-        """``n`` as a Szego degree: phi_n reads alpha_0 .. alpha_{n-1}."""
-        if int_argument("n", n) > len(self.alphas):
-            raise ValueError(f"degree {n} needs {n} Schur parameters, have {len(self.alphas)}")
-        return n
-
-    def alpha(self, k: int) -> complex:
-        return self.alphas[self._index(k)]
-
-    def rho(self, k: int) -> float:
-        return float(self._blocks[self._index(k), 0, 1].real)
-
-    @property
-    def rhos(self) -> np.ndarray:
-        return self._blocks[:, 0, 1].real
 
 
 def dual(coeffs) -> np.ndarray:
@@ -161,15 +99,6 @@ class PolynomialPair:
 
     def __repr__(self) -> str:
         return f"PolynomialPair(degree={self.degree})"
-
-
-def _one_parameter(name: str, value, index=None) -> SchurSequence:
-    """``value`` as a one-parameter ``SchurSequence``; its errors call it ``name``."""
-    value = complex_argument(name, value)
-    try:
-        return SchurSequence([value])
-    except InvalidSchurParameter:
-        raise InvalidSchurParameter(index, value, name) from None
 
 
 def szego_step(pair: PolynomialPair, alpha_k: complex) -> PolynomialPair:

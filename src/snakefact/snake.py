@@ -3,17 +3,16 @@
 The shape of a snake, its generating sequence and the order in which its
 Givens factors are multiplied, lives in ``shape`` and is re-exported here.
 A snake is stored as the pair (Schur sequence, generating sequence) plus
-that multiplication order.  The canonical Givens blocks are built once,
-with the Schur sequence, and are read-only, so the parameters and the
-blocks can never drift apart.
+that multiplication order.  The canonical Givens blocks are the Schur
+sequence's own, built once on first use and read-only, so the parameters
+and the blocks can never drift apart.  Loading this module, and building a
+snake, loads no NumPy: a factor and a window import it when they run.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import ShapeError, check, int_argument, unitarity_defect
-from .schur import SchurSequence, _one_parameter
+from .parameters import SchurSequence, _one_parameter
 from .shape import (
     GeneratingSequence,
     cmv_shape,
@@ -42,6 +41,8 @@ class GivensFactor:
     """
 
     def __init__(self, k: int, block):
+        import numpy as np
+
         k = int_argument("k", k)
         block = np.asarray(block, dtype=complex)
         if block.shape != (2, 2):
@@ -71,8 +72,8 @@ class SnakeFactorization:
     def __init__(self, schur: SchurSequence, gen: GeneratingSequence):
         if len(schur) != len(gen) + 1:
             raise ShapeError(
-                f"need exactly m + 1 Schur parameters for m shape bits; "
-                f"got {len(schur)} parameters for m = {len(gen)}"
+                f"a shape with {len(gen)} bits needs exactly {len(gen) + 1} Schur parameters, "
+                f"got {len(schur)}"
             )
         self.schur = schur
         self.gen = gen
@@ -95,7 +96,7 @@ class SnakeFactorization:
         )
 
 
-def _snake_product(snake: SnakeFactorization, blocks) -> np.ndarray:
+def _snake_product(snake: SnakeFactorization, blocks):
     """(k+1) x (k+1) product of the factors 0 .. k-1 with the k given blocks.
 
     Right-hand factors update columns (j, j+1) and left-hand factors rows
@@ -103,6 +104,8 @@ def _snake_product(snake: SnakeFactorization, blocks) -> np.ndarray:
     act only on indices >= k, so the leading k x k block of the product is
     that of the whole snake.
     """
+    import numpy as np
+
     k = len(blocks)
     out = np.eye(k + 1, dtype=complex)
     for j in snake.right_order:
@@ -114,7 +117,7 @@ def _snake_product(snake: SnakeFactorization, blocks) -> np.ndarray:
     return out
 
 
-def materialize_window(snake: SnakeFactorization, m: int) -> np.ndarray:
+def materialize_window(snake: SnakeFactorization, m: int):
     """Dense (m+2) x (m+2) product of the factors G_{0,1} .. G_{m,m+1}.
 
     Factors beyond index m act only on indices >= m + 1, so every window

@@ -50,6 +50,31 @@ def pair_text(pair):
     return "[{:.16g}, {:.16g}]".format(*pair)
 
 
+# Output of three entry invocations, captured before entry read scalar
+# blocks: a product with inner segments, a complex pair and a single
+# segment.  Two carry a signed zero, which the text renders as -0.  The
+# JSON is stored compact and compared as the command line indents it.
+ENTRY_GOLDEN = {
+    "hessenberg": (
+        ["--shape", "hessenberg", "--m", "6",
+         "--alphas=0.3+0.4j,-0.2j,0.5-0.1j,0.1+0.7j,-0.6,0.05+0.05j", "--i", "0", "--j", "4"],
+        'value: [-0.3096837096135345, -0]\nr: 0  t: 4  K: 1,2,3  b: 1  monotone: true\n',
+        '{"i":0,"j":4,"value":[-0.30968370961353453,-0.0],"r":0,"t":4,"K":[1,2,3],"b":1,"monotone":true}',
+    ),
+    "monomials": (
+        ["--monomials", "0,-1,1,-2,2,3",
+         "--alphas=0.6j,-0.3+0.1j,0.2,0.45-0.45j,-0.1j,0.7", "--i", "1", "--j", "0"],
+        'value: [-0.24, -0.08000000000000002]\nr: 1  t: 0  K: -  b: 0  monotone: true\n',
+        '{"i":1,"j":0,"value":[-0.24,-0.08000000000000002],"r":1,"t":0,"K":[],"b":0,"monotone":true}',
+    ),
+    "single": (
+        ["--s", "1,0,1", "--alphas=0.25,0.5,-0.75,0.125", "--i", "0", "--j", "0"],
+        'value: [0.25, -0]\nr: 0  t: 0  K: -  b: -  monotone: true\n',
+        '{"i":0,"j":0,"value":[0.25,-0.0],"r":0,"t":0,"K":[],"b":null,"monotone":true}',
+    ),
+}
+
+
 class TestBuild:
     def test_monomial_example(self, capsys):
         code, out, _ = run(capsys, "build", "--monomials", MIXED)
@@ -151,6 +176,13 @@ class TestEntry:
         want = entry(snake, 7, 5)
         assert complex(*report["value"]) == pytest.approx(want)
         assert report["r"] == 7 and report["t"] == 5 and report["K"] == [6]
+
+    @pytest.mark.parametrize("case", sorted(ENTRY_GOLDEN))
+    def test_golden_output(self, capsys, case):
+        argv, text, compact = ENTRY_GOLDEN[case]
+        assert run(capsys, "entry", *argv) == (0, text, "")
+        assert run(capsys, "entry", *argv, "--format", "json") == (
+            0, json.dumps(json.loads(compact), indent=2) + "\n", "")
 
     def test_out_of_range(self, capsys):
         code, _, err = run(
@@ -787,13 +819,18 @@ class TestErrors:
         (["bandwidth"], "no shape source given"),
         (["expand", "--s", "1,0", "--alphas", "0.1,0.2"],
          "a shape with 2 bits needs exactly 3 Schur parameters, got 2"),
+        (["build", "--s", "1,0", "--alphas", "0.1,0.2,0.3,0.4"],
+         "a shape with 2 bits needs exactly 3 Schur parameters, got 4"),
+        (["entry", "--s", "1,0", "--alphas", "0.1,0.2,1.5,0.4", "--i", "0", "--j", "0"],
+         "|alpha| = 1.5 >= 1; parameter 2 must lie strictly inside the open unit disk"),
         (["expand", "--s", "1,0", "--alphas", ","], "empty alpha list"),
         (["quadrature", "--n", "4", "--measure", "[1,2]"],
          "measure descriptor must be a JSON object with a 'type' field"),
         (["quadrature", "--n", "4", "--measure", '{"type": "cauchy"}'],
          "unknown measure type 'cauchy'"),
     ], ids=["cmv-with-s", "cmv-without-size", "bits-without-s", "monomials-without-list",
-            "no-shape", "alphas-count", "empty-alphas", "descriptor-not-object", "unknown-type"])
+            "no-shape", "alphas-count", "build-alphas-count", "bad-parameter-before-count",
+            "empty-alphas", "descriptor-not-object", "unknown-type"])
     def test_input_branch_names_its_cause(self, capsys, argv, cause):
         code, out, err = run(capsys, *argv)
         assert code == 2

@@ -13,7 +13,7 @@ from helpers import (
     random_bits,
     random_schur,
 )
-from snakefact.expand import bandwidths, entry, expand_dense, path
+from snakefact.expand import PathDescriptor, bandwidths, entry, expand_dense, path
 from snakefact.schur import SchurSequence
 from snakefact.snake import (
     GeneratingSequence,
@@ -33,6 +33,15 @@ def mixed_snake(rng=None):
 
 
 class TestPath:
+    def test_descriptor_is_a_named_tuple(self):
+        d = path(MIXED_GEN, 7, 5)
+        assert d._fields == ("i", "j", "r", "t", "K", "b", "monotone")
+        assert d == PathDescriptor(i=7, j=5, r=7, t=5, K=range(6, 7), b=0, monotone=True)
+        assert tuple(d) == (7, 5, 7, 5, range(6, 7), 0, True)
+        assert repr(d) == "PathDescriptor(i=7, j=5, r=7, t=5, K=range(6, 7), b=0, monotone=True)"
+        with pytest.raises(AttributeError):
+            d.r = 0
+
     def test_mixed_7_5(self):
         d = path(MIXED_GEN, 7, 5)
         assert (d.r, d.t) == (7, 5)
@@ -81,6 +90,41 @@ class TestEntry:
         snake = SnakeFactorization(random_schur(rng, 3), cmv_shape(2))
         a, rho = snake.schur.alphas, snake.schur.rhos
         assert entry(snake, 1, 2) == pytest.approx(-a[0] * rho[1])
+
+
+def array_entry(snake, i, j):
+    """Entry (i, j) as a product of NumPy scalars read from the block array."""
+    d = path(snake.gen, i, j)
+    if not d.monotone:
+        return 0j
+    blocks = snake.schur._blocks
+    if d.r == d.t:
+        return complex(blocks[d.r, i - d.r, j - d.t])
+    value = blocks[d.r, i - d.r, d.b] * blocks[d.t, 1 - d.b, j - d.t]
+    for k in d.K:
+        value *= blocks[k, 0, 1]
+    return complex(value)
+
+
+class TestScalarEntry:
+    """``entry`` multiplies Python complex numbers; the block array gives the same bits."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_repr_equals_the_array_product(self, seed):
+        rng = np.random.default_rng([seed, 28])
+        for draw in range(4):
+            m = int(rng.integers(1, 41))
+            mods = rng.uniform(0.0, 0.999999, size=m + 1)
+            alphas = mods * np.exp(1j * rng.uniform(-np.pi, np.pi, size=m + 1))
+            if draw % 2:  # real parameters give signed zeros
+                alphas = alphas.real * rng.choice([-1.0, 1.0], size=m + 1) + 0j
+            snake = SnakeFactorization(SchurSequence(alphas), GeneratingSequence(random_bits(rng, m)))
+            for i, j in itertools.product(range(m + 1), repeat=2):
+                assert repr(entry(snake, i, j)) == repr(array_entry(snake, i, j)), (seed, draw, i, j)
+
+    def test_value_is_a_python_complex(self):
+        snake = mixed_snake()
+        assert type(entry(snake, 7, 5)) is complex and type(entry(snake, 0, 0)) is complex
 
 
 class TestBlockTables:

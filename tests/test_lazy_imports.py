@@ -1,8 +1,10 @@
 """What each entry point loads, and the public names that loading lazily must keep.
 
-The shape layer (``snakefact.shape``) and ``snakefact.errors`` import nothing
-numerical, the package resolves its public names on first use, and the
-command line imports a numerical layer only in the subcommand that runs it.
+The shape layer (``snakefact.shape``), ``snakefact.parameters`` and
+``snakefact.errors`` import nothing numerical, ``snakefact.snake`` and
+``snakefact.expand`` import NumPy only for an array, the package resolves its
+public names on first use, and the command line imports a numerical layer
+only in the subcommand that runs it.
 """
 
 import decimal
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 import snakefact
-from snakefact import expand, shape, snake, verify
+from snakefact import expand, parameters, schur, shape, snake, verify
 from snakefact.cli import build_argument_parser, main
 from snakefact.errors import complex_argument, complex_arguments, real_argument, real_arguments
 
@@ -76,7 +78,37 @@ class TestImportGuards:
         assert loaded_after("import snakefact\nsnakefact.GeneratingSequence([1, 0])",
                             watched) == {"numpy": False, "snakefact.schur": False}
         assert loaded_after("import snakefact\nsnakefact.SchurSequence",
+                            watched) == {"numpy": False, "snakefact.schur": False}
+        assert loaded_after("import snakefact\nsnakefact.evaluate_phi",
                             watched) == {"numpy": True, "snakefact.schur": True}
+
+    @pytest.mark.parametrize("argv", [
+        ["entry", "--s", "1,0,1", "--alphas", "0.1,0.2j,0.3,-0.4", "--i", "1", "--j", "2"],
+        ["entry", "--shape", "cmv", "--alphas", "0.1,0.2j,0.3,-0.4,0.5", "--i", "3", "--j", "1"],
+        ["build", "--s", "1,0,1", "--alphas", "0.1,0.2j,0.3,-0.4"],
+        ["build", "--shape", "hessenberg", "--alphas", "0.1,0.2j,0.3"],
+    ], ids=["entry-bits", "entry-cmv", "build-bits", "build-hessenberg"])
+    def test_alphas_without_an_array_load_neither_numpy_nor_dataclasses(self, argv):
+        watched = ["numpy", "dataclasses", "snakefact.parameters", "snakefact.schur"]
+        assert loaded_after(cli_run(*argv), watched) == {
+            "numpy": False, "dataclasses": False, "snakefact.parameters": True, "snakefact.schur": False}
+
+    def test_library_entry_loads_no_numpy(self):
+        code = ("import snakefact.snake, snakefact.expand\n"
+                "from snakefact.parameters import SchurSequence\n"
+                "snake = snakefact.snake.SnakeFactorization(SchurSequence([0.1, 0.2j, 0.3]),\n"
+                "                                           snakefact.snake.cmv_shape(2))\n"
+                "assert snakefact.expand.entry(snake, 1, 2) != 0\n"
+                "assert snake.schur.rho(1) < 1")
+        assert loaded_after(code, ["numpy"]) == {"numpy": False}
+
+    @pytest.mark.parametrize("argv, module", [
+        (["expand", "--s", "1,0,1", "--alphas", "0.1,0.2j,0.3,-0.4", "--n", "4"], "numpy"),
+        (["entry", "--shape", "cmv", "--m", "4", "--measure", "lebesgue", "--i", "1", "--j", "2"],
+         "snakefact.oracle"),
+    ], ids=["expand-numpy", "entry-measure-oracle"])
+    def test_arrays_and_measures_still_load_their_layers(self, argv, module):
+        assert loaded_after(cli_run(*argv), [module]) == {module: True}
 
 
 class TestPublicNames:
@@ -108,6 +140,7 @@ class TestPublicNames:
         for name in ("GeneratingSequence", "hessenberg_shape", "cmv_shape", "shape_from_monomials"):
             assert getattr(snake, name) is getattr(shape, name)
         assert expand.bandwidths is shape.bandwidths
+        assert snakefact.SchurSequence is parameters.SchurSequence is schur.SchurSequence
         assert snakefact.errors.CaseResult is verify.CaseResult
 
 

@@ -25,6 +25,10 @@ from snakefact.snake import cmv_shape, hessenberg_shape
 EPS = np.finfo(float).eps
 
 disk_alphas = st.complex_numbers(max_magnitude=0.95, allow_infinity=False, allow_nan=False)
+# Up to 1 - 1e-12 in modulus, with either sign of zero in either part.
+signed_parts = st.sampled_from([0.0, -0.0]) | st.floats(-0.7, 0.7)
+block_alphas = (st.complex_numbers(max_magnitude=1 - 1e-12, allow_infinity=False, allow_nan=False)
+                | st.builds(complex, signed_parts, signed_parts))
 coeff_lists = st.lists(
     st.complex_numbers(max_magnitude=10.0, allow_infinity=False, allow_nan=False),
     min_size=1,
@@ -58,6 +62,21 @@ class TestSchurSequence:
         with pytest.raises(ValueError, match="read-only"):
             seq.rhos[0] = 0.0
         np.testing.assert_array_equal(seq._blocks[0], [[0.6, 0.8], [0.8, -0.6]])
+
+    def test_blocks_are_built_on_first_read(self):
+        seq = SchurSequence([0.6, 0.3j])
+        assert "_blocks" not in vars(seq)
+        assert seq.rho(0) == 0.8 and "_blocks" not in vars(seq)
+        assert seq._blocks is seq._blocks
+
+    @settings(deadline=None)
+    @given(st.lists(block_alphas, min_size=1, max_size=8))
+    def test_scalar_blocks_are_the_array_blocks_bit_for_bit(self, alphas):
+        seq = SchurSequence(alphas)
+        scalar = np.array([seq._block(k) for k in range(len(seq))], dtype=complex)
+        np.testing.assert_array_equal(scalar.view(np.uint64), seq._blocks.view(np.uint64))
+        rhos = np.array([seq.rho(k) for k in range(len(seq))])
+        np.testing.assert_array_equal(rhos.view(np.uint64), seq.rhos.view(np.uint64))
 
     @pytest.mark.parametrize("bad", ["0.1", None, [0.1], True, np.array([0.1])], ids=repr)
     def test_non_number_named_by_index(self, bad):

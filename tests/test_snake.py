@@ -175,6 +175,9 @@ class TestSnakeOrder:
             SnakeFactorization(SchurSequence([0.1] * 4), cmv_shape(4))
         with pytest.raises(ShapeError, match="exactly"):
             SnakeFactorization(SchurSequence([0.1] * 6), cmv_shape(4))
+        message = "^a shape with 4 bits needs exactly 5 Schur parameters, got 6$"
+        with pytest.raises(ShapeError, match=message):
+            SnakeFactorization(SchurSequence([0.1] * 6), cmv_shape(4))
 
 
 class TestMaterializeWindow:
