@@ -327,7 +327,6 @@ def cmd_quadrature(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    import dataclasses
     import itertools
 
     from .schur import SchurSequence
@@ -346,7 +345,7 @@ def cmd_verify(args) -> int:
     )
     record = {
         "seed": seed,
-        "results": [{**dataclasses.asdict(r), "passed": r.passed} for r in results],
+        "results": [{**r._asdict(), "passed": r.passed} for r in results],
         "passed": all(r.passed for r in results),
     }
 

@@ -7,7 +7,8 @@ is not a number and an angle or weight that is not a real number raise
 ``TypeError``; failures of a numerical
 computation to meet its accuracy contract derive from ``NumericalError``.
 A contract holds when its measured defect is ``<= bound``, a test that NaN
-fails.
+fails; ``CaseResult`` states that test once, and ``check`` and the verify
+suites both apply it.
 
 Loading this module loads no NumPy: the functions that compute with it
 import it when they run, so the shape layer and the command line's start-up
@@ -18,6 +19,7 @@ import cmath
 import math
 import operator
 import sys
+from collections import namedtuple
 
 
 class InvalidSchurParameter(ValueError):
@@ -62,14 +64,29 @@ class ConvergenceError(NumericalError):
 SUITE_NAMES = ("unitarity", "oracle-equivalence", "bandwidth", "round-trip", "exactness")
 
 
+class CaseResult(namedtuple("CaseResult", "suite case defect tolerance")):
+    """One contract case: its measured defect and the tolerance it must meet.
+
+    The verify suites report each of their cases as one; ``check`` builds
+    one without a suite.
+    """
+
+    __slots__ = ()
+
+    @property
+    def passed(self) -> bool:
+        """Whether ``defect <= tolerance``, a test that a NaN defect fails."""
+        return self.defect <= self.tolerance
+
+
 def check(what: str, value, bound: float, exc: type = NumericalError) -> float:
     """Return the measured ``value`` when it is within ``bound``.
 
     Otherwise raise ``exc("<what> (defect <value> > <bound>)")``.  The test
-    is ``value <= bound``, so a NaN defect always fails.
+    is ``CaseResult.passed``, so a NaN defect always fails.
     """
     value = float(value)
-    if not value <= bound:
+    if not CaseResult(None, what, value, bound).passed:
         raise exc(f"{what} (defect {value:.3e} > {bound:.3g})")
     return value
 
@@ -135,15 +152,23 @@ def complex_arguments(name: str, values) -> tuple:
     return tuple(map(complex, values))
 
 
-def laurent_argument(f) -> dict:
+def laurent_argument(name: str, f) -> dict:
     """A Laurent polynomial {exponent: coefficient} as a dict of ints to complex numbers.
 
-    Exponents go through ``int_argument`` with no lower bound.  A
-    coefficient that is not a number raises a ``TypeError``, and one that
-    is not finite a ``ValueError``, each naming "coefficient of z^<exponent>".
+    ``f`` must be a mapping; anything without ``items`` raises a
+    ``TypeError`` that names the parameter.  Exponents go through
+    ``int_argument`` with no lower bound.  A coefficient that is not a
+    number raises a ``TypeError``, and one that is not finite a
+    ``ValueError``, each naming "coefficient of z^<exponent>".
     """
+    try:
+        items = f.items()
+    except AttributeError:
+        raise TypeError(
+            f"{name} must be a mapping {{exponent: coefficient}}, got {type(f).__name__} {f!r}"
+        ) from None
     terms = {}
-    for e, c in f.items():
+    for e, c in items:
         e = int_argument("exponent", e, -math.inf)
         name = f"coefficient of z^{e}"
         if not cmath.isfinite(c := complex_argument(name, c)):
@@ -191,12 +216,3 @@ def unitarity_defect(m) -> float:
     gram[np.diag_indices(len(m))] -= 1.0
     return float(np.max(np.abs(gram)))
 
-
-def __getattr__(name: str):
-    # The verify suites' record is a dataclass that lives with them; it stays
-    # importable from here without loading NumPy for every user of this module.
-    if name == "CaseResult":
-        from .verify import CaseResult
-
-        return CaseResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -253,18 +253,22 @@ def schur_parameters(measure, count: int) -> SchurSequence:
 def inner_product(table: MomentTable, f, g) -> complex:
     """<f, g> = sum conj(f_a) g_b mu_{a-b} for Laurent coefficient mappings.
 
-    Both are checked by ``errors.laurent_argument``: integer exponents and
-    finite number coefficients.
+    Both are checked by ``errors.laurent_argument``: mappings of integer
+    exponents to finite number coefficients.
     """
-    f, g = laurent_argument(f), laurent_argument(g)
+    f, g = laurent_argument("f", f), laurent_argument("g", g)
     if not f or not g:
         return 0j
     return complex(np.conj([*f.values()]) @ table._gram([*f], [*g]) @ np.array([*g.values()]))
 
 
 def _exponents(gen: GeneratingSequence, n: int) -> list:
-    """Exponents of the monomials at positions 0 .. n of the ordering."""
-    return [0] + [-gen.p[k] if gen.s(k) == 1 else k - gen.p[k] for k in range(1, n + 1)]
+    """Exponents of the monomials at positions 0 .. n of the ordering.
+
+    ``n`` is checked by the shape index rule, ``GeneratingSequence._index``.
+    """
+    return [0] + [-gen.p[k] if gen.s(k) == 1 else k - gen.p[k]
+                  for k in range(1, gen._index(n) + 1)]
 
 
 def _gram_schmidt(table: MomentTable, exps) -> np.ndarray:
@@ -294,7 +298,7 @@ def gram_schmidt_laurent(table: MomentTable, gen: GeneratingSequence, n: int):
     coefficient of the monomial that is new at position k is real positive.
     The exponents 0 .. n span a range of n + 1 integers, so jmax >= n suffices.
     """
-    exps = _exponents(gen, gen._index(n))
+    exps = _exponents(gen, n)
     c = _gram_schmidt(table, exps)
     return [{e: complex(c[a, k]) for a, e in enumerate(exps[: k + 1])} for k in range(len(exps))]
 
@@ -313,13 +317,21 @@ def schur_from_moments(table: MomentTable, n: int) -> SchurSequence:
 
 
 def matrix_entry_oracle(table: MomentTable, gen: GeneratingSequence, i: int, j: int) -> complex:
-    """Entry <psi_i, z psi_j> of the multiplication operator, from moments only."""
+    """Entry <psi_i, z psi_j> of the multiplication operator, from moments only.
+
+    An index past the shape's bits raises the ``ValueError`` of the shape
+    index rule, as in ``multiplication_matrix``.
+    """
     i, j = int_argument("i", i), int_argument("j", j)
     return complex(multiplication_matrix(table, gen, max(i, j) + 1)[i, j])
 
 
 def multiplication_matrix(table: MomentTable, gen: GeneratingSequence, n: int) -> np.ndarray:
-    """Dense n x n matrix of <psi_i, z psi_j>, sharing one Gram-Schmidt run."""
+    """Dense n x n matrix of <psi_i, z psi_j>, sharing one Gram-Schmidt run.
+
+    Index n - 1 must be a position of the ordering, which
+    ``GeneratingSequence._index`` checks.
+    """
     exps = _exponents(gen, int_argument("n", n, 1) - 1)
     c = _gram_schmidt(table, exps)
     return c.conj().T @ table._gram(exps, shift=1) @ c

@@ -52,7 +52,6 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     NumericalError,
-    ShapeError,
     check,
     int_argument,
     laurent_argument,
@@ -74,6 +73,8 @@ __all__ = [
 ]
 
 _MAX_EIG_SIZE = 1024
+# Largest eigenpair residual |U v - lambda v| a rule or a reference accepts.
+_RESIDUAL_TOL = 1e-10
 _OMEGA = np.exp(1j)
 _EPS = float(np.finfo(float).eps)
 _EYE2 = np.eye(2)
@@ -100,13 +101,14 @@ def _corner_blocks(schur: SchurSequence, n: int, theta):
     """(theta, blocks) of an n-point para-unitary truncation: blocks 0 .. n-2 and the corner.
 
     Factor n - 1 enters only through its (0, 0) entry, e^{i theta}, so
-    alpha_{n-1} is never read and the rest of its block stays zero.
+    alpha_{n-1} is never read and the rest of its block stays zero: the
+    blocks are those of phi_{n-1}, whose degree ``SchurSequence._degree``
+    checks.
     """
     theta = real_argument("theta", theta)
     if not math.isfinite(theta):
         raise ValueError(f"theta = {theta} is not finite")
-    if n - 1 > len(schur):
-        raise ShapeError(f"n = {n} needs {n - 1} Schur parameters; only {len(schur)} given")
+    schur._degree(n - 1)
     corner = [[np.exp(1j * theta), 0.0], [0.0, 0.0]]
     return theta, np.concatenate((schur._blocks[: n - 1], [corner]))
 
@@ -172,7 +174,7 @@ def _checked_pairs(values: np.ndarray, vecs: np.ndarray, residual: float, defect
 
     ``defect`` is max|V^H V - I| of ``vecs``, or an upper bound on it.
     """
-    check("eigenpair residual too large", residual, 1e-10)
+    check("eigenpair residual too large", residual, _RESIDUAL_TOL)
     check("eigenvectors are not orthonormal", defect, 1e-9)
     return values, vecs
 
@@ -374,7 +376,8 @@ def _pencil_pairs(blocks: np.ndarray):
     ``eigh`` gives the eigenvectors Q of ``_pencil_cayley``'s real W^H A W,
     and Z = conj(W) Q gives V = conj(Z) and U V = L Z.  The pass fails
     where I + wU is singular, where some eigenpair residual exceeds
-    1e-10 (a node near -conj(w) makes A ill-conditioned), or where some
+    ``_RESIDUAL_TOL``, the bound of ``_checked_pairs`` (a node near
+    -conj(w) makes A ill-conditioned), or where some
     first component underflows to zero, so that a weight stays positive
     wherever a positive float64 can carry it.  With w = e^{i}, -conj(w)
     lies at the angle pi - 1, no rational multiple of pi, so no spectrum of
@@ -398,7 +401,7 @@ def _pencil_pairs(blocks: np.ndarray):
         values = np.einsum("ij,ij->j", z, image)
         vecs = np.conjugate(z, out=z)
         residual = _residual(image, values, vecs)
-        if not residual <= 1e-10 or not np.all(np.abs(vecs[0]) ** 2 > 0.0):
+        if not residual <= _RESIDUAL_TOL or not np.all(np.abs(vecs[0]) ** 2 > 0.0):
             return None
     return values, vecs, residual, _factor_defect(q, conj)
 
@@ -454,8 +457,10 @@ def szego_quadrature(schur: SchurSequence | SnakeFactorization, n: int, theta: f
     """n-point Szego rule for the measure with Schur parameters ``schur``.
 
     ``schur`` is a SchurSequence of at least n - 1 parameters, or a
-    SnakeFactorization, whose sequence is read; the rule reads alpha_0 ..
-    alpha_{n-2} and theta, and never the shape.
+    SnakeFactorization, whose sequence is read; any other type raises a
+    ``TypeError``.  The rule reads alpha_0 .. alpha_{n-2} and theta, and
+    never the shape; fewer parameters fail the degree rule of
+    ``SchurSequence._degree`` for phi_{n-1} with a ``ValueError``.
 
     Nodes are the eigenvalues of the para-unitary truncation and the weight
     of each node is the squared modulus of the first component of its
@@ -471,7 +476,11 @@ def szego_quadrature(schur: SchurSequence | SnakeFactorization, n: int, theta: f
     checked, so the shape never enters.
     """
     n = _rule_size(n)
-    schur = schur.schur if isinstance(schur, SnakeFactorization) else schur
+    if isinstance(schur, SnakeFactorization):
+        schur = schur.schur
+    elif not isinstance(schur, SchurSequence):
+        raise TypeError("schur must be a SchurSequence or a SnakeFactorization, "
+                        f"got {type(schur).__name__} {schur!r}")
     _, blocks = _corner_blocks(schur, n, theta)
     check("truncation blocks are not unitary", _block_defect(blocks), 1e-12)
     pairs = _pencil_pairs(blocks) or _general_pairs(
@@ -486,11 +495,11 @@ def szego_quadrature(schur: SchurSequence | SnakeFactorization, n: int, theta: f
 def apply_rule(rule: QuadratureRule, f) -> complex:
     """Apply the rule to a Laurent polynomial {exponent: coefficient}.
 
-    ``errors.laurent_argument`` checks it: integer exponents and finite
-    number coefficients.
+    ``errors.laurent_argument`` checks it: a mapping of integer exponents
+    to finite number coefficients.
     """
     values = np.zeros(rule.n, dtype=complex)
-    for e, c in laurent_argument(f).items():
+    for e, c in laurent_argument("f", f).items():
         values += c * rule.nodes**e
     return complex(np.dot(rule.weights, values))
 

@@ -1,19 +1,21 @@
 """Batch invariant suites behind the command line verifier.
 
 Each suite takes the keywords (rng, m, n, schur, measures), ignores those it
-does not use, and returns a list of CaseResult records; a case passes when
-its defect is within tolerance.  All randomness flows through one seeded
-generator so runs are reproducible (the CLI seeds it from SNAKE_SEED).
+does not use, and yields (case, defect, tolerance) for each of its cases;
+``run_suites`` records each as an ``errors.CaseResult`` under the suite's
+name, the record whose test ``errors.check`` applies, and a case passes
+when its defect is within tolerance.  All randomness flows through one
+seeded generator per suite so runs are reproducible (the CLI seeds it from
+SNAKE_SEED).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SUITE_NAMES, NumericalError, int_argument, unitarity_defect
+from .errors import SUITE_NAMES, CaseResult, NumericalError, int_argument, unitarity_defect
 from .expand import expand_dense
 from .oracle import (
     BernsteinSzego,
@@ -43,20 +45,8 @@ _MAX_BANDWIDTH_BITS = 16
 # The unitarity suite's largest truncation, of size m + 1, must be a
 # supported rule size.
 _MAX_UNITARITY_BITS = _MAX_EIG_SIZE - 1
-
-
-@dataclass
-class CaseResult:
-    """One case of a suite: its measured defect and the tolerance it must meet."""
-
-    suite: str
-    case: str
-    defect: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.defect <= self.tolerance
+# The suites that read n and a measure; only the unitarity suite reads alphas.
+_MEASURE_SUITES = ("oracle-equivalence", "exactness")
 
 
 def _random_shape(rng, m: int) -> GeneratingSequence:
@@ -104,45 +94,48 @@ def measured_bandwidths(gen: GeneratingSequence, schur: SchurSequence | None = N
     return int((rows - cols).max(initial=0)), int((cols - rows).max(initial=0))
 
 
-def _rule_defect(seq: SchurSequence, matrix: np.ndarray, theta: float) -> float:
+def _rule_defect(seq: SchurSequence, n: int, theta: float, measure) -> float:
+    """``measure(rule)`` for the n-point rule of ``seq`` at ``theta``.
+
+    A rule, or a reference inside ``measure``, that fails its contract has
+    an infinite defect.
+    """
+    try:
+        return measure(szego_quadrature(seq, n, theta))
+    except NumericalError:
+        return float("inf")
+
+
+def _eigen_gap(matrix: np.ndarray, rule) -> float:
     """Largest node or weight gap between the rule and the eigenpairs of a truncation.
 
-    The rule reads no shape, so this ties it to each snake's own truncation;
-    a rule or an eigensolve that fails its contract has an infinite defect.
+    The rule reads no shape, so this ties it to each snake's own truncation.
     The eigenpairs come from ``eigen_unitary``, NumPy's general eigensolver
     and one QR on the dense truncation, which shares no Cayley code with
     the rule's pencil pass.
     """
-    try:
-        rule = szego_quadrature(seq, len(matrix), theta)
-        values, vecs = eigen_unitary(matrix)
-    except NumericalError:
-        return float("inf")
+    values, vecs = eigen_unitary(matrix)
     order = np.argsort(_principal_argument(values), kind="stable")
     node_gap = np.max(np.abs(rule.nodes - values[order]))
     return float(max(node_gap, np.max(np.abs(rule.weights - np.abs(vecs[0, order]) ** 2))))
 
 
 def suite_unitarity(rng, m=None, n=None, schur=None, measures=None):
-    results = []
     m = len(schur) - 1 if schur is not None else 12 if m is None else m
     for name, gen in _shape_set(rng, m).items():
         seq = schur if schur is not None else _random_schur(rng, m + 1)
         snake = SnakeFactorization(seq, gen)
-        defect = unitarity_defect(materialize_window(snake, m))
-        results.append(CaseResult("unitarity", f"window/{name}/m={m}", defect, 1e-13))
+        yield f"window/{name}/m={m}", unitarity_defect(materialize_window(snake, m)), 1e-13
         for size in sorted({max(2, (m + 1) // 2), m + 1}):
             for theta in (0.0, 0.7):
                 truncation = truncate_para_unitary(snake, size, theta)
+                gap = _rule_defect(seq, size, theta, lambda rule: _eigen_gap(truncation.matrix, rule))
                 case = f"{name}/n={size}/theta={theta}"
-                for kind, defect in (("truncation", truncation.defect),
-                                     ("rule", _rule_defect(seq, truncation.matrix, theta))):
-                    results.append(CaseResult("unitarity", f"{kind}/{case}", defect, 1e-12))
-    return results
+                yield f"truncation/{case}", truncation.defect, 1e-12
+                yield f"rule/{case}", gap, 1e-12
 
 
 def suite_oracle_equivalence(rng, m=None, n=None, schur=None, measures=None):
-    results = []
     nmax = 8 if n is None else n
     measures = measures or _default_measures()
     shapes = _shape_set(rng, nmax, extra=2)
@@ -153,50 +146,30 @@ def suite_oracle_equivalence(rng, m=None, n=None, schur=None, measures=None):
             snake = SnakeFactorization(seq, gen)
             want = multiplication_matrix(table, gen, nmax + 1)
             got = expand_dense(snake, nmax + 1)
-            defect = float(np.max(np.abs(want - got)))
-            results.append(
-                CaseResult("oracle-equivalence", f"{mname}/{sname}", defect, 1e-9)
-            )
-    return results
+            yield f"{mname}/{sname}", float(np.max(np.abs(want - got))), 1e-9
 
 
 def suite_bandwidth(rng, m=None, n=None, schur=None, measures=None):
-    results = []
     m = 8 if m is None else m
     for bits in itertools.product((0, 1), repeat=m):
         gen = GeneratingSequence(bits)
         structural = bandwidths(gen)
         measured = measured_bandwidths(gen)
-        defect = float(
-            max(abs(structural[0] - measured[0]), abs(structural[1] - measured[1]))
-        )
+        defect = float(max(abs(s - t) for s, t in zip(structural, measured)))
         label = "".join(map(str, bits))
-        results.append(
-            CaseResult(
-                "bandwidth",
-                f"{label} structural={structural} measured={measured}",
-                defect,
-                0.0,
-            )
-        )
-    return results
+        yield f"{label} structural={structural} measured={measured}", defect, 0.0
 
 
 def suite_round_trip(rng, m=None, n=None, schur=None, measures=None):
-    results = []
     for length in (4, 8, 12):
         seq = _random_schur(rng, length, lo=0.1, hi=0.9)
         table = moments(BernsteinSzego(seq), length + 1)
         recovered = schur_from_moments(table, length)
-        defect = float(
-            np.max(np.abs(np.asarray(recovered.alphas) - np.asarray(seq.alphas)))
-        )
-        results.append(CaseResult("round-trip", f"length={length}", defect, 1e-8))
-    return results
+        defect = float(np.max(np.abs(np.subtract(recovered.alphas, seq.alphas))))
+        yield f"length={length}", defect, 1e-8
 
 
 def suite_exactness(rng, m=None, n=None, schur=None, measures=None):
-    results = []
     sizes = (4, 8) if n is None else (n,)
     measures = measures or _default_measures()
     for mname, measure in measures.items():
@@ -204,13 +177,8 @@ def suite_exactness(rng, m=None, n=None, schur=None, measures=None):
         for size in sizes:
             seq = schur_from_moments(table, size - 1)
             for theta in (0.0, 0.7):
-                case = f"{mname}/n={size}/theta={theta}"
-                try:
-                    defect = exactness_defect(szego_quadrature(seq, size, theta), table)
-                except NumericalError:
-                    defect = float("inf")
-                results.append(CaseResult("exactness", case, defect, 1e-9))
-    return results
+                defect = _rule_defect(seq, size, theta, lambda rule: exactness_defect(rule, table))
+                yield f"{mname}/n={size}/theta={theta}", defect, 1e-9
 
 
 SUITES = dict(zip(SUITE_NAMES, (suite_unitarity, suite_oracle_equivalence, suite_bandwidth,
@@ -225,15 +193,26 @@ def run_suites(
     schur: SchurSequence | None = None,
     measure=None,
 ):
-    """Run the named suites (all by default) and return their case results."""
+    """Run the named suites (all by default) and return their case results.
+
+    ``schur`` is read by the unitarity suite and ``measure`` by the
+    oracle-equivalence and exactness suites; a source that no named suite
+    reads raises ``ValueError`` rather than being ignored.
+    """
     names = list(names) if names else list(SUITES)
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    for source, given, readers in (
+        ("a Schur sequence (--alphas)", schur, ("unitarity",)),
+        ("a measure (--measure)", measure, _MEASURE_SUITES),
+    ):
+        if given is not None and not set(readers).intersection(names):
+            raise ValueError(f"{source} is read only by {' and '.join(readers)}; the selected "
+                             f"suites ({', '.join(names)}) would ignore it")
     m = None if m is None else int_argument("m", m, 1)
     if n is not None:
-        sized = {"oracle-equivalence", "exactness"}.intersection(names)
-        n = _rule_size(n) if sized else int_argument("n", n, 2)
+        n = _rule_size(n) if set(_MEASURE_SUITES).intersection(names) else int_argument("n", n, 2)
     if "bandwidth" in names and m is not None and m > _MAX_BANDWIDTH_BITS:
         raise ValueError(
             f"m = {m}; the bandwidth suite enumerates all 2^m shapes and takes "
@@ -252,8 +231,5 @@ def run_suites(
             f"takes m <= {_MAX_UNITARITY_BITS}"
         )
     measures = {"measure": measure} if measure is not None else None
-    results: list[CaseResult] = []
-    for name in names:
-        rng = np.random.default_rng(seed)
-        results += SUITES[name](rng, m=m, n=n, schur=schur, measures=measures)
-    return results
+    return [CaseResult(name, *case) for name in names for case in
+            SUITES[name](np.random.default_rng(seed), m=m, n=n, schur=schur, measures=measures)]

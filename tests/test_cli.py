@@ -256,7 +256,7 @@ class TestQuadrature:
         code, out, err = run(capsys, "quadrature", "--alphas", "0.3,0.2,0.1", "--n", "5")
         assert code == 2
         assert out == ""
-        assert err == "error: n = 5 needs 4 Schur parameters; only 3 given\n"
+        assert err == "error: degree 4 needs 4 Schur parameters, have 3\n"
 
     def test_csv_output(self, capsys):
         code, out, _ = run(
@@ -828,9 +828,19 @@ class TestErrors:
          "measure descriptor must be a JSON object with a 'type' field"),
         (["quadrature", "--n", "4", "--measure", '{"type": "cauchy"}'],
          "unknown measure type 'cauchy'"),
+        *((["verify", "--suite", suite, "--alphas", "0.5,0.3"],
+           "a Schur sequence (--alphas) is read only by unitarity; "
+           f"the selected suites ({suite}) would ignore it")
+          for suite in ("oracle-equivalence", "exactness", "round-trip", "bandwidth")),
+        *((["verify", "--suite", suite, "--measure", "lebesgue"],
+           "a measure (--measure) is read only by oracle-equivalence and exactness; "
+           f"the selected suites ({suite}) would ignore it")
+          for suite in ("unitarity", "bandwidth", "round-trip")),
     ], ids=["cmv-with-s", "cmv-without-size", "bits-without-s", "monomials-without-list",
             "no-shape", "alphas-count", "build-alphas-count", "bad-parameter-before-count",
-            "empty-alphas", "descriptor-not-object", "unknown-type"])
+            "empty-alphas", "descriptor-not-object", "unknown-type",
+            "alphas-oracle-equivalence", "alphas-exactness", "alphas-round-trip",
+            "alphas-bandwidth", "measure-unitarity", "measure-bandwidth", "measure-round-trip"])
     def test_input_branch_names_its_cause(self, capsys, argv, cause):
         code, out, err = run(capsys, *argv)
         assert code == 2

@@ -46,6 +46,15 @@ class TestCheck:
         assert not CaseResult("s", "c", 2e-9, 1e-9).passed
         assert not CaseResult("s", "c", float("nan"), 1e-9).passed
 
+    def test_case_result_is_an_immutable_record(self):
+        result = CaseResult("s", "c", 1e-9, 1e-9)
+        with pytest.raises(AttributeError):
+            result.defect = 0.0
+        with pytest.raises(AttributeError):
+            result.extra = 1
+        assert result._asdict() == {"suite": "s", "case": "c", "defect": 1e-9, "tolerance": 1e-9}
+        assert repr(result) == "CaseResult(suite='s', case='c', defect=1e-09, tolerance=1e-09)"
+
 
 class TestUnitarityDefect:
     def test_matches_the_formula(self):

@@ -149,6 +149,28 @@ def test_past_the_end_names_the_index(name, beyond):
         call(first + beyond)
 
 
+# An index past the shape's bits is the shape index rule's ValueError, which
+# names the index the ordering needs.  name: (call of one index, first index
+# past the shape, the ordering's index for it minus the call's)
+PAST_THE_SHAPE = {
+    "laurent_basis": (lambda n: laurent_basis(SCHUR, SNAKE.gen, n, Z), 5, 0),
+    "gram_schmidt_laurent": (lambda n: gram_schmidt_laurent(TABLE, SNAKE.gen, n), 5, 0),
+    "multiplication_matrix": (lambda n: multiplication_matrix(TABLE, SNAKE.gen, n), 6, -1),
+    "matrix_entry_oracle row": (lambda i: matrix_entry_oracle(TABLE, SNAKE.gen, i, 1), 5, 0),
+    "matrix_entry_oracle column": (lambda j: matrix_entry_oracle(TABLE, SNAKE.gen, 1, j), 5, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAST_THE_SHAPE))
+@pytest.mark.parametrize("beyond", [0, 3])
+def test_past_the_shape_is_the_shape_index_rule(name, beyond):
+    call, first, offset = PAST_THE_SHAPE[name]
+    index = first + beyond + offset
+    with pytest.raises(ValueError, match=f"^index {index} exceeds the 4 stored shape bits$"):
+        call(first + beyond)
+    call(first - 1)
+
+
 RULE = szego_quadrature(SNAKE, 3, 0.5)
 # Exponents are integers of either sign.  name: (call of one exponent, name in the error)
 EXPONENT_CALLS = {

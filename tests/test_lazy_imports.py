@@ -93,6 +93,14 @@ class TestImportGuards:
         assert loaded_after(cli_run(*argv), watched) == {
             "numpy": False, "dataclasses": False, "snakefact.parameters": True, "snakefact.schur": False}
 
+    @pytest.mark.parametrize("code", [
+        "import snakefact.verify",
+        cli_run("verify", "--suite", "round-trip", "--format", "json"),
+    ], ids=["library", "cli"])
+    def test_verify_loads_no_dataclasses(self, code):
+        watched = ["dataclasses", "snakefact.verify"]
+        assert loaded_after(code, watched) == {"dataclasses": False, "snakefact.verify": True}
+
     def test_library_entry_loads_no_numpy(self):
         code = ("import snakefact.snake, snakefact.expand\n"
                 "from snakefact.parameters import SchurSequence\n"

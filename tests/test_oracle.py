@@ -291,6 +291,14 @@ class TestInnerProduct:
             with pytest.raises(ValueError, match=r"^coefficient of z\^3 = .* is not finite$"):
                 inner_product(table, f, g)
 
+    @pytest.mark.parametrize("bad", [[1.0, 2.0], 1.0, None, "z"], ids=repr)
+    def test_polynomials_must_be_mappings(self, bad):
+        table = moments(Lebesgue(), 4)
+        for name, f, g in (("f", bad, {0: 1.0}), ("g", {0: 1.0}, bad)):
+            message = f"{name} must be a mapping {{exponent: coefficient}}, got {type(bad).__name__} {bad!r}"
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                inner_product(table, f, g)
+
     def test_empty_polynomial_is_zero_after_checks(self):
         table = moments(Lebesgue(), 4)
         assert inner_product(table, {}, {1: 2.0}) == 0j

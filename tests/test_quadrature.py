@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -748,8 +750,15 @@ class TestSzegoQuadrature:
         np.testing.assert_array_equal(got.weights, want.weights)
 
     def test_needs_n_minus_one_parameters(self):
-        with pytest.raises(ShapeError, match=r"^n = 5 needs 4 Schur parameters; only 3 given$"):
+        with pytest.raises(ValueError, match=r"^degree 4 needs 4 Schur parameters, have 3$"):
             szego_quadrature(SchurSequence([0.3, 0.2, 0.1]), 5, 0.0)
+
+    @pytest.mark.parametrize("bad", [[0.1, 0.2], (0.1, 0.2), np.array([0.1, 0.2]), 0.1, None,
+                                     hessenberg_shape(2)], ids=repr)
+    def test_schur_must_be_a_sequence_or_a_snake(self, bad):
+        with pytest.raises(TypeError, match="^schur must be a SchurSequence or a SnakeFactorization, "
+                                            f"got {type(bad).__name__} "):
+            szego_quadrature(bad, 3, 0.0)
 
     def test_theta_families_differ(self):
         rng = np.random.default_rng(27)
@@ -796,6 +805,13 @@ class TestApplyRule:
         rule = szego_quadrature(free_snake(7), 8, 0.0)
         with pytest.raises(ValueError, match=r"^coefficient of z\^3 = .* is not finite$"):
             apply_rule(rule, {3: bad})
+
+    @pytest.mark.parametrize("bad", [[1.0, 2.0], [(0, 1.0)], 1.0, None, "z^2", {0, 1}], ids=repr)
+    def test_polynomial_must_be_a_mapping(self, bad):
+        rule = szego_quadrature(free_snake(7), 8, 0.0)
+        message = f"f must be a mapping {{exponent: coefficient}}, got {type(bad).__name__} {bad!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            apply_rule(rule, bad)
 
 
 class TestQuadratureRuleValidation:
