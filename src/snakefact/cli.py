@@ -44,6 +44,10 @@ _MEASURE_NAMES = ("lebesgue",)
 # seem to hang: `bandwidth` of 2^20 factors takes 0.7 s and 103 MB
 # (hessenberg) to 1.0 s and 135 MB (cmv) on a 2-vCPU Xeon.
 _MAX_NAMED_FACTORS = 2**20
+# expand writes all n^2 entries: `expand --n 1024 --format json` takes 4.9 s
+# and 360 MB on a 2-vCPU Xeon, and each doubling of --n costs about four
+# times that.  So it stops where `quadrature --n` and the unitarity suite do.
+_MAX_EXPAND_SIZE = 1024
 
 
 def _fmt(x: float) -> str:
@@ -193,21 +197,24 @@ def _resolve(args, required: bool = True):
     """
     alphas, measure = _schur_source(args)
     gen = _resolve_shape(args, None if alphas is None else ("number of --alphas", len(alphas)))
-    if alphas is not None:
-        from .parameters import SchurSequence
-
-        schur = SchurSequence(alphas)
-    elif measure is not None:
-        from .oracle import schur_parameters
-
-        schur = schur_parameters(measure, len(gen) + 1)
-    elif required:
-        raise ValueError("no Schur parameters given; use --alphas or --measure")
-    else:
+    if alphas is None and measure is None and not required:
         return gen, None
     from .snake import SnakeFactorization
 
-    return gen, SnakeFactorization(schur, gen)
+    return gen, SnakeFactorization(_schur_sequence(alphas, measure, len(gen) + 1), gen)
+
+
+def _schur_sequence(alphas, measure, count: int):
+    """The Schur sequence of parsed --alphas, or the first ``count`` parameters of --measure."""
+    if alphas is not None:
+        from .parameters import SchurSequence
+
+        return SchurSequence(alphas)
+    if measure is None:
+        raise ValueError("no Schur parameters given; use --alphas or --measure")
+    from .oracle import schur_parameters
+
+    return schur_parameters(measure, count)
 
 
 def _emit(args, record: dict, text, csv=None) -> None:
@@ -263,6 +270,8 @@ def cmd_entry(args) -> int:
 def cmd_expand(args) -> int:
     from .expand import expand_dense
 
+    if args.n > _MAX_EXPAND_SIZE:
+        raise ValueError(f"n = {args.n} exceeds the supported {_MAX_EXPAND_SIZE}")
     _, snake = _resolve(args)
     record = {"n": args.n, "matrix": expand_dense(snake, args.n).tolist()}
 
@@ -289,15 +298,12 @@ def cmd_bandwidth(args) -> int:
 def cmd_quadrature(args) -> int:
     import numpy as np
 
-    from .oracle import BernsteinSzego, moments, schur_parameters
+    from .oracle import BernsteinSzego, moments
     from .quadrature import _principal_argument, _rule_size, exactness_defect, szego_quadrature
-    from .schur import SchurSequence
 
     n = _rule_size(args.n)
     alphas, measure = _schur_source(args)
-    if alphas is None and measure is None:
-        raise ValueError("no Schur parameters given; use --alphas or --measure")
-    schur = SchurSequence(alphas) if measure is None else schur_parameters(measure, n - 1)
+    schur = _schur_sequence(alphas, measure, n - 1)
     rule = szego_quadrature(schur, n, args.theta)
     record = {"n": n, "theta": args.theta, "nodes": rule.nodes.tolist(), "weights": rule.weights.tolist()}
     if args.verify:
@@ -328,6 +334,7 @@ def cmd_quadrature(args) -> int:
 
 def cmd_verify(args) -> int:
     import itertools
+    import math
 
     from .schur import SchurSequence
     from .verify import run_suites
@@ -343,23 +350,29 @@ def cmd_verify(args) -> int:
         [args.suite] if args.suite else None, seed=seed, m=args.m, n=args.n,
         schur=schur, measure=measure,
     )
+    # JSON has no infinity or NaN, so a defect that is not finite, as of a
+    # case that refused, is written as null.
     record = {
         "seed": seed,
-        "results": [{**r._asdict(), "passed": r.passed} for r in results],
+        "results": [{**r._asdict(), "defect": r.defect if math.isfinite(r.defect) else None,
+                     "passed": r.passed} for r in results],
         "passed": all(r.passed for r in results),
     }
+
+    def defect(c):
+        return math.inf if c["defect"] is None else c["defect"]
 
     def text(r):
         lines = []
         if args.suite:
             for c in r["results"]:
                 status = "ok" if c["passed"] else "FAIL"
-                lines.append(f"{c['case']:<48} defect={c['defect']:.3e} tol={c['tolerance']:.0e} {status}")
+                lines.append(f"{c['case']:<48} defect={defect(c):.3e} tol={c['tolerance']:.0e} {status}")
         lines.append(f"{'suite':<20} {'cases':>6} {'failed':>6} {'max defect':>12} {'tolerance':>10}")
         for name, cs in itertools.groupby(r["results"], key=lambda c: c["suite"]):
             cs = list(cs)
             failed = sum(not c["passed"] for c in cs)
-            worst = max(c["defect"] for c in cs)
+            worst = max(map(defect, cs))
             tol = min(c["tolerance"] for c in cs)
             lines.append(f"{name:<20} {len(cs):>6} {failed:>6} {worst:>12.3e} {tol:>10.0e}")
         lines.append(f"overall: {'PASS' if r['passed'] else 'FAIL'}")

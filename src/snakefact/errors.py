@@ -1,7 +1,8 @@
 """Exception types and the numerical-contract check shared across the package.
 
 Validation problems (bad parameters, malformed shapes, insufficient moment
-ranges, sizes and indices below their minimum) derive from ``ValueError``;
+ranges, sizes and indices below their minimum, and a position past a
+shape, which is an ``IndexError`` too) derive from ``ValueError``;
 a size, index or exponent that is not an integer, a Schur parameter that
 is not a number and an angle or weight that is not a real number raise
 ``TypeError``; failures of a numerical
@@ -44,6 +45,14 @@ class InvalidSchurParameter(ValueError):
 
 class ShapeError(ValueError):
     """Invalid generating sequence, monomial order, or incompatible lengths."""
+
+
+class ShapeIndexError(ShapeError, IndexError):
+    """A position past 0 .. m, the monomials, basis elements and factors of m shape bits.
+
+    Both a ``ShapeError`` and an ``IndexError``, as NumPy's ``AxisError`` is
+    both a ``ValueError`` and an ``IndexError``, so a caller may catch either.
+    """
 
 
 class MomentError(ValueError):

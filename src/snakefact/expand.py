@@ -55,13 +55,11 @@ def path(gen: GeneratingSequence, i: int, j: int) -> PathDescriptor:
     """Path descriptor for entry (i, j) of a snake with the given shape."""
     i = int_argument("i", i)
     j = int_argument("j", j)
-    m = len(gen)
-    if max(i, j) > m:
-        raise IndexError(f"entry ({i},{j}) outside the range covered by {m} shape bits")
+    gen._index(max(i, j))
     # The arrow at height i hits segment i first only if that segment sits to
     # the left of segment i-1 (s_i = 1); symmetrically for the column side.
-    r = i if (i == 0 or gen.s(i) == 1) else i - 1
-    t = j if (j == 0 or gen.s(j) == 0) else j - 1
+    r = i if (i == 0 or gen.bits[i - 1] == 1) else i - 1
+    t = j if (j == 0 or gen.bits[j - 1] == 0) else j - 1
     monotone = gen._lo[i] <= j <= gen._hi[i]
     if r > t:
         inner = range(t + 1, r)
@@ -110,10 +108,7 @@ def expand_dense(snake: SnakeFactorization, n: int):
 
     n = int_argument("n", n, 1)
     gen = snake.gen
-    if n - 1 > len(gen):
-        raise IndexError(
-            f"size {n} needs indices up to {n - 1}; shape covers 0..{len(gen)}"
-        )
+    gen._index(n - 1)
     blocks = snake.schur._blocks[:n]
     # Index k lies on segment k - 1 on the column side when s_k = 1 and on
     # the row side when s_k = 0, and otherwise on segment k.

@@ -267,7 +267,7 @@ def _exponents(gen: GeneratingSequence, n: int) -> list:
 
     ``n`` is checked by the shape index rule, ``GeneratingSequence._index``.
     """
-    return [0] + [-gen.p[k] if gen.s(k) == 1 else k - gen.p[k]
+    return [0] + [-gen.p[k] if gen.bits[k - 1] == 1 else k - gen.p[k]
                   for k in range(1, gen._index(n) + 1)]
 
 
@@ -319,8 +319,8 @@ def schur_from_moments(table: MomentTable, n: int) -> SchurSequence:
 def matrix_entry_oracle(table: MomentTable, gen: GeneratingSequence, i: int, j: int) -> complex:
     """Entry <psi_i, z psi_j> of the multiplication operator, from moments only.
 
-    An index past the shape's bits raises the ``ValueError`` of the shape
-    index rule, as in ``multiplication_matrix``.
+    An index past the shape's bits raises the ``ShapeIndexError`` of the
+    shape index rule, as in ``multiplication_matrix``.
     """
     i, j = int_argument("i", i), int_argument("j", j)
     return complex(multiplication_matrix(table, gen, max(i, j) + 1)[i, j])

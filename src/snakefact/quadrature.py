@@ -59,7 +59,7 @@ from .errors import (
     unitarity_defect,
 )
 from .schur import SchurSequence
-from .snake import SnakeFactorization, _snake_product, _window, materialize_window
+from .snake import SnakeFactorization, _snake_product, materialize_window
 
 __all__ = [
     "ParaUnitaryTruncation",
@@ -116,7 +116,7 @@ def _corner_blocks(schur: SchurSequence, n: int, theta):
 def truncate_para_unitary(snake: SnakeFactorization, n: int, theta: float) -> ParaUnitaryTruncation:
     """Unitary n x n truncation with corner phase e^{i theta}."""
     n = int_argument("n", n, 2)
-    _window(snake, n - 1)  # the shape must place factor n - 1, the corner
+    snake.gen._index(n - 1)  # the shape must place factor n - 1, the corner
     theta, blocks = _corner_blocks(snake.schur, n, theta)
     return ParaUnitaryTruncation(n, theta, _snake_product(snake, blocks)[:n, :n])
 

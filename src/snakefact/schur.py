@@ -189,5 +189,5 @@ def laurent_basis(schur: SchurSequence, gen, n: int, z):
         raise ValueError("z = 0 is outside the domain of a Laurent polynomial")
     phi, star = _szego_values(schur, schur._degree(n), zz)
     with np.errstate(all="ignore"):
-        (value,) = _finite([zz ** (-gen.p[n]) * (star if n and gen.s(n) else phi)], zz, lambda _: n)
+        (value,) = _finite([zz ** (-gen.p[n]) * (star if n and gen.bits[n - 1] else phi)], zz, lambda _: n)
     return complex(value) if np.ndim(value) == 0 else value

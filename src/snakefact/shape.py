@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import ShapeError, int_argument
+from .errors import ShapeError, ShapeIndexError, int_argument
 
 __all__ = [
     "GeneratingSequence",
@@ -81,9 +81,12 @@ class GeneratingSequence:
         return self.bits[n - 1]
 
     def _index(self, n) -> int:
-        """``n`` as a position 0 .. m of the ordering; beyond the bits it raises ``ValueError``."""
+        """``n`` as a position 0 .. m: a monomial, a basis element or a Givens factor.
+
+        The one statement of the shape's index range; past it raises ``ShapeIndexError``.
+        """
         if int_argument("n", n) > len(self.bits):
-            raise ValueError(f"index {n} exceeds the {len(self.bits)} stored shape bits")
+            raise ShapeIndexError(f"index {n} exceeds the {len(self.bits)} stored shape bits")
         return n
 
 

@@ -85,8 +85,7 @@ class SnakeFactorization:
 
     def factor(self, k: int) -> GivensFactor:
         """Canonical factor G_{k,k+1}, the Schur sequence's block k."""
-        if int_argument("k", k) >= self.num_factors:
-            raise IndexError(f"factor {k} outside 0..{self.num_factors - 1}")
+        k = self.gen._index(int_argument("k", k))
         return GivensFactor(k, self.schur._blocks[k])
 
     def __repr__(self) -> str:
@@ -124,12 +123,5 @@ def materialize_window(snake: SnakeFactorization, m: int):
     entry (i, j) with max(i, j) <= m agrees with the whole snake.  Entries
     in the last row and column are truncation artifacts.
     """
-    m = _window(snake, int_argument("m", m))
+    m = snake.gen._index(int_argument("m", m))
     return _snake_product(snake, snake.schur._blocks[: m + 1])
-
-
-def _window(snake: SnakeFactorization, m: int) -> int:
-    """``m`` once the snake has the factors 0 .. m of a window or truncation through index m."""
-    if m >= snake.num_factors:
-        raise ShapeError(f"window needs factors 0..{m} but only 0..{snake.num_factors - 1} exist")
-    return m

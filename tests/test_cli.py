@@ -190,7 +190,7 @@ class TestEntry:
             "--i", "0", "--j", "12",
         )
         assert code == 2
-        assert "outside" in err
+        assert err == "error: index 12 exceeds the 9 stored shape bits\n"
 
     def test_nan_alpha_rejected(self, capsys):
         code, _, err = run(
@@ -257,6 +257,12 @@ class TestQuadrature:
         assert code == 2
         assert out == ""
         assert err == "error: degree 4 needs 4 Schur parameters, have 3\n"
+
+    def test_missing_schur(self, capsys):
+        code, out, err = run(capsys, "quadrature", "--n", "4")
+        assert code == 2
+        assert out == ""
+        assert err == "error: no Schur parameters given; use --alphas or --measure\n"
 
     def test_csv_output(self, capsys):
         code, out, _ = run(
@@ -360,6 +366,28 @@ class TestVerify:
         assert code == 0
         assert "structural=" in out and "measured=" in out
         assert "overall: PASS" in out
+
+    def test_refused_rules_fail_with_an_infinite_defect(self, capsys):
+        # Parameters this close to the circle put some rule nodes within 1e-8
+        # of each other, so each rule refuses with a NumericalError.
+        argv = ["verify", "--suite", "unitarity", "--alphas", ",".join(["0.9999999999999999"] * 26)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        cases = [line.split() for line in out.splitlines() if "/" in line]
+        rules = [case for case in cases if case[0].startswith("rule/")]
+        assert len(rules) == 20 and {tuple(case[1:]) for case in rules} == {
+            ("defect=inf", "tol=1e-12", "FAIL")}
+        assert {case[-1] for case in cases if not case[0].startswith("rule/")} == {"ok"}
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 1
+
+        def refuse(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        results = json.loads(out, parse_constant=refuse)["results"]
+        for c in results:
+            refused = c["case"].startswith("rule/")
+            assert (c["defect"] is None, c["passed"]) == (refused, not refused)
 
     def test_suites_ask_for_the_moments_they_read(self, monkeypatch):
         # oracle-equivalence reads mu_j up to n + 1, exactness up to n - 1
@@ -739,6 +767,18 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert "n = 1025 exceeds the supported 1024" in err
+
+    @pytest.mark.parametrize("n", [10**20, 1025])
+    def test_oversized_expand_rejected_before_the_shape_is_built(self, capsys, monkeypatch, n):
+        def unreachable(*args):
+            raise AssertionError("the shape was built for an oversized expansion")
+
+        monkeypatch.setattr("snakefact.cli.hessenberg_shape", unreachable)
+        code, out, err = run(capsys, "expand", "--shape", "hessenberg", "--m", str(2**20),
+                             "--measure", "lebesgue", "--n", str(n))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: n = {n} exceeds the supported 1024\n"
 
     def test_named_shape_sized_by_alphas_names_alphas(self, capsys):
         code, out, err = run(capsys, "build", "--shape", "cmv", "--alphas", "0.3")

@@ -10,7 +10,14 @@ import pytest
 
 from helpers import count_eig_calls
 from snakefact import quadrature, verify
-from snakefact.errors import CaseResult, MomentError, NumericalError, check, unitarity_defect
+from snakefact.errors import (
+    CaseResult,
+    MomentError,
+    NumericalError,
+    ShapeError,
+    check,
+    unitarity_defect,
+)
 from snakefact.oracle import GridMeasure, Lebesgue, MomentTable, _gram_schmidt, moments
 from snakefact.quadrature import (
     ParaUnitaryTruncation,
@@ -20,7 +27,7 @@ from snakefact.quadrature import (
     truncate_para_unitary,
 )
 from snakefact.schur import PolynomialPair, SchurSequence
-from snakefact.snake import GivensFactor, SnakeFactorization, hessenberg_shape
+from snakefact.snake import GivensFactor, SnakeFactorization, hessenberg_shape, shape_from_monomials
 
 
 class TestCheck:
@@ -186,3 +193,32 @@ def test_cayley_residual_selects_the_fallback(monkeypatch):
     assert calls == [(2, 2)]
     assert np.allclose(rule.nodes, [-1.0, 1.0], atol=1e-12)
     assert np.allclose(rule.weights, [0.2, 0.8], atol=1e-12)
+
+
+# Each public constructor's refusal of a malformed input: (call, exception, message)
+MALFORMED = {
+    "QuadratureRule lengths": (lambda: QuadratureRule([1.0, -1.0], [1.0]), ValueError,
+                               "nodes and weights must be 1-d arrays of equal length"),
+    "PolynomialPair lengths": (lambda: PolynomialPair([0.5, 1.0], [1.0]), ValueError,
+                               "phi and phi_star must be 1-d arrays of equal length"),
+    "GivensFactor 3x3": (lambda: GivensFactor(0, np.eye(3)), ValueError,
+                         "a Givens block is a 2x2 matrix"),
+    "shape_from_monomials empty": (lambda: shape_from_monomials([]), ShapeError,
+                                   "empty monomial order"),
+    "MomentTable empty": (lambda: MomentTable([]), ValueError,
+                          "need moments for j = 0..jmax as a 1-d array"),
+    "MomentTable 2-d": (lambda: MomentTable([[1.0, 0.1]]), ValueError,
+                        "need moments for j = 0..jmax as a 1-d array"),
+    "run_suites unknown": (lambda: verify.run_suites(["bogus"]), ValueError,
+                           "unknown suite 'bogus'; choose from ['bandwidth', 'exactness', "
+                           "'oracle-equivalence', 'round-trip', 'unitarity']"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_is_refused(name):
+    call, exc, message = MALFORMED[name]
+    with pytest.raises(exc) as err:
+        call()
+    assert type(err.value) is exc
+    assert str(err.value) == message

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snakefact.cli import main
-from snakefact.errors import ShapeError, int_argument
+from snakefact.errors import ShapeError, ShapeIndexError, int_argument
 from snakefact.expand import entry, expand_dense, path
 from snakefact.oracle import (
     BernsteinSzego,
@@ -132,27 +132,38 @@ def test_numpy_integer_accepted(name):
         np.testing.assert_array_equal(call(kind(good)), call(good))
 
 
-# name: (call of one index, first index past the end, the stored range named)
+# name: (call of one index, first index past the end, the stored range named,
+# the IndexError raised)
 PAST_THE_END = {
-    "GeneratingSequence.s": (lambda n: SNAKE.gen.s(n), 5, "1..4"),
-    "factor": (lambda k: SNAKE.factor(k), 5, "0..4"),
-    "SchurSequence.alpha": (lambda k: SCHUR.alpha(k), 5, "0..4"),
-    "SchurSequence.rho": (lambda k: SCHUR.rho(k), 5, "0..4"),
+    "GeneratingSequence.s": (lambda n: SNAKE.gen.s(n), 5, "1..4", IndexError),
+    "factor": (lambda k: SNAKE.factor(k), 5, "the 4 stored shape bits", ShapeIndexError),
+    "SchurSequence.alpha": (lambda k: SCHUR.alpha(k), 5, "0..4", IndexError),
+    "SchurSequence.rho": (lambda k: SCHUR.rho(k), 5, "0..4", IndexError),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PAST_THE_END))
 @pytest.mark.parametrize("beyond", [0, 3])
 def test_past_the_end_names_the_index(name, beyond):
-    call, first, stored = PAST_THE_END[name]
-    with pytest.raises(IndexError, match=f"(?<!\\d){first + beyond}\\D.*{stored}"):
+    call, first, stored, error = PAST_THE_END[name]
+    with pytest.raises(error, match=f"(?<!\\d){first + beyond}\\D.*{stored}"):
         call(first + beyond)
 
 
-# An index past the shape's bits is the shape index rule's ValueError, which
-# names the index the ordering needs.  name: (call of one index, first index
-# past the shape, the ordering's index for it minus the call's)
+# An index past the shape's bits is the shape index rule's ShapeIndexError,
+# both an IndexError and a ShapeError, which names the index the ordering
+# needs.  name: (call of one index, first index past the shape, the
+# ordering's index for it minus the call's)
 PAST_THE_SHAPE = {
+    "path row": (lambda i: path(SNAKE.gen, i, 1), 5, 0),
+    "path column": (lambda j: path(SNAKE.gen, 1, j), 5, 0),
+    "entry row": (lambda i: entry(SNAKE, i, 1), 5, 0),
+    "entry column": (lambda j: entry(SNAKE, 1, j), 5, 0),
+    "expand_dense": (lambda n: expand_dense(SNAKE, n), 6, -1),
+    "materialize_window": (lambda m: materialize_window(SNAKE, m), 5, 0),
+    "principal_truncation": (lambda n: principal_truncation(SNAKE, n), 6, -1),
+    "truncate_para_unitary": (lambda n: truncate_para_unitary(SNAKE, n, 0.3), 6, -1),
+    "factor": (lambda k: SNAKE.factor(k), 5, 0),
     "laurent_basis": (lambda n: laurent_basis(SCHUR, SNAKE.gen, n, Z), 5, 0),
     "gram_schmidt_laurent": (lambda n: gram_schmidt_laurent(TABLE, SNAKE.gen, n), 5, 0),
     "multiplication_matrix": (lambda n: multiplication_matrix(TABLE, SNAKE.gen, n), 6, -1),
@@ -161,12 +172,16 @@ PAST_THE_SHAPE = {
 }
 
 
+def test_shape_index_error_is_an_index_and_a_shape_error():
+    assert issubclass(ShapeIndexError, IndexError) and issubclass(ShapeIndexError, ShapeError)
+
+
 @pytest.mark.parametrize("name", sorted(PAST_THE_SHAPE))
 @pytest.mark.parametrize("beyond", [0, 3])
 def test_past_the_shape_is_the_shape_index_rule(name, beyond):
     call, first, offset = PAST_THE_SHAPE[name]
     index = first + beyond + offset
-    with pytest.raises(ValueError, match=f"^index {index} exceeds the 4 stored shape bits$"):
+    with pytest.raises(ShapeIndexError, match=f"^index {index} exceeds the 4 stored shape bits$"):
         call(first + beyond)
     call(first - 1)
 

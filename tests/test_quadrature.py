@@ -13,7 +13,7 @@ from helpers import (
     random_schur,
 )
 from snakefact import quadrature
-from snakefact.errors import NumericalError, ShapeError, unitarity_defect
+from snakefact.errors import NumericalError, ShapeError, ShapeIndexError, unitarity_defect
 from snakefact.expand import entry, expand_dense
 from snakefact.oracle import BernsteinSzego, Lebesgue, inner_product, moments, schur_from_moments
 from snakefact.quadrature import (
@@ -213,12 +213,12 @@ class TestTruncationWindow:
         gen = {"hessenberg": hessenberg_shape(m), "cmv": cmv_shape(m),
                "random": GeneratingSequence(random_bits(rng, m))}[shape]
         snake = SnakeFactorization(random_schur(rng, m + 1), gen)
-        message = rf"^window needs factors 0\.\.{m + 1} but only 0\.\.{m} exist$"
+        message = rf"^index {m + 1} exceeds the {m} stored shape bits$"
         for truncation in (principal_truncation, lambda s, n: truncate_para_unitary(s, n, 0.3)):
             truncation(snake, m + 1)
-            with pytest.raises(ShapeError, match=message):
+            with pytest.raises(ShapeIndexError, match=message):
                 truncation(snake, m + 2)
-        with pytest.raises(ShapeError, match=message):
+        with pytest.raises(ShapeIndexError, match=message):
             materialize_window(snake, m + 1)
 
 
