@@ -23,10 +23,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
-from .errors import SUITE_NAMES, NumericalError, int_argument
+from .errors import _REAL_TYPES, MAX_SIZE, SUITE_NAMES, NumericalError, _all_numbers, int_argument
 from .shape import (
     GeneratingSequence,
     bandwidths,
@@ -46,8 +47,8 @@ _MEASURE_NAMES = ("lebesgue",)
 _MAX_NAMED_FACTORS = 2**20
 # expand writes all n^2 entries: `expand --n 1024 --format json` takes 4.9 s
 # and 360 MB on a 2-vCPU Xeon, and each doubling of --n costs about four
-# times that.  So it stops where `quadrature --n` and the unitarity suite do.
-_MAX_EXPAND_SIZE = 1024
+# times that.  So it stops at MAX_SIZE, where `quadrature --n` and the
+# unitarity suite do.
 
 
 def _fmt(x: float) -> str:
@@ -126,9 +127,7 @@ def _pairs(descriptor: dict, field: str, single: bool = False) -> list:
     value = descriptor[field]
     pairs = [value] if single else value
     if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in p)
-        for p in pairs
+        isinstance(p, list) and len(p) == 2 and _all_numbers(p, _REAL_TYPES) for p in pairs
     ):
         raise ValueError(f"field {field!r} of a {descriptor['type']} measure must be {shape}")
     try:
@@ -270,8 +269,8 @@ def cmd_entry(args) -> int:
 def cmd_expand(args) -> int:
     from .expand import expand_dense
 
-    if args.n > _MAX_EXPAND_SIZE:
-        raise ValueError(f"n = {args.n} exceeds the supported {_MAX_EXPAND_SIZE}")
+    if args.n > MAX_SIZE:
+        raise ValueError(f"n = {args.n} exceeds the supported {MAX_SIZE}")
     _, snake = _resolve(args)
     record = {"n": args.n, "matrix": expand_dense(snake, args.n).tolist()}
 
@@ -409,6 +408,11 @@ def build_argument_parser() -> argparse.ArgumentParser:
 
     def command(name, func, summary, groups, formats=("json",)):
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        # A token that starts like a negative number, or -inf or -nan, is the
+        # value of the option before it, so `--alphas -0.3,0.2` and `--theta
+        # -1e-3` parse as their `=` forms do; argparse's own matcher takes
+        # only a lone -<digits>[.<digits>].
+        p._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
         for group in groups:
             group(p)
         p.add_argument("--format", choices=formats,

@@ -3,13 +3,14 @@
 Validation problems (bad parameters, malformed shapes, insufficient moment
 ranges, sizes and indices below their minimum, and a position past a
 shape, which is an ``IndexError`` too) derive from ``ValueError``;
-a size, index or exponent that is not an integer, a Schur parameter that
-is not a number and an angle or weight that is not a real number raise
-``TypeError``; failures of a numerical
-computation to meet its accuracy contract derive from ``NumericalError``.
-A contract holds when its measured defect is ``<= bound``, a test that NaN
-fails; ``CaseResult`` states that test once, and ``check`` and the verify
-suites both apply it.
+a size, index or exponent that is not an integer and a number or array
+entry that is not a number of its kind raise ``TypeError``; failures of a
+numerical computation to meet its accuracy contract derive from
+``NumericalError``.  Numbers follow one type rule, ``complex_argument``
+and ``real_argument`` for one and ``number_array`` for an array, and one
+finiteness rule, ``finite``.  A contract holds when its measured defect is
+``<= bound``, a test that NaN fails; ``CaseResult`` states that test once,
+and ``check`` and the verify suites both apply it.
 
 Loading this module loads no NumPy: the functions that compute with it
 import it when they run, so the shape layer and the command line's start-up
@@ -72,6 +73,10 @@ class ConvergenceError(NumericalError):
 # function.
 SUITE_NAMES = ("unitarity", "oracle-equivalence", "bandwidth", "round-trip", "exactness")
 
+# The largest matrix the dense eigensolver takes, hence the largest Szego
+# rule, the unitarity suite's largest truncation and `expand --n`'s cap.
+MAX_SIZE = 1024
+
 
 class CaseResult(namedtuple("CaseResult", "suite case defect tolerance")):
     """One contract case: its measured defect and the tolerance it must meet.
@@ -120,45 +125,110 @@ def int_argument(name: str, value, lo: int = 0, exc: type = ValueError) -> int:
     raise TypeError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
 
 
-# Python number types, then the names of the NumPy abstract scalar types.
-_NUMBER_TYPES = ((int, float, complex), ("number",))
-_REAL_TYPES = ((int, float), ("integer", "floating"))
+# Python number types, the names of the NumPy abstract scalar types, and the
+# kinds of the NumPy dtypes that hold only such numbers.
+_NUMBER_TYPES = ((int, float, complex), ("number",), "iufc")
+_REAL_TYPES = ((int, float), ("integer", "floating"), "iuf")
+_INTEGER_TYPES = ((int,), ("integer",), "iu")
 
 
 def _is_number_type(cls: type, kinds: tuple = _NUMBER_TYPES) -> bool:
-    python_types, numpy_names = kinds
-    if issubclass(cls, bool):
-        return False
+    python_types, numpy_names, _ = kinds
     if issubclass(cls, python_types):
-        return True
+        return not issubclass(cls, bool)
     # A NumPy scalar exists only once NumPy is loaded, so NumPy is looked up
     # rather than imported: a process that never loads it never pays for it.
     np = sys.modules.get("numpy")
     return np is not None and issubclass(cls, tuple(getattr(np, name) for name in numpy_names))
 
 
+def _all_numbers(values, kinds: tuple = _NUMBER_TYPES) -> bool:
+    """Whether each entry of ``values`` is a number of ``kinds``, each distinct type checked once."""
+    return all(_is_number_type(cls, kinds) for cls in set(map(type, values)))
+
+
+def _number(name: str, value, kinds: tuple = _NUMBER_TYPES):
+    """``value`` when it is a number of ``kinds``; otherwise a ``TypeError`` that names it."""
+    if _is_number_type(type(value), kinds):
+        return value
+    what = "a real number" if kinds is _REAL_TYPES else "a number"
+    raise TypeError(f"{name} must be {what}, got {type(value).__name__} {value!r}")
+
+
+def _numbers(name: str, values, kinds: tuple = _NUMBER_TYPES):
+    """The sequence ``values`` once each is a number of ``kinds``; the error names "<name> <index>"."""
+    if not _all_numbers(values, kinds):
+        for k, value in enumerate(values):
+            _number(f"{name} {k}", value, kinds)  # raises at the first non-number
+    return values
+
+
 def complex_argument(name: str, value) -> complex:
     """``value`` as a complex, for an int, float, complex or NumPy number.
 
     A bool, a string, None or a container raises a ``TypeError`` that names
-    the parameter; whether the number is finite is for the caller to check.
+    the parameter; whether the number is finite is for ``finite`` to check.
     """
-    if _is_number_type(type(value)):
-        return complex(value)
-    raise TypeError(f"{name} must be a number, got {type(value).__name__} {value!r}")
+    return complex(_number(name, value))
 
 
 def complex_arguments(name: str, values) -> tuple:
     """Each of ``values`` as a complex; the ``TypeError`` names "<name> <index>".
 
     Each distinct type is checked once, so a long sequence costs little more
-    than its conversion.
+    than its conversion, and no NumPy is loaded.
     """
-    values = tuple(values)
-    if not all(map(_is_number_type, set(map(type, values)))):
-        for k, value in enumerate(values):
-            complex_argument(f"{name} {k}", value)  # raises at the first non-number
-    return tuple(map(complex, values))
+    return tuple(map(complex, _numbers(name, tuple(values))))
+
+
+def real_argument(name: str, value) -> float:
+    """``value`` as a float, for an int, float or NumPy integer or floating value.
+
+    A bool, a complex, a string, None or a container raises a ``TypeError``
+    that names the parameter; whether the number is finite is for
+    ``finite`` to check.
+    """
+    return float(_number(name, value, _REAL_TYPES))
+
+
+def number_array(name: str, values, real: bool = False):
+    """``values`` as a complex array, or with ``real`` a float array, of numbers.
+
+    The one type rule for array inputs.  An ndarray whose dtype holds only
+    such numbers passes at array speed.  Any other input, bool arrays
+    included, has each distinct element type checked once, and the
+    ``TypeError`` names "<name> <index>", the index counted in row-major
+    order, or ``name`` alone for a scalar.  Whether the numbers are finite
+    is for ``finite`` to check.
+    """
+    import numpy as np
+
+    kinds = _REAL_TYPES if real else _NUMBER_TYPES
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in kinds[2]):
+        objects = np.asarray(values, dtype=object)
+        if not objects.ndim:
+            _number(name, objects[()], kinds)
+        _numbers(name, objects.ravel(), kinds)
+    return np.asarray(values, dtype=float if real else complex)
+
+
+def real_arguments(name: str, values):
+    """``values`` as a float array: ``number_array`` for real numbers."""
+    return number_array(name, values, real=True)
+
+
+def finite(name: str, value):
+    """``value``, a number or an array, once each of its entries is finite.
+
+    Otherwise raise ``ValueError("<name> = <first bad entry> is not finite")``.
+    """
+    if isinstance(value, (int, float, complex)) and cmath.isfinite(value):
+        return value  # one finite Python number, the common case, needs no NumPy
+    import numpy as np
+
+    if not (ok := np.isfinite(value)).all():
+        raise ValueError(f"{name} = {np.ravel(value)[np.argmin(ok)]} is not finite")
+    return value
 
 
 def laurent_argument(name: str, f) -> dict:
@@ -180,38 +250,8 @@ def laurent_argument(name: str, f) -> dict:
     for e, c in items:
         e = int_argument("exponent", e, -math.inf)
         name = f"coefficient of z^{e}"
-        if not cmath.isfinite(c := complex_argument(name, c)):
-            raise ValueError(f"{name} = {c} is not finite")
-        terms[e] = c
+        terms[e] = finite(name, complex_argument(name, c))
     return terms
-
-
-def real_argument(name: str, value) -> float:
-    """``value`` as a float, for an int, float or NumPy integer or floating value.
-
-    A bool, a complex, a string, None or a container raises a ``TypeError``
-    that names the parameter; whether the number is finite is for the
-    caller to check.
-    """
-    if _is_number_type(type(value), _REAL_TYPES):
-        return float(value)
-    raise TypeError(f"{name} must be a real number, got {type(value).__name__} {value!r}")
-
-
-def real_arguments(name: str, values):
-    """``values`` as a float array; the ``TypeError`` names "<name> <index>".
-
-    An array of integer or floating dtype passes at array speed; otherwise
-    each distinct element type is checked once, as in ``complex_arguments``.
-    """
-    import numpy as np
-
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
-        values = np.asarray(values, dtype=object)
-        if not all(_is_number_type(cls, _REAL_TYPES) for cls in set(map(type, values.flat))):
-            for k, value in enumerate(values.flat):
-                real_argument(f"{name} {k}", value)  # raises at the first non-real
-    return np.asarray(values, dtype=float)
 
 
 def unitarity_defect(m) -> float:

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MomentError, NumericalError, check, int_argument, laurent_argument, real_arguments
+from .errors import (MomentError, NumericalError, check, int_argument, laurent_argument,
+                     number_array, real_arguments)
 from .schur import SchurSequence, _coefficients, _one_parameter, evaluate_phi
 from .shape import GeneratingSequence
 
@@ -75,7 +76,7 @@ class BernsteinSzego:
         self.prefix = prefix if isinstance(prefix, SchurSequence) else SchurSequence(prefix)
 
     def density(self, thetas: np.ndarray) -> np.ndarray:
-        z = np.exp(1j * np.asarray(thetas, dtype=float))
+        z = np.exp(1j * real_arguments("theta", thetas))
         phi, _ = evaluate_phi(self.prefix, len(self.prefix), z)
         return 1.0 / (2.0 * np.pi * np.abs(phi) ** 2)
 
@@ -128,7 +129,7 @@ class MomentTable:
     """
 
     def __init__(self, nonnegative_values):
-        vals = np.asarray(nonnegative_values, dtype=complex)
+        vals = number_array("moment", nonnegative_values)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("need moments for j = 0..jmax as a 1-d array")
         if not np.isfinite(vals).all():

@@ -50,12 +50,16 @@ import math
 import numpy as np
 
 from .errors import (
+    MAX_SIZE,
     ConvergenceError,
     NumericalError,
     check,
+    finite,
     int_argument,
     laurent_argument,
+    number_array,
     real_argument,
+    real_arguments,
     unitarity_defect,
 )
 from .schur import SchurSequence
@@ -72,7 +76,6 @@ __all__ = [
     "exactness_defect",
 ]
 
-_MAX_EIG_SIZE = 1024
 # Largest eigenpair residual |U v - lambda v| a rule or a reference accepts.
 _RESIDUAL_TOL = 1e-10
 _OMEGA = np.exp(1j)
@@ -105,9 +108,7 @@ def _corner_blocks(schur: SchurSequence, n: int, theta):
     blocks are those of phi_{n-1}, whose degree ``SchurSequence._degree``
     checks.
     """
-    theta = real_argument("theta", theta)
-    if not math.isfinite(theta):
-        raise ValueError(f"theta = {theta} is not finite")
+    theta = finite("theta", real_argument("theta", theta))
     schur._degree(n - 1)
     corner = [[np.exp(1j * theta), 0.0], [0.0, 0.0]]
     return theta, np.concatenate((schur._blocks[: n - 1], [corner]))
@@ -145,12 +146,12 @@ def eigen_unitary(matrix: np.ndarray):
     Cayley transform and no Hermitian solver enters, so this is a
     reference independent of the rule's pencil pass.
     """
-    matrix = np.asarray(matrix, dtype=complex)
+    matrix = number_array("matrix", matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
         raise ValueError(f"input must be a nonempty square matrix, got shape {matrix.shape}")
     n = len(matrix)
-    if n > _MAX_EIG_SIZE:
-        raise ValueError(f"matrix size {n} exceeds the supported {_MAX_EIG_SIZE}")
+    if n > MAX_SIZE:
+        raise ValueError(f"matrix size {n} exceeds the supported {MAX_SIZE}")
     check("input is not unitary", unitarity_defect(matrix), 1e-10, ValueError)
     values, vecs = _checked_pairs(*_general_pairs(matrix))
     # A unit column has a component of modulus >= n**-0.5, so every column has a lead.
@@ -164,8 +165,8 @@ def _rule_size(n) -> int:
     Checked before any n-sized work, so an oversized rule costs nothing.
     """
     n = int_argument("n", n, 2)
-    if n > _MAX_EIG_SIZE:
-        raise ValueError(f"rule size n = {n} exceeds the supported {_MAX_EIG_SIZE}")
+    if n > MAX_SIZE:
+        raise ValueError(f"rule size n = {n} exceeds the supported {MAX_SIZE}")
     return n
 
 
@@ -410,8 +411,7 @@ class QuadratureRule:
     """Nodes on the unit circle and positive weights of an n-point rule."""
 
     def __init__(self, nodes, weights):
-        nodes = np.asarray(nodes, dtype=complex)
-        weights = np.asarray(weights, dtype=float)
+        nodes, weights = number_array("node", nodes), real_arguments("weight", weights)
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
         if not nodes.size:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError, check, complex_argument
+from .errors import NumericalError, check, finite, number_array
 from .parameters import SchurSequence, _one_parameter, _rho
 
 __all__ = [
@@ -59,8 +59,7 @@ def dual(coeffs) -> np.ndarray:
     the dual is the conjugated reversal, so coefficient j of the result is
     the conjugate of coefficient n - j of the input.
     """
-    c = np.asarray(coeffs, dtype=complex)
-    return np.conj(c[::-1])
+    return np.conj(number_array("coeffs", coeffs)[::-1])
 
 
 class PolynomialPair:
@@ -73,12 +72,9 @@ class PolynomialPair:
     """
 
     def __init__(self, phi, phi_star):
-        phi = np.asarray(phi, dtype=complex)
-        phi_star = np.asarray(phi_star, dtype=complex)
+        phi, phi_star = finite("phi", number_array("phi", phi)), number_array("phi_star", phi_star)
         if phi.ndim != 1 or phi.shape != phi_star.shape or phi.size == 0:
             raise ValueError("phi and phi_star must be 1-d arrays of equal length")
-        if not np.isfinite(phi).all():
-            raise ValueError("phi must be finite")
         scale = max(np.max(np.abs(phi)), 1.0)
         check("phi_star is not the dual of phi", np.max(np.abs(phi_star - dual(phi))),
               1e-9 * scale, ValueError)
@@ -116,17 +112,8 @@ def polynomial_pair(schur: SchurSequence, n: int) -> PolynomialPair:
 
 
 def _points(z) -> np.ndarray:
-    """``z`` as a complex array of finite points; the errors name ``z``.
-
-    A scalar goes through ``errors.complex_argument``, and an array must
-    have a numeric dtype other than bool.
-    """
-    zz = np.asarray(z if isinstance(z, np.ndarray) or np.ndim(z) else complex_argument("z", z))
-    if zz.dtype.kind not in "iufc":
-        raise TypeError(f"z must hold numbers, got an array of dtype {zz.dtype}")
-    if not (finite := np.isfinite(zz)).all():
-        raise ValueError(f"z = {zz.flat[np.argmin(finite)]} is not finite")
-    return zz.astype(complex, copy=False)
+    """``z`` as a complex array of finite points; ``number_array`` and ``finite`` name it ``z``."""
+    return finite("z", number_array("z", z))
 
 
 def _value_steps(schur: SchurSequence, n: int, z: np.ndarray):
@@ -143,8 +130,8 @@ def _finite(values, z: np.ndarray, degree):
     Otherwise ``NumericalError`` names the first point where one is not,
     and ``degree(point)``, the degree at which its values left float64.
     """
-    if not (finite := np.isfinite(values).all(axis=0)).all():
-        point = z.flat[np.argmin(finite)]
+    if not (ok := np.isfinite(values).all(axis=0)).all():
+        point = z.flat[np.argmin(ok)]
         raise NumericalError(f"the value of degree {degree(point)} at z = {point} leaves float64")
     return values
 
@@ -167,8 +154,9 @@ def evaluate_phi(schur: SchurSequence, n: int, z):
 
     Running the recursion on values instead of coefficients costs O(n) per
     point and avoids the cancellation that coefficient expansion can suffer.
-    ``z`` may be a scalar or an ndarray of finite numbers; the recursion is
-    applied elementwise.  A value beyond float64 raises ``NumericalError``
+    ``z`` may be a number or an array of finite numbers, checked by
+    ``errors.number_array`` and ``errors.finite``; the recursion is applied
+    elementwise.  A value beyond float64 raises ``NumericalError``
     naming the degree at which it left and the first such point.
     """
     phi, star = _szego_values(schur, schur._degree(n), _points(z))

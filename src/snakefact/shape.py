@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import ShapeError, ShapeIndexError, int_argument
+from .errors import _INTEGER_TYPES, ShapeError, ShapeIndexError, _all_numbers, int_argument
 
 __all__ = [
     "GeneratingSequence",
@@ -47,10 +47,13 @@ class GeneratingSequence:
 
     def __init__(self, bits):
         raw = tuple(bits)
-        for n, b in enumerate(raw, start=1):
-            if b not in (0, 1):
-                raise ShapeError(f"shape bit s_{n} = {b!r}; bits must be 0 or 1")
-        self.bits = bits = tuple(int(b) for b in raw)
+        # Integers, NumPy ones included, with each distinct type checked once:
+        # a float 1.0 or a bool equals a bit but is refused.
+        if not (_all_numbers(raw, _INTEGER_TYPES) and set(raw) <= {0, 1}):
+            n, b = next((n, b) for n, b in enumerate(raw, start=1)
+                        if not (_all_numbers([b], _INTEGER_TYPES) and b in (0, 1)))
+            raise ShapeError(f"shape bit s_{n} = {b!r}; bits must be 0 or 1")
+        self.bits = bits = tuple(map(int, raw))
         self.p = tuple(itertools.accumulate(bits, initial=0))
         m = len(bits)
         lo = [0] * (m + 2)

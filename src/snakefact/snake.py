@@ -11,7 +11,7 @@ snake, loads no NumPy: a factor and a window import it when they run.
 
 from __future__ import annotations
 
-from .errors import ShapeError, check, int_argument, unitarity_defect
+from .errors import ShapeError, check, int_argument, number_array, unitarity_defect
 from .parameters import SchurSequence, _one_parameter
 from .shape import (
     GeneratingSequence,
@@ -41,10 +41,8 @@ class GivensFactor:
     """
 
     def __init__(self, k: int, block):
-        import numpy as np
-
         k = int_argument("k", k)
-        block = np.asarray(block, dtype=complex)
+        block = number_array("block", block)
         if block.shape != (2, 2):
             raise ValueError("a Givens block is a 2x2 matrix")
         check("block is not unitary", unitarity_defect(block), 1e-14, ValueError)
@@ -78,10 +76,6 @@ class SnakeFactorization:
         self.schur = schur
         self.gen = gen
         self.left_order, self.right_order = multiplication_orders(gen)
-
-    @property
-    def num_factors(self) -> int:
-        return len(self.gen) + 1
 
     def factor(self, k: int) -> GivensFactor:
         """Canonical factor G_{k,k+1}, the Schur sequence's block k."""

@@ -15,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from .errors import SUITE_NAMES, CaseResult, NumericalError, int_argument, unitarity_defect
+from .errors import MAX_SIZE, SUITE_NAMES, CaseResult, NumericalError, int_argument, unitarity_defect
 from .expand import expand_dense
 from .oracle import (
     BernsteinSzego,
@@ -25,7 +25,6 @@ from .oracle import (
     schur_from_moments,
 )
 from .quadrature import (
-    _MAX_EIG_SIZE,
     _principal_argument,
     _rule_size,
     eigen_unitary,
@@ -44,7 +43,7 @@ __all__ = ["CaseResult", "SUITES", "run_suites", "measured_bandwidths"]
 _MAX_BANDWIDTH_BITS = 16
 # The unitarity suite's largest truncation, of size m + 1, must be a
 # supported rule size.
-_MAX_UNITARITY_BITS = _MAX_EIG_SIZE - 1
+_MAX_UNITARITY_BITS = MAX_SIZE - 1
 # The suites that read n and a measure; only the unitarity suite reads alphas.
 _MEASURE_SUITES = ("oracle-equivalence", "exactness")
 

@@ -637,6 +637,29 @@ class TestErrors:
         assert code == 2
         assert "theta" in err
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["entry", "--s", "1,0", "--i", "0", "--j", "0"], "--alphas", "-0.3,0.2,0.1"),
+        (["quadrature", "--alphas", "0.3,0.2", "--n", "3"], "--theta", "-1e-3"),
+        (["quadrature", "--alphas", "0.3,0.2", "--n", "3"], "--theta", "-.5"),
+        (["expand", "--s", "0,1", "--n", "3", "--format", "csv"], "--alphas", "-.25j,0.5,-1e-2"),
+        (["build", "--m", "3", "--shape", "cmv"], "--alphas", "-0.5,-0.25,-0.125"),
+    ], ids=["entry alphas", "theta exponent", "theta leading point", "expand alphas", "build alphas"])
+    def test_negative_value_after_its_flag(self, capsys, argv, flag, value):
+        spaced = run(capsys, *argv, flag, value)
+        assert spaced == run(capsys, *argv, f"{flag}={value}")
+        assert spaced[0] == 0, spaced[2]
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity"])
+    def test_negative_non_finite_value_is_read_and_refused(self, capsys, value):
+        code, _, err = run(capsys, "quadrature", "--alphas", "0.3,0.2", "--n", "3", "--theta", value)
+        assert code == 2
+        assert err == f"error: theta = {float(value)} is not finite\n"
+
+    def test_flag_is_not_a_value(self, capsys):
+        code, _, err = run(capsys, "quadrature", "--alphas", "--measure", "lebesgue")
+        assert code == 2
+        assert "argument --alphas: expected one argument" in err
+
     def test_grid_with_too_few_atoms(self, capsys):
         # three atoms carry only alpha_0 and alpha_1 inside the unit disk,
         # which is what a 3-point rule reads

@@ -271,7 +271,7 @@ class TestSzegoValuesAtTheBoundary:
     @pytest.mark.parametrize("which", EVALUATIONS)
     @pytest.mark.parametrize("bad", ["x", None, True, [1.0, "x"], np.array([True]), [None]])
     def test_z_not_a_number_is_named(self, which, bad):
-        with pytest.raises(TypeError, match="^z must"):
+        with pytest.raises(TypeError, match=r"^z (\d+ )?must"):
             self.EVALUATIONS[which](SchurSequence([0.3, 0.2j, -0.1]), bad)
 
     @pytest.mark.parametrize("which", EVALUATIONS)

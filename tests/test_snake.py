@@ -37,6 +37,26 @@ class TestGeneratingSequence:
         with pytest.raises(ShapeError):
             GeneratingSequence([1.7])
 
+    @pytest.mark.parametrize("bits, n", [
+        ([1.0, 0.0], 1),
+        ([0, True, False], 2),
+        (np.array([0.0, 1.0]), 1),
+        (np.array([1, 0], dtype=bool), 1),
+        ([0, 1, 1.0], 3),
+    ], ids=["floats", "bools", "float array", "bool array", "float after ints"])
+    def test_bits_must_be_integers(self, bits, n):
+        with pytest.raises(ShapeError) as err:
+            GeneratingSequence(bits)
+        assert str(err.value) == f"shape bit s_{n} = {bits[n - 1]!r}; bits must be 0 or 1"
+
+    @pytest.mark.parametrize("bits", [
+        np.array([1, 0, 1]), [np.int8(1), np.uint64(0), 1], np.random.default_rng(0).integers(0, 2, 3),
+    ], ids=["int array", "numpy scalars", "rng draw"])
+    def test_numpy_integer_bits_pass(self, bits):
+        gen = GeneratingSequence(bits)
+        assert gen.bits == tuple(int(b) for b in bits)
+        assert all(type(b) is int for b in gen.bits)
+
     @settings(deadline=None)
     @given(bit_lists)
     def test_prefix_invariants(self, bits):
