@@ -37,8 +37,10 @@ real symmetric eigensolver gives its eigenvectors Q.  One product
 Z = conj(W) Q serves the rest: V = W Q = conj(Z), U V = L Z, and the
 Rayleigh quotients are sum_i Z_ij (L Z)_ij.  Unitarity is checked block by
 block, and orthonormality on the real factors Q and W, never on V^H V.
-Where the pencil pass fails, the general eigensolver and one QR run on L M,
-built from the same blocks, and measure V^H V directly.  ``eigen_unitary``
+Where the pencil pass raises the reason it refuses, or fails the residual
+or orthonormality bound that ``_checked_pairs`` applies to both routes,
+the general eigensolver and one QR run on L M, built from the same blocks,
+and measure V^H V directly.  ``eigen_unitary``
 is that general eigensolver and QR alone, on a dense unitary matrix: it
 shares no Cayley code with the rule, so it is an independent reference.
 """
@@ -76,7 +78,8 @@ __all__ = [
     "exactness_defect",
 ]
 
-# Largest eigenpair residual |U v - lambda v| a rule or a reference accepts.
+# Largest eigenpair residual |U v - lambda v| that ``_checked_pairs`` accepts,
+# on both routes of a rule and in the reference.
 _RESIDUAL_TOL = 1e-10
 _OMEGA = np.exp(1j)
 _EPS = float(np.finfo(float).eps)
@@ -272,7 +275,7 @@ def _pencil_pivots(diag: list, off: list):
 
 
 def _pencil_cayley(blocks: np.ndarray, conj: np.ndarray):
-    """Upper triangle of twice the real W^H A W from the tridiagonal pencil, or None.
+    """Upper triangle of twice the real W^H A W from the tridiagonal pencil.
 
     I + wU = L T with T = L^H + wM, so the Cayley matrix (I + wU)^-1 (I - wU)
     is I - 2w T^-1 M, and W^H A W = Im(2w K T^-1 K^T) with K = W^H, since
@@ -286,7 +289,7 @@ def _pencil_cayley(blocks: np.ndarray, conj: np.ndarray):
     r_k = -t_{k,k+1} / d_k, |r_k|^2 |d_k| = rho_k^2 / |d_k| <= 1 + |alpha_k|,
     so |F| |D| |F^T| <= 4 entrywise and no pivoting is needed.  Only the last
     pivot, where the corner e^{i theta} enters, can vanish, and it does where
-    I + wU is singular.
+    I + wU is singular; then a ``NumericalError`` says so.
 
     T^-1 is semiseparable: for i <= j, (T^-1)_ij = g_j Pi_j / Pi_i with
     Pi_m = r_0 .. r_{m-1} and g_j = (T^-1)_jj = 1 / d_j + r_j^2 g_{j+1}.  So
@@ -306,7 +309,7 @@ def _pencil_cayley(blocks: np.ndarray, conj: np.ndarray):
     off[::2] *= _OMEGA
     pivots = _pencil_pivots(diag.tolist(), off.tolist())
     if pivots is None:
-        return None
+        raise NumericalError("the Cayley pencil is singular: a pivot is zero")
     half, full = (n + 1) // 2, n // 2  # blocks of K, with and without a 1 x 1 corner
     with np.errstate(all="ignore"):
         ratio = np.concatenate((-off / np.array(pivots[:-1]), (1.0, 1.0)))[: 2 * half]
@@ -372,15 +375,17 @@ def _factor_defect(q: np.ndarray, conj: np.ndarray) -> float:
 
 
 def _pencil_pairs(blocks: np.ndarray):
-    """(values, vecs, residual, defect) of the rule's Cayley pass, or None where it fails.
+    """(values, vecs, residual, defect) of the rule's Cayley pass for ``_checked_pairs``.
 
     ``eigh`` gives the eigenvectors Q of ``_pencil_cayley``'s real W^H A W,
-    and Z = conj(W) Q gives V = conj(Z) and U V = L Z.  The pass fails
-    where I + wU is singular, where some eigenpair residual exceeds
-    ``_RESIDUAL_TOL``, the bound of ``_checked_pairs`` (a node near
-    -conj(w) makes A ill-conditioned), or where some
-    first component underflows to zero, so that a weight stays positive
-    wherever a positive float64 can carry it.  With w = e^{i}, -conj(w)
+    and Z = conj(W) Q gives V = conj(Z) and U V = L Z.  The pass raises a
+    ``NumericalError`` that names its refusal where I + wU is singular,
+    where ``eigh`` does not converge (a ``ConvergenceError``), or where the
+    squared modulus of some first component underflows to 0, so that a
+    weight stays positive wherever a positive float64 can carry it; a NaN
+    component is left to the residual.  The residual and the orthonormality
+    bound are ``_checked_pairs``' alone: a node near -conj(w) makes A
+    ill-conditioned and fails the residual there.  With w = e^{i}, -conj(w)
     lies at the angle pi - 1, no rational multiple of pi, so no spectrum of
     roots of unity makes I + wU singular.  Upper storage makes the
     tridiagonal reduction pin the last row of its transformation rather
@@ -389,22 +394,19 @@ def _pencil_pairs(blocks: np.ndarray):
     """
     conj = _takagi_blocks(blocks).conj()
     hermitian = _pencil_cayley(blocks, conj)
-    if hermitian is None:
-        return None
     with np.errstate(all="ignore"):
         try:
             q = np.linalg.eigh(hermitian, UPLO="U")[1]
-        except np.linalg.LinAlgError:
-            return None
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"the Cayley pencil's eigh did not converge: {exc}") from exc
         del hermitian
         z = _half_product(conj, 0, q)
         image = _half_product(blocks, 1, z)
         values = np.einsum("ij,ij->j", z, image)
         vecs = np.conjugate(z, out=z)
-        residual = _residual(image, values, vecs)
-        if not residual <= _RESIDUAL_TOL or not np.all(np.abs(vecs[0]) ** 2 > 0.0):
-            return None
-    return values, vecs, residual, _factor_defect(q, conj)
+        check("weights of the Cayley pass underflow to 0",
+              np.count_nonzero(np.abs(vecs[0]) ** 2 == 0.0), 0)
+        return values, vecs, _residual(image, values, vecs), _factor_defect(q, conj)
 
 
 class QuadratureRule:
@@ -453,6 +455,12 @@ def _principal_argument(z: np.ndarray) -> np.ndarray:
     return np.where(ang >= np.pi - 1e-12, ang - 2.0 * np.pi, ang)
 
 
+def _sorted_rule(values: np.ndarray, vecs: np.ndarray) -> QuadratureRule:
+    """The rule of eigenpairs: weights |v_0|^2, sorted by principal argument in [-pi, pi)."""
+    order = np.argsort(_principal_argument(values), kind="stable")
+    return QuadratureRule(values[order], np.abs(vecs[0, order]) ** 2)
+
+
 def szego_quadrature(schur: SchurSequence | SnakeFactorization, n: int, theta: float) -> QuadratureRule:
     """n-point Szego rule for the measure with Schur parameters ``schur``.
 
@@ -483,13 +491,12 @@ def szego_quadrature(schur: SchurSequence | SnakeFactorization, n: int, theta: f
                         f"got {type(schur).__name__} {schur!r}")
     _, blocks = _corner_blocks(schur, n, theta)
     check("truncation blocks are not unitary", _block_defect(blocks), 1e-12)
-    pairs = _pencil_pairs(blocks) or _general_pairs(
-        _half_product(blocks, 1, _half_product(blocks, 0, np.eye(n, dtype=complex)))
-    )
-    values, vecs = _checked_pairs(*pairs)
-    weights = np.abs(vecs[0, :]) ** 2
-    order = np.argsort(_principal_argument(values), kind="stable")
-    return QuadratureRule(values[order], weights[order])
+    try:
+        pairs = _checked_pairs(*_pencil_pairs(blocks))
+    except NumericalError:  # an error of the general route keeps the pencil's as its context
+        dense = _half_product(blocks, 1, _half_product(blocks, 0, np.eye(n, dtype=complex)))
+        return _sorted_rule(*_checked_pairs(*_general_pairs(dense)))
+    return _sorted_rule(*pairs)
 
 
 def apply_rule(rule: QuadratureRule, f) -> complex:

@@ -55,11 +55,15 @@ def _coefficients(alphas, phi, star):
 def dual(coeffs) -> np.ndarray:
     """Dual polynomial coefficients: p*(z) = z^n conj(p(1/conj(z))).
 
-    ``coeffs`` holds ascending-power coefficients of a degree-n polynomial;
-    the dual is the conjugated reversal, so coefficient j of the result is
-    the conjugate of coefficient n - j of the input.
+    ``coeffs`` holds ascending-power coefficients of a degree-n polynomial,
+    a nonempty 1-d array of numbers; the dual is the conjugated reversal,
+    so coefficient j of the result is the conjugate of coefficient n - j of
+    the input.
     """
-    return np.conj(number_array("coeffs", coeffs)[::-1])
+    coeffs = number_array("coeffs", coeffs)
+    if coeffs.ndim != 1 or not coeffs.size:
+        raise ValueError(f"coeffs must be a nonempty 1-d array, got shape {coeffs.shape}")
+    return np.conj(coeffs[::-1])
 
 
 class PolynomialPair:

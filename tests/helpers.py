@@ -21,6 +21,26 @@ def random_schur(rng, count, lo=0.1, hi=0.8):
     return SchurSequence(mods * np.exp(1j * args))
 
 
+def parameter_family(rng, family, count, lo, hi):
+    """Schur parameters: all zero, or with |alpha| in [lo, hi] and real, purely
+    imaginary, of random phase, or of random phase with every third one zero,
+    or of random phase at |alpha| = 0.999."""
+    if family == "zero":
+        return np.zeros(count, dtype=complex)
+    mods = rng.uniform(lo, hi, size=count)
+    if family == "real":
+        return mods * rng.choice([-1.0, 1.0], size=count) + 0j
+    if family == "imaginary":
+        return 1j * mods * rng.choice([-1.0, 1.0], size=count)
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=count))
+    if family == "near_one":
+        return 0.999 * phases
+    alphas = mods * phases
+    if family == "third_zero":
+        alphas[::3] = 0.0
+    return alphas
+
+
 def random_bits(rng, m):
     return tuple(int(b) for b in rng.integers(0, 2, size=m))
 

@@ -8,10 +8,11 @@ exception type and a message that names the contract.
 import numpy as np
 import pytest
 
-from helpers import count_eig_calls
+from helpers import count_eig_calls, parameter_family
 from snakefact import quadrature, verify
 from snakefact.errors import (
     CaseResult,
+    ConvergenceError,
     MomentError,
     NumericalError,
     ShapeError,
@@ -26,7 +27,7 @@ from snakefact.quadrature import (
     szego_quadrature,
     truncate_para_unitary,
 )
-from snakefact.schur import PolynomialPair, SchurSequence
+from snakefact.schur import PolynomialPair, SchurSequence, dual
 from snakefact.snake import GivensFactor, SnakeFactorization, hessenberg_shape, shape_from_monomials
 
 
@@ -195,6 +196,66 @@ def test_cayley_residual_selects_the_fallback(monkeypatch):
     assert np.allclose(rule.weights, [0.2, 0.8], atol=1e-12)
 
 
+def test_cayley_orthonormality_selects_the_fallback(monkeypatch):
+    # The pencil's orthonormality bound is compared where the general
+    # route's is, in _checked_pairs, so a pencil pass that fails only that
+    # bound falls back too, to the same rule as above.
+    calls = count_eig_calls(monkeypatch)
+    monkeypatch.setattr(quadrature, "_factor_defect", lambda q, conj: 1.0)
+    rule = szego_quadrature(SchurSequence([0.6]), 2, 0.0)
+    assert calls == [(2, 2)]
+    assert np.allclose(rule.nodes, [-1.0, 1.0], atol=1e-12)
+    assert np.allclose(rule.weights, [0.2, 0.8], atol=1e-12)
+
+
+def _singular_pencil(monkeypatch):
+    monkeypatch.setattr(quadrature, "_pencil_pivots", lambda diag, off: None)
+
+
+def _eigh_fails(monkeypatch):
+    def fail(m, UPLO):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(quadrature.np.linalg, "eigh", fail)
+
+
+@pytest.mark.parametrize("refuse, exc, reason", [
+    (_singular_pencil, NumericalError, "the Cayley pencil is singular"),
+    (_eigh_fails, ConvergenceError, "the Cayley pencil's eigh did not converge"),
+], ids=["singular", "eigh"])
+def test_pencil_refusal_names_its_reason_and_falls_back(monkeypatch, refuse, exc, reason):
+    # the rule is then the general eigensolver's on the dense L M, bit for bit
+    schur, n = SchurSequence(np.linspace(-0.7, 0.7, 15) * np.exp(0.3j)), 16
+    _, blocks = quadrature._corner_blocks(schur, n, 0.4)
+    eye = np.eye(n, dtype=complex)
+    dense = quadrature._half_product(blocks, 1, quadrature._half_product(blocks, 0, eye))
+    values, vecs = quadrature._general_pairs(dense)[:2]
+    order = np.argsort(quadrature._principal_argument(values), kind="stable")
+    refuse(monkeypatch)
+    with pytest.raises(exc, match=f"^{reason}") as err:
+        quadrature._pencil_pairs(blocks)
+    assert type(err.value) is exc
+    calls = count_eig_calls(monkeypatch)
+    rule = szego_quadrature(schur, n, 0.4)
+    assert calls == [(n, n)]
+    assert np.array_equal(rule.nodes, values[order])
+    assert np.array_equal(rule.weights, np.abs(vecs[0, order]) ** 2)
+
+
+def test_a_failed_fallback_carries_the_pencil_reason():
+    # |alpha| near 1 at n = 192: some weights lie below the smallest float64,
+    # so the pencil pass refuses and the general route's zero weights fail
+    # the rule; its error keeps the pencil's refusal as its context.
+    rng = np.random.default_rng([192, 0])
+    alphas = parameter_family(rng, "complex", 192, 0.99, 0.999)
+    with pytest.raises(NumericalError) as err:
+        szego_quadrature(SchurSequence(alphas), 192, 0.3)
+    assert str(err.value).startswith("quadrature weights must be strictly positive (")
+    reason = err.value.__context__
+    assert type(reason) is NumericalError
+    assert str(reason).startswith("weights of the Cayley pass underflow to 0 (defect ")
+
+
 # Each public constructor's refusal of a malformed input: (call, exception, message)
 MALFORMED = {
     "QuadratureRule lengths": (lambda: QuadratureRule([1.0, -1.0], [1.0]), ValueError,
@@ -209,6 +270,9 @@ MALFORMED = {
                           "need moments for j = 0..jmax as a 1-d array"),
     "MomentTable 2-d": (lambda: MomentTable([[1.0, 0.1]]), ValueError,
                         "need moments for j = 0..jmax as a 1-d array"),
+    "dual scalar": (lambda: dual(5), ValueError, "coeffs must be a nonempty 1-d array, got shape ()"),
+    "dual 2-d": (lambda: dual([[1, 2], [3, 4]]), ValueError,
+                 "coeffs must be a nonempty 1-d array, got shape (2, 2)"),
     "run_suites unknown": (lambda: verify.run_suites(["bogus"]), ValueError,
                            "unknown suite 'bogus'; choose from ['bandwidth', 'exactness', "
                            "'oracle-equivalence', 'round-trip', 'unitarity']"),

@@ -9,6 +9,7 @@ from helpers import (
     MIXED_BITS,
     count_eig_calls,
     para_unitary_product,
+    parameter_family,
     random_bits,
     random_schur,
 )
@@ -54,26 +55,6 @@ def refuse_the_snake_truncation(monkeypatch):
 
     monkeypatch.setattr("snakefact.quadrature._snake_product", refuse)
     monkeypatch.setattr("snakefact.quadrature.truncate_para_unitary", refuse)
-
-
-def parameter_family(rng, family, count, lo, hi):
-    """Schur parameters: all zero, or with |alpha| in [lo, hi] and real, purely
-    imaginary, of random phase, or of random phase with every third one zero,
-    or of random phase at |alpha| = 0.999."""
-    if family == "zero":
-        return np.zeros(count, dtype=complex)
-    mods = rng.uniform(lo, hi, size=count)
-    if family == "real":
-        return mods * rng.choice([-1.0, 1.0], size=count) + 0j
-    if family == "imaginary":
-        return 1j * mods * rng.choice([-1.0, 1.0], size=count)
-    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=count))
-    if family == "near_one":
-        return 0.999 * phases
-    alphas = mods * phases
-    if family == "third_zero":
-        alphas[::3] = 0.0
-    return alphas
 
 
 def cyclic_shift(n):
@@ -602,8 +583,9 @@ class TestFactorBound:
 
     def test_a_defect_above_the_bound_is_refused(self, monkeypatch):
         # A repeated column is still an eigenvector with a nonzero first
-        # component, so the residual passes and the pencil route keeps its
-        # vectors; only the orthonormality check, on Q^T Q, can refuse them.
+        # component, so the residual passes; only the orthonormality check,
+        # on Q^T Q, can refuse the pencil's vectors, and the general
+        # eigensolver then gives the rule.
         eigh = np.linalg.eigh
 
         def repeat_a_column(m, UPLO):
@@ -611,12 +593,17 @@ class TestFactorBound:
             q[:, 1] = q[:, 0]
             return values, q
 
+        schur = random_schur(np.random.default_rng(16), 16)
+        want = szego_quadrature(schur, 16, 0.3)
         calls = count_eig_calls(monkeypatch)
+        seen = self.reported(monkeypatch)
         monkeypatch.setattr(quadrature.np.linalg, "eigh", repeat_a_column)
-        rng = np.random.default_rng(16)
-        with pytest.raises(NumericalError, match="orthonormal"):
-            szego_quadrature(random_schur(rng, 16), 16, 0.3)
-        assert calls == []
+        rule = szego_quadrature(schur, 16, 0.3)
+        assert calls == [(16, 16)]
+        [(_, pencil), (_, general)] = seen
+        assert pencil > 1e-9 >= general
+        assert np.max(np.abs(rule.nodes - want.nodes)) <= 1e-12
+        assert np.max(np.abs(rule.weights - want.weights)) <= 1e-12
 
 
 class TestBenchmarkFallback:
