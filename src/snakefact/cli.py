@@ -171,12 +171,7 @@ def _resolve_shape(args, factors: tuple[str, int] | None = None) -> GeneratingSe
             raise ValueError("no shape source given; use --shape, --s, or --monomials")
         raise ValueError("named shapes need --m, the number of Givens factors")
     source, count = factors
-    count = int_argument(source, count, 2)
-    if count > _MAX_NAMED_FACTORS:
-        raise ValueError(
-            f"{source} = {count} exceeds the supported {_MAX_NAMED_FACTORS} Givens factors "
-            "of a named shape"
-        )
+    count = int_argument(source, count, 2, _MAX_NAMED_FACTORS)
     return cmv_shape(count - 1) if kind == "cmv" else hessenberg_shape(count - 1)
 
 
@@ -269,10 +264,9 @@ def cmd_entry(args) -> int:
 def cmd_expand(args) -> int:
     from .expand import expand_dense
 
-    if args.n > MAX_SIZE:
-        raise ValueError(f"n = {args.n} exceeds the supported {MAX_SIZE}")
+    n = int_argument("n", args.n, 1, MAX_SIZE)
     _, snake = _resolve(args)
-    record = {"n": args.n, "matrix": expand_dense(snake, args.n).tolist()}
+    record = {"n": n, "matrix": expand_dense(snake, n).tolist()}
 
     def text(r):
         return [" ".join(map(_pair_text, row)) for row in r["matrix"]]

@@ -1,16 +1,18 @@
 """Exception types and the numerical-contract check shared across the package.
 
 Validation problems (bad parameters, malformed shapes, insufficient moment
-ranges, sizes and indices below their minimum, and a position past a
-shape, which is an ``IndexError`` too) derive from ``ValueError``;
-a size, index or exponent that is not an integer and a number or array
-entry that is not a number of its kind raise ``TypeError``; failures of a
-numerical computation to meet its accuracy contract derive from
-``NumericalError``.  Numbers follow one type rule, ``complex_argument``
-and ``real_argument`` for one and ``number_array`` for an array, and one
-finiteness rule, ``finite``.  A contract holds when its measured defect is
-``<= bound``, a test that NaN fails; ``CaseResult`` states that test once,
-and ``check`` and the verify suites both apply it.
+ranges, sizes and indices outside their range, an int outside the float
+range, and a position past a shape, which is an ``IndexError`` too)
+derive from ``ValueError``; a size, index or exponent that is not an
+integer and a number or array entry that is not a number of its kind
+raise ``TypeError``; failures of a numerical computation to meet its
+accuracy contract derive from ``NumericalError``.  A size follows one
+rule, ``int_argument``, which states its type and both ends of its range.
+Numbers follow one type rule, ``complex_argument`` and ``real_argument``
+for one and ``number_array`` for an array, which also states the array's
+shape, and one finiteness rule, ``finite``.  A contract holds when its
+measured defect is ``<= bound``, a test that NaN fails; ``CaseResult``
+states that test once, and ``check`` and the verify suites both apply it.
 
 Loading this module loads no NumPy: the functions that compute with it
 import it when they run, so the shape layer and the command line's start-up
@@ -105,13 +107,14 @@ def check(what: str, value, bound: float, exc: type = NumericalError) -> float:
     return value
 
 
-def int_argument(name: str, value, lo: int = 0, exc: type = ValueError) -> int:
-    """``value`` as an int of at least ``lo``, for any integer type except bool.
+def int_argument(name: str, value, lo: int = 0, hi: int = math.inf, exc: type = ValueError) -> int:
+    """``value`` as an int from ``lo`` to ``hi``, for any integer type except bool.
 
     Integers are taken through ``operator.index``, so NumPy integers pass
     and floats, strings and None do not; a bool is refused although it is
-    an int.  The ``TypeError`` names the parameter, and a smaller value
-    raises ``exc("<name> = <value>; must be at least <lo>")``.
+    an int.  The ``TypeError`` names the parameter, a smaller value raises
+    ``exc("<name> = <value>; must be at least <lo>")`` and a larger one
+    ``exc("<name> = <value> exceeds the supported <hi>")``.
     """
     if not isinstance(value, bool):
         try:
@@ -121,6 +124,8 @@ def int_argument(name: str, value, lo: int = 0, exc: type = ValueError) -> int:
         else:
             if value < lo:
                 raise exc(f"{name} = {value}; must be at least {lo}")
+            if value > hi:
+                raise exc(f"{name} = {value} exceeds the supported {hi}")
             return value
     raise TypeError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
 
@@ -163,58 +168,93 @@ def _numbers(name: str, values, kinds: tuple = _NUMBER_TYPES):
     return values
 
 
+def _converted(name: str, convert, values, entries=None):
+    """``convert(values)``, where an int outside the float range raises a ``ValueError`` naming it.
+
+    The message names ``name``, or, given the ``entries`` of ``values``,
+    the first entry that ``complex`` cannot convert, as "<name> <index>".
+    The normal path pays only for the ``try``.
+    """
+    try:
+        return convert(values)
+    except OverflowError:
+        for k, value in enumerate(() if entries is None else entries):
+            _converted(f"{name} {k}", complex, value)  # raises at the first such entry
+        raise ValueError(f"{name} is outside the float range") from None
+
+
 def complex_argument(name: str, value) -> complex:
     """``value`` as a complex, for an int, float, complex or NumPy number.
 
     A bool, a string, None or a container raises a ``TypeError`` that names
-    the parameter; whether the number is finite is for ``finite`` to check.
+    the parameter, and an int outside the float range a ``ValueError``;
+    whether the number is finite is for ``finite`` to check.
     """
-    return complex(_number(name, value))
+    return _converted(name, complex, _number(name, value))
 
 
 def complex_arguments(name: str, values) -> tuple:
-    """Each of ``values`` as a complex; the ``TypeError`` names "<name> <index>".
+    """Each of ``values`` as a complex; the errors name "<name> <index>".
 
     Each distinct type is checked once, so a long sequence costs little more
     than its conversion, and no NumPy is loaded.
     """
-    return tuple(map(complex, _numbers(name, tuple(values))))
+    values = _numbers(name, tuple(values))
+    return _converted(name, lambda v: tuple(map(complex, v)), values, values)
 
 
 def real_argument(name: str, value) -> float:
     """``value`` as a float, for an int, float or NumPy integer or floating value.
 
     A bool, a complex, a string, None or a container raises a ``TypeError``
-    that names the parameter; whether the number is finite is for
-    ``finite`` to check.
+    that names the parameter, and an int outside the float range a
+    ``ValueError``; whether the number is finite is for ``finite`` to check.
     """
-    return float(_number(name, value, _REAL_TYPES))
+    return _converted(name, float, _number(name, value, _REAL_TYPES))
 
 
-def number_array(name: str, values, real: bool = False):
+def number_array(name: str, values, real: bool = False, shape: tuple | None = None):
     """``values`` as a complex array, or with ``real`` a float array, of numbers.
 
-    The one type rule for array inputs.  An ndarray whose dtype holds only
-    such numbers passes at array speed.  Any other input, bool arrays
-    included, has each distinct element type checked once, and the
+    The one type and shape rule for array inputs.  An ndarray whose dtype
+    holds only such numbers passes at array speed.  Any other input, bool
+    arrays included, has each distinct element type checked once, and the
     ``TypeError`` names "<name> <index>", the index counted in row-major
-    order, or ``name`` alone for a scalar.  Whether the numbers are finite
-    is for ``finite`` to check.
+    order, or ``name`` alone for a scalar; an int outside the float range
+    raises a ``ValueError`` named the same way.  Whether the numbers are
+    finite is for ``finite`` to check.
+
+    ``shape``, when given, holds one entry per dimension: an int is a fixed
+    length, and a str names a length that must match every other length of
+    the same name, as ``("n", "n")`` asks for a square matrix.  The array
+    must also be nonempty; otherwise ``ValueError("<name> must be a
+    nonempty array of shape <shape>, got shape <its shape>")``.
     """
     import numpy as np
 
-    kinds = _REAL_TYPES if real else _NUMBER_TYPES
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in kinds[2]):
+    kinds, dtype = (_REAL_TYPES, float) if real else (_NUMBER_TYPES, complex)
+    if isinstance(values, np.ndarray) and values.dtype.kind in kinds[2]:
+        array = np.asarray(values, dtype=dtype)  # no such dtype holds an int outside the float range
+    else:
         objects = np.asarray(values, dtype=object)
         if not objects.ndim:
             _number(name, objects[()], kinds)
-        _numbers(name, objects.ravel(), kinds)
-    return np.asarray(values, dtype=float if real else complex)
+        entries = _numbers(name, objects.ravel(), kinds) if objects.ndim else None
+        # Cast from the objects: casting an empty complex ndarray to float warns.
+        array = _converted(name, lambda v: v.astype(dtype), objects, entries)
+    if shape is not None:
+        lengths = {}
+        if not array.size or len(shape) != array.ndim or any(
+                lengths.setdefault(want, got) != got if isinstance(want, str) else want != got
+                for want, got in zip(shape, array.shape)):
+            needed = f"({', '.join(map(str, shape))}{',' * (len(shape) == 1)})"
+            raise ValueError(f"{name} must be a nonempty array of shape {needed}, got shape {array.shape}")
+    return array
 
 
-def real_arguments(name: str, values):
+def real_arguments(name: str, values, shape: tuple | None = None):
     """``values`` as a float array: ``number_array`` for real numbers."""
-    return number_array(name, values, real=True)
+    return number_array(name, values, real=True, shape=shape)
 
 
 def finite(name: str, value):

@@ -103,10 +103,8 @@ class GridMeasure:
     """Discrete measure sum_i w_i delta(theta - theta_i) on the circle."""
 
     def __init__(self, thetas, weights):
-        thetas = real_arguments("grid angle", thetas)
-        weights = real_arguments("grid weight", weights)
-        if thetas.shape != weights.shape or thetas.ndim != 1:
-            raise ValueError("thetas and weights must be 1-d arrays of equal length")
+        thetas = real_arguments("grid angle", thetas, shape=("n",))
+        weights = real_arguments("grid weight", weights, shape=thetas.shape)
         if not np.all(weights > 0.0):
             raise ValueError("grid weights must be strictly positive")
         if not np.all((thetas >= -np.pi) & (thetas < np.pi)):
@@ -129,9 +127,7 @@ class MomentTable:
     """
 
     def __init__(self, nonnegative_values):
-        vals = number_array("moment", nonnegative_values)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("need moments for j = 0..jmax as a 1-d array")
+        vals = number_array("moment", nonnegative_values, shape=("jmax + 1",))
         if not np.isfinite(vals).all():
             raise MomentError("moments must be finite")
         check("mu_0 != 1 but the measure must have mass 1", abs(vals[0] - 1.0), 1e-12, MomentError)

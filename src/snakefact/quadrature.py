@@ -149,12 +149,8 @@ def eigen_unitary(matrix: np.ndarray):
     Cayley transform and no Hermitian solver enters, so this is a
     reference independent of the rule's pencil pass.
     """
-    matrix = number_array("matrix", matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
-        raise ValueError(f"input must be a nonempty square matrix, got shape {matrix.shape}")
-    n = len(matrix)
-    if n > MAX_SIZE:
-        raise ValueError(f"matrix size {n} exceeds the supported {MAX_SIZE}")
+    matrix = number_array("matrix", matrix, shape=("n", "n"))
+    n = int_argument("matrix size", len(matrix), 1, MAX_SIZE)
     check("input is not unitary", unitarity_defect(matrix), 1e-10, ValueError)
     values, vecs = _checked_pairs(*_general_pairs(matrix))
     # A unit column has a component of modulus >= n**-0.5, so every column has a lead.
@@ -163,14 +159,12 @@ def eigen_unitary(matrix: np.ndarray):
 
 
 def _rule_size(n) -> int:
-    """``n`` as the size of a Szego rule: an integer from 2 to the eigensolver's limit.
+    """``n`` as a Szego rule size: an integer from 2 to ``MAX_SIZE``, the eigensolver's limit.
 
-    Checked before any n-sized work, so an oversized rule costs nothing.
+    ``int_argument`` checks it before any n-sized work, so an oversized
+    rule costs nothing: "n = <n> exceeds the supported 1024".
     """
-    n = int_argument("n", n, 2)
-    if n > MAX_SIZE:
-        raise ValueError(f"rule size n = {n} exceeds the supported {MAX_SIZE}")
-    return n
+    return int_argument("n", n, 2, MAX_SIZE)
 
 
 def _checked_pairs(values: np.ndarray, vecs: np.ndarray, residual: float, defect: float):
@@ -413,11 +407,8 @@ class QuadratureRule:
     """Nodes on the unit circle and positive weights of an n-point rule."""
 
     def __init__(self, nodes, weights):
-        nodes, weights = number_array("node", nodes), real_arguments("weight", weights)
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if not nodes.size:
-            raise ValueError("a quadrature rule needs at least one node; it has no nodes")
+        nodes = number_array("node", nodes, shape=("n",))
+        weights = real_arguments("weight", weights, shape=nodes.shape)
         check("quadrature nodes left the unit circle", np.max(np.abs(np.abs(nodes) - 1.0)), 1e-10)
         # The closest two nodes are neighbours in angle, the last and the first included.
         ring = nodes[np.argsort(np.angle(nodes))]

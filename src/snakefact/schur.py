@@ -60,10 +60,7 @@ def dual(coeffs) -> np.ndarray:
     so coefficient j of the result is the conjugate of coefficient n - j of
     the input.
     """
-    coeffs = number_array("coeffs", coeffs)
-    if coeffs.ndim != 1 or not coeffs.size:
-        raise ValueError(f"coeffs must be a nonempty 1-d array, got shape {coeffs.shape}")
-    return np.conj(coeffs[::-1])
+    return np.conj(number_array("coeffs", coeffs, shape=("n + 1",))[::-1])
 
 
 class PolynomialPair:
@@ -76,9 +73,8 @@ class PolynomialPair:
     """
 
     def __init__(self, phi, phi_star):
-        phi, phi_star = finite("phi", number_array("phi", phi)), number_array("phi_star", phi_star)
-        if phi.ndim != 1 or phi.shape != phi_star.shape or phi.size == 0:
-            raise ValueError("phi and phi_star must be 1-d arrays of equal length")
+        phi = finite("phi", number_array("phi", phi, shape=("degree + 1",)))
+        phi_star = number_array("phi_star", phi_star, shape=phi.shape)
         scale = max(np.max(np.abs(phi)), 1.0)
         check("phi_star is not the dual of phi", np.max(np.abs(phi_star - dual(phi))),
               1e-9 * scale, ValueError)

@@ -95,12 +95,12 @@ class GeneratingSequence:
 
 def hessenberg_shape(m: int) -> GeneratingSequence:
     """All monomials of positive power: the unitary Hessenberg ordering."""
-    return GeneratingSequence((0,) * int_argument("m", m, 1, ShapeError))
+    return GeneratingSequence((0,) * int_argument("m", m, 1, exc=ShapeError))
 
 
 def cmv_shape(m: int) -> GeneratingSequence:
     """Alternating positive and negative powers: the five-diagonal ordering."""
-    m = int_argument("m", m, 1, ShapeError)
+    m = int_argument("m", m, 1, exc=ShapeError)
     return GeneratingSequence(tuple((k + 1) % 2 for k in range(1, m + 1)))
 
 

@@ -42,9 +42,7 @@ class GivensFactor:
 
     def __init__(self, k: int, block):
         k = int_argument("k", k)
-        block = number_array("block", block)
-        if block.shape != (2, 2):
-            raise ValueError("a Givens block is a 2x2 matrix")
+        block = number_array("block", block, shape=(2, 2))
         check("block is not unitary", unitarity_defect(block), 1e-14, ValueError)
         self.k = k
         self.block = block

@@ -196,7 +196,12 @@ def run_suites(
 
     ``schur`` is read by the unitarity suite and ``measure`` by the
     oracle-equivalence and exactness suites; a source that no named suite
-    reads raises ``ValueError`` rather than being ignored.
+    reads raises ``ValueError`` rather than being ignored.  Every size is
+    checked by ``int_argument`` before any suite work, each cap under the
+    name of the suite that sets it: the bandwidth suite's m is at most 16
+    and the unitarity suite's, from ``m`` or fixed by ``schur``, at most
+    ``MAX_SIZE - 1``, as in "the bandwidth suite's m = 17 exceeds the
+    supported 16".
     """
     names = list(names) if names else list(SUITES)
     for name in names:
@@ -212,11 +217,8 @@ def run_suites(
     m = None if m is None else int_argument("m", m, 1)
     if n is not None:
         n = _rule_size(n) if set(_MEASURE_SUITES).intersection(names) else int_argument("n", n, 2)
-    if "bandwidth" in names and m is not None and m > _MAX_BANDWIDTH_BITS:
-        raise ValueError(
-            f"m = {m}; the bandwidth suite enumerates all 2^m shapes and takes "
-            f"m <= {_MAX_BANDWIDTH_BITS}"
-        )
+    if "bandwidth" in names and m is not None:
+        int_argument("the bandwidth suite's m", m, 1, _MAX_BANDWIDTH_BITS)
     if schur is not None and len(schur) < 2:
         raise ValueError(f"alphas give {len(schur)} Schur parameter(s); the suites need at least 2")
     if schur is not None and m is not None and m != len(schur) - 1:
@@ -224,11 +226,8 @@ def run_suites(
             f"m = {m} disagrees with the {len(schur)} alphas given, which fix m = {len(schur) - 1}"
         )
     unitarity_m = len(schur) - 1 if schur is not None else m
-    if "unitarity" in names and unitarity_m is not None and unitarity_m > _MAX_UNITARITY_BITS:
-        raise ValueError(
-            f"m = {unitarity_m}; the unitarity suite builds dense (m + 2)^2 windows and "
-            f"takes m <= {_MAX_UNITARITY_BITS}"
-        )
+    if "unitarity" in names and unitarity_m is not None:
+        int_argument("the unitarity suite's m", unitarity_m, 1, _MAX_UNITARITY_BITS)
     measures = {"measure": measure} if measure is not None else None
     return [CaseResult(name, *case) for name in names for case in
             SUITES[name](np.random.default_rng(seed), m=m, n=n, schur=schur, measures=measures)]

@@ -453,7 +453,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2
         assert out == ""
-        assert "m = " in err and "m <= 16" in err
+        assert "the bandwidth suite's m = " in err and "exceeds the supported 16" in err
 
     def test_bandwidth_suite_m_16_accepted(self, capsys, monkeypatch):
         seen = []
@@ -831,7 +831,7 @@ class TestErrors:
         code, out, err = run(capsys, "bandwidth", "--shape", shape, "--m", str(m))
         assert code == 2
         assert out == ""
-        assert err == f"error: m = {m} exceeds the supported 1048576 Givens factors of a named shape\n"
+        assert err == f"error: m = {m} exceeds the supported 1048576\n"
 
     @pytest.mark.parametrize("suite", [[], ["--suite", "exactness"], ["--suite", "oracle-equivalence"]],
                              ids=["all", "exactness", "oracle-equivalence"])
@@ -845,7 +845,7 @@ class TestErrors:
         code, out, err = run(capsys, "verify", "--n", str(n), *suite)
         assert code == 2
         assert out == ""
-        assert err == f"error: rule size n = {n} exceeds the supported 1024\n"
+        assert err == f"error: n = {n} exceeds the supported 1024\n"
 
     @pytest.mark.parametrize("m, flags", [
         (10**20, ["--m", str(10**20)]),
@@ -860,7 +860,7 @@ class TestErrors:
         code, out, err = run(capsys, "verify", "--suite", "unitarity", *flags)
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: m = {m}; the unitarity suite") and "m <= 1023" in err
+        assert err == f"error: the unitarity suite's m = {m} exceeds the supported 1023\n"
 
     @pytest.mark.parametrize("descriptor, field", [
         ({"type": "geronimus", "a": [10**400, 0]}, "a"),

@@ -259,20 +259,37 @@ def test_a_failed_fallback_carries_the_pencil_reason():
 # Each public constructor's refusal of a malformed input: (call, exception, message)
 MALFORMED = {
     "QuadratureRule lengths": (lambda: QuadratureRule([1.0, -1.0], [1.0]), ValueError,
-                               "nodes and weights must be 1-d arrays of equal length"),
+                               "weight must be a nonempty array of shape (2,), got shape (1,)"),
+    "QuadratureRule empty": (lambda: QuadratureRule([], []), ValueError,
+                             "node must be a nonempty array of shape (n,), got shape (0,)"),
     "PolynomialPair lengths": (lambda: PolynomialPair([0.5, 1.0], [1.0]), ValueError,
-                               "phi and phi_star must be 1-d arrays of equal length"),
+                               "phi_star must be a nonempty array of shape (2,), got shape (1,)"),
     "GivensFactor 3x3": (lambda: GivensFactor(0, np.eye(3)), ValueError,
-                         "a Givens block is a 2x2 matrix"),
+                         "block must be a nonempty array of shape (2, 2), got shape (3, 3)"),
     "shape_from_monomials empty": (lambda: shape_from_monomials([]), ShapeError,
                                    "empty monomial order"),
     "MomentTable empty": (lambda: MomentTable([]), ValueError,
-                          "need moments for j = 0..jmax as a 1-d array"),
+                          "moment must be a nonempty array of shape (jmax + 1,), got shape (0,)"),
     "MomentTable 2-d": (lambda: MomentTable([[1.0, 0.1]]), ValueError,
-                        "need moments for j = 0..jmax as a 1-d array"),
-    "dual scalar": (lambda: dual(5), ValueError, "coeffs must be a nonempty 1-d array, got shape ()"),
+                        "moment must be a nonempty array of shape (jmax + 1,), got shape (1, 2)"),
+    "GridMeasure lengths": (lambda: GridMeasure([0.0, 1.0], [1.0]), ValueError,
+                            "grid weight must be a nonempty array of shape (2,), got shape (1,)"),
+    "GridMeasure empty": (lambda: GridMeasure([], []), ValueError,
+                          "grid angle must be a nonempty array of shape (n,), got shape (0,)"),
+    "dual scalar": (lambda: dual(5), ValueError,
+                    "coeffs must be a nonempty array of shape (n + 1,), got shape ()"),
     "dual 2-d": (lambda: dual([[1, 2], [3, 4]]), ValueError,
-                 "coeffs must be a nonempty 1-d array, got shape (2, 2)"),
+                 "coeffs must be a nonempty array of shape (n + 1,), got shape (2, 2)"),
+    "eigen_unitary 2x3": (lambda: eigen_unitary(np.ones((2, 3))), ValueError,
+                          "matrix must be a nonempty array of shape (n, n), got shape (2, 3)"),
+    "eigen_unitary size": (lambda: eigen_unitary(np.eye(1025)), ValueError,
+                           "matrix size = 1025 exceeds the supported 1024"),
+    "szego_quadrature size": (lambda: szego_quadrature(SchurSequence([0.3]), 1025, 0.0), ValueError,
+                              "n = 1025 exceeds the supported 1024"),
+    "run_suites bandwidth m": (lambda: verify.run_suites(["bandwidth"], m=17), ValueError,
+                               "the bandwidth suite's m = 17 exceeds the supported 16"),
+    "run_suites unitarity m": (lambda: verify.run_suites(["unitarity"], m=1024), ValueError,
+                               "the unitarity suite's m = 1024 exceeds the supported 1023"),
     "run_suites unknown": (lambda: verify.run_suites(["bogus"]), ValueError,
                            "unknown suite 'bogus'; choose from ['bandwidth', 'exactness', "
                            "'oracle-equivalence', 'round-trip', 'unitarity']"),

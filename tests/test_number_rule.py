@@ -5,7 +5,9 @@ or None entry and a bool ndarray raise a ``TypeError`` that names
 "<name> <index>", while lists, NumPy scalars and integer, floating and
 complex ndarrays pass and give, bit for bit, what the plain
 ``numpy.asarray`` conversion gave.  A number or array that is not finite
-raises ``errors.finite``'s ``ValueError("<name> = <entry> is not finite")``.
+raises ``errors.finite``'s ``ValueError("<name> = <entry> is not finite")``,
+and an int outside the float range ``ValueError("<name> is outside the
+float range")``, whichever number rule it meets.
 """
 
 import re
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from snakefact.errors import number_array
-from snakefact.oracle import BernsteinSzego, GridMeasure, MomentTable
+from snakefact.oracle import BernsteinSzego, Geronimus, GridMeasure, MomentTable
 from snakefact.quadrature import (
     QuadratureRule,
     apply_rule,
@@ -161,6 +163,32 @@ FINITE_SITES = {
 @pytest.mark.parametrize("site", FINITE_SITES)
 def test_not_finite_message(site):
     call, message = FINITE_SITES[site]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
+HUGE = 10**400  # an int that no float holds
+
+# site: (call that meets an int outside the float range, the exact message)
+OUTSIDE_FLOAT_RANGE = {
+    "SchurSequence": (lambda: SchurSequence([0.1, HUGE]), "parameter 1 is outside the float range"),
+    "theta of szego_quadrature": (lambda: szego_quadrature(SchurSequence([0.3]), 2, HUGE),
+                                  "theta is outside the float range"),
+    "z of evaluate_phi": (lambda: evaluate_phi(SCHUR, 3, HUGE), "z is outside the float range"),
+    "Laurent coefficient": (lambda: apply_rule(szego_quadrature(SCHUR, 3, 0.0), {1: HUGE}),
+                            "coefficient of z^1 is outside the float range"),
+    "GridMeasure": (lambda: GridMeasure([0.0, HUGE], [0.5, 0.5]), "grid angle 1 is outside the float range"),
+    "Geronimus": (lambda: Geronimus(HUGE), "a is outside the float range"),
+    "MomentTable": (lambda: MomentTable([1, HUGE]), "moment 1 is outside the float range"),
+    "QuadratureRule": (lambda: QuadratureRule([1, HUGE], [0.5, 0.5]), "node 1 is outside the float range"),
+}
+
+
+@pytest.mark.parametrize("site", OUTSIDE_FLOAT_RANGE)
+def test_int_outside_the_float_range_is_named(site):
+    call, message = OUTSIDE_FLOAT_RANGE[site]
     with pytest.raises(ValueError) as err:
         call()
     assert type(err.value) is ValueError

@@ -40,9 +40,9 @@ def test_grid_accepts_real_types(thetas, weights):
 
 
 def test_grid_shape_still_checked():
-    with pytest.raises(ValueError, match="1-d arrays"):
+    with pytest.raises(ValueError, match="must be a nonempty array of shape"):
         GridMeasure(0.0, 1.0)
-    with pytest.raises(ValueError, match="1-d arrays"):
+    with pytest.raises(ValueError, match="must be a nonempty array of shape"):
         GridMeasure([[0.0]], [[1.0]])
 
 
