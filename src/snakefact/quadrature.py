@@ -149,8 +149,10 @@ def eigen_unitary(matrix: np.ndarray):
     Cayley transform and no Hermitian solver enters, so this is a
     reference independent of the rule's pencil pass.
     """
+    if hasattr(matrix, "__len__") and getattr(matrix, "ndim", 1):  # before converting it
+        int_argument("matrix size", len(matrix), hi=MAX_SIZE)
     matrix = number_array("matrix", matrix, shape=("n", "n"))
-    n = int_argument("matrix size", len(matrix), 1, MAX_SIZE)
+    n = len(matrix)
     check("input is not unitary", unitarity_defect(matrix), 1e-10, ValueError)
     values, vecs = _checked_pairs(*_general_pairs(matrix))
     # A unit column has a component of modulus >= n**-0.5, so every column has a lead.

@@ -1,12 +1,13 @@
 """Batch invariant suites behind the command line verifier.
 
-Each suite takes the keywords (rng, m, n, schur, measures), ignores those it
-does not use, and yields (case, defect, tolerance) for each of its cases;
+Each suite takes the keywords (seed, m, n, schur, measures), ignores those
+it does not use, and yields (case, defect, tolerance) for each of its cases;
 ``run_suites`` records each as an ``errors.CaseResult`` under the suite's
 name, the record whose test ``errors.check`` applies, and a case passes
-when its defect is within tolerance.  All randomness flows through one
-seeded generator per suite so runs are reproducible (the CLI seeds it from
-SNAKE_SEED).
+when its defect is within tolerance.  Each suite that draws random cases
+seeds its own generator from ``seed``, so runs are reproducible (the CLI
+takes the seed from SNAKE_SEED) and a suite that draws nothing never loads
+``numpy.random``.
 """
 
 from __future__ import annotations
@@ -119,7 +120,8 @@ def _eigen_gap(matrix: np.ndarray, rule) -> float:
     return float(max(node_gap, np.max(np.abs(rule.weights - np.abs(vecs[0, order]) ** 2))))
 
 
-def suite_unitarity(rng, m=None, n=None, schur=None, measures=None):
+def suite_unitarity(seed, m=None, n=None, schur=None, measures=None):
+    rng = np.random.default_rng(seed)
     m = len(schur) - 1 if schur is not None else 12 if m is None else m
     for name, gen in _shape_set(rng, m).items():
         seq = schur if schur is not None else _random_schur(rng, m + 1)
@@ -134,10 +136,10 @@ def suite_unitarity(rng, m=None, n=None, schur=None, measures=None):
                 yield f"rule/{case}", gap, 1e-12
 
 
-def suite_oracle_equivalence(rng, m=None, n=None, schur=None, measures=None):
+def suite_oracle_equivalence(seed, m=None, n=None, schur=None, measures=None):
     nmax = 8 if n is None else n
     measures = measures or _default_measures()
-    shapes = _shape_set(rng, nmax, extra=2)
+    shapes = _shape_set(np.random.default_rng(seed), nmax, extra=2)
     for mname, measure in measures.items():
         table = moments(measure, nmax + 1)
         seq = schur_from_moments(table, nmax + 1)
@@ -148,7 +150,7 @@ def suite_oracle_equivalence(rng, m=None, n=None, schur=None, measures=None):
             yield f"{mname}/{sname}", float(np.max(np.abs(want - got))), 1e-9
 
 
-def suite_bandwidth(rng, m=None, n=None, schur=None, measures=None):
+def suite_bandwidth(seed, m=None, n=None, schur=None, measures=None):
     m = 8 if m is None else m
     for bits in itertools.product((0, 1), repeat=m):
         gen = GeneratingSequence(bits)
@@ -159,7 +161,8 @@ def suite_bandwidth(rng, m=None, n=None, schur=None, measures=None):
         yield f"{label} structural={structural} measured={measured}", defect, 0.0
 
 
-def suite_round_trip(rng, m=None, n=None, schur=None, measures=None):
+def suite_round_trip(seed, m=None, n=None, schur=None, measures=None):
+    rng = np.random.default_rng(seed)
     for length in (4, 8, 12):
         seq = _random_schur(rng, length, lo=0.1, hi=0.9)
         table = moments(BernsteinSzego(seq), length + 1)
@@ -168,7 +171,7 @@ def suite_round_trip(rng, m=None, n=None, schur=None, measures=None):
         yield f"length={length}", defect, 1e-8
 
 
-def suite_exactness(rng, m=None, n=None, schur=None, measures=None):
+def suite_exactness(seed, m=None, n=None, schur=None, measures=None):
     sizes = (4, 8) if n is None else (n,)
     measures = measures or _default_measures()
     for mname, measure in measures.items():
@@ -230,4 +233,4 @@ def run_suites(
         int_argument("the unitarity suite's m", unitarity_m, 1, _MAX_UNITARITY_BITS)
     measures = {"measure": measure} if measure is not None else None
     return [CaseResult(name, *case) for name in names for case in
-            SUITES[name](np.random.default_rng(seed), m=m, n=n, schur=schur, measures=measures)]
+            SUITES[name](seed, m=m, n=n, schur=schur, measures=measures)]

@@ -101,6 +101,11 @@ class TestImportGuards:
         watched = ["dataclasses", "snakefact.verify"]
         assert loaded_after(code, watched) == {"dataclasses": False, "snakefact.verify": True}
 
+    @pytest.mark.parametrize("suite, draws", [("exactness", False), ("bandwidth", False),
+                                              ("round-trip", True)])
+    def test_only_a_suite_that_draws_loads_numpy_random(self, suite, draws):
+        assert loaded_after(cli_run("verify", "--suite", suite), ["numpy.random"]) == {"numpy.random": draws}
+
     def test_library_entry_loads_no_numpy(self):
         code = ("import snakefact.snake, snakefact.expand\n"
                 "from snakefact.parameters import SchurSequence\n"

@@ -299,6 +299,11 @@ class TestEigenUnitary:
         with pytest.raises(ValueError, match="size"):
             eigen_unitary(np.eye(1025, dtype=complex))
 
+    def test_refuses_oversize_before_converting(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "number_array", lambda *args, **kwargs: pytest.fail("converted"))
+        with pytest.raises(ValueError, match="^matrix size = 1025 exceeds the supported 1024$"):
+            eigen_unitary(np.eye(1025).tolist())
+
     @pytest.mark.parametrize("shape", [(), (0, 0), (0,), (2,), (2, 3), (1, 2, 2)], ids=str)
     def test_rejects_what_is_not_a_nonempty_square_matrix(self, shape):
         with pytest.raises(ValueError, match=r"^matrix must be a nonempty array of shape \(n, n\), got shape"):
