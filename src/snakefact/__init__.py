@@ -15,12 +15,11 @@ _HOMES = {
                "ShapeError"),
     "expand": ("PathDescriptor", "entry", "expand_dense", "path"),
     "oracle": ("BernsteinSzego", "Geronimus", "GridMeasure", "Lebesgue", "MomentTable",
-               "gram_schmidt_laurent", "inner_product", "matrix_entry_oracle", "moments",
-               "multiplication_matrix", "schur_from_moments", "schur_parameters"),
+               "gram_schmidt_laurent", "moments", "multiplication_matrix", "schur_from_moments",
+               "schur_parameters"),
     "parameters": ("SchurSequence",),
     "quadrature": ("ParaUnitaryTruncation", "QuadratureRule", "apply_rule", "eigen_unitary",
-                   "exactness_defect", "principal_truncation", "szego_quadrature",
-                   "truncate_para_unitary"),
+                   "exactness_defect", "szego_quadrature", "truncate_para_unitary"),
     "schur": ("PolynomialPair", "dual", "evaluate_phi", "laurent_basis",
               "polynomial_pair", "szego_step"),
     "shape": ("GeneratingSequence", "bandwidths", "cmv_shape", "hessenberg_shape",

@@ -297,12 +297,12 @@ def cmd_quadrature(args) -> int:
     n = _rule_size(args.n)
     alphas, measure = _schur_source(args)
     schur = _schur_sequence(alphas, measure, n - 1)
+    if args.verify:  # the table first, so that one which cannot be built costs no rule
+        table = moments(BernsteinSzego(schur.alphas[: n - 1]) if measure is None else measure, n - 1)
     rule = szego_quadrature(schur, n, args.theta)
     record = {"n": n, "theta": args.theta, "nodes": rule.nodes.tolist(), "weights": rule.weights.tolist()}
     if args.verify:
-        if measure is None:
-            measure = BernsteinSzego(schur.alphas[: n - 1])
-        record["exactness_defect"] = exactness_defect(rule, moments(measure, n - 1))
+        record["exactness_defect"] = exactness_defect(rule, table)
 
     def text(r):
         lines = [f"n: {r['n']}", f"theta: {_fmt(r['theta'])}"]

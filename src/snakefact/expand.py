@@ -79,10 +79,10 @@ def entry(snake: SnakeFactorization, i: int, j: int) -> complex:
     if not d.monotone:
         return 0j
     schur = snake.schur
-    x = schur._block(d.r)[i - d.r]
+    x = schur._block(d.r)[d.i - d.r]
     if d.r == d.t:
-        return x[j - d.t]
-    value = x[d.b] * schur._block(d.t)[1 - d.b][j - d.t]
+        return x[d.j - d.t]
+    value = x[d.b] * schur._block(d.t)[1 - d.b][d.j - d.t]
     rhos = schur._rhos
     for k in d.K:
         value *= rhos[k]

@@ -1,11 +1,11 @@
 """Moment-based ground truth, independent of the Givens factorization.
 
 Everything here is computed from trigonometric moments of a probability
-measure on the unit circle: inner products of Laurent polynomials, explicit
+measure on the unit circle: Gram matrices of monomials, explicit
 Gram-Schmidt orthogonalization of an ordered monomial sequence, recovery of
-the Schur parameters, and entries of the multiplication operator as plain
-inner products.  None of it touches Givens factors or the closed-form entry
-rule, which is what makes it usable as an oracle for them.
+the Schur parameters, and the multiplication operator as the matrix of
+inner products <psi_i, z psi_j>.  None of it touches Givens factors or the
+closed-form entry rule, which is what makes it usable as an oracle for them.
 
 Moment convention
 -----------------
@@ -16,20 +16,19 @@ f = sum_a f_a z^a and g = sum_b g_b z^b is
 
     <f, g> = sum_{a,b} conj(f_a) g_b mu_{a-b},
 
-conjugate-linear in the first argument.  Laurent polynomials cross the
-public API as plain mappings {exponent: coefficient}.  Internally the
-ordered monomials z^{e_0}, z^{e_1}, ... have the Gram matrix
+conjugate-linear in the first argument.  Laurent polynomials are dense:
+the ordered monomials z^{e_0}, z^{e_1}, ... have the Gram matrix
 (mu_{e_a - e_b}), Gram-Schmidt on them is its Cholesky factorization
 G = R^H R, and column k of the upper-triangular C = R^{-1} holds the
-coefficients of psi_k.
+coefficients of psi_k.  ``gram_schmidt_laurent`` returns the exponents and
+C as they are.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (MomentError, NumericalError, check, int_argument, laurent_argument,
-                     number_array, real_arguments)
+from .errors import MomentError, NumericalError, check, int_argument, number_array, real_arguments
 from .schur import SchurSequence, _coefficients, _one_parameter, evaluate_phi
 from .shape import GeneratingSequence
 
@@ -41,10 +40,8 @@ __all__ = [
     "MomentTable",
     "moments",
     "schur_parameters",
-    "inner_product",
     "gram_schmidt_laurent",
     "schur_from_moments",
-    "matrix_entry_oracle",
     "multiplication_matrix",
 ]
 
@@ -247,27 +244,6 @@ def schur_parameters(measure, count: int) -> SchurSequence:
     return SchurSequence(_stated_parameters(measure, count))
 
 
-def inner_product(table: MomentTable, f, g) -> complex:
-    """<f, g> = sum conj(f_a) g_b mu_{a-b} for Laurent coefficient mappings.
-
-    Both are checked by ``errors.laurent_argument``: mappings of integer
-    exponents to finite number coefficients.
-    """
-    f, g = laurent_argument("f", f), laurent_argument("g", g)
-    if not f or not g:
-        return 0j
-    return complex(np.conj([*f.values()]) @ table._gram([*f], [*g]) @ np.array([*g.values()]))
-
-
-def _exponents(gen: GeneratingSequence, n: int) -> list:
-    """Exponents of the monomials at positions 0 .. n of the ordering.
-
-    ``n`` is checked by the shape index rule, ``GeneratingSequence._index``.
-    """
-    return [0] + [-gen.p[k] if gen.bits[k - 1] == 1 else k - gen.p[k]
-                  for k in range(1, gen._index(n) + 1)]
-
-
 def _gram_schmidt(table: MomentTable, exps) -> np.ndarray:
     """Upper-triangular C; column k holds psi_k over the monomials z^{exps}.
 
@@ -288,16 +264,19 @@ def _gram_schmidt(table: MomentTable, exps) -> np.ndarray:
     return c
 
 
-def gram_schmidt_laurent(table: MomentTable, gen: GeneratingSequence, n: int):
-    """Orthonormal Laurent polynomials psi_0 .. psi_n for the given ordering.
+def gram_schmidt_laurent(table: MomentTable, gen: GeneratingSequence, n: int) -> tuple[list, np.ndarray]:
+    """Orthonormal Laurent polynomials psi_0 .. psi_n for the given ordering, as (exponents, C).
 
-    Each psi_k is returned as a coefficient mapping, normalized so that the
-    coefficient of the monomial that is new at position k is real positive.
-    The exponents 0 .. n span a range of n + 1 integers, so jmax >= n suffices.
+    ``exponents[a]`` is the exponent of the monomial at position a of the
+    ordering, and column k of the upper-triangular C holds psi_k over
+    z^{exponents[0]} .. z^{exponents[k]}.  The coefficient C[k, k] of the
+    monomial new at position k is real positive.  Position ``n`` is checked
+    by the shape index rule, ``GeneratingSequence._index``.  The exponents
+    0 .. n span a range of n + 1 integers, so jmax >= n suffices.
     """
-    exps = _exponents(gen, n)
-    c = _gram_schmidt(table, exps)
-    return [{e: complex(c[a, k]) for a, e in enumerate(exps[: k + 1])} for k in range(len(exps))]
+    exps = [0] + [-gen.p[k] if gen.bits[k - 1] == 1 else k - gen.p[k]
+                  for k in range(1, gen._index(n) + 1)]
+    return exps, _gram_schmidt(table, exps)
 
 
 def schur_from_moments(table: MomentTable, n: int) -> SchurSequence:
@@ -313,22 +292,11 @@ def schur_from_moments(table: MomentTable, n: int) -> SchurSequence:
     return SchurSequence(-np.conj(c[0, 1:]) / np.diag(c)[1:])
 
 
-def matrix_entry_oracle(table: MomentTable, gen: GeneratingSequence, i: int, j: int) -> complex:
-    """Entry <psi_i, z psi_j> of the multiplication operator, from moments only.
-
-    An index past the shape's bits raises the ``ShapeIndexError`` of the
-    shape index rule, as in ``multiplication_matrix``.
-    """
-    i, j = int_argument("i", i), int_argument("j", j)
-    return complex(multiplication_matrix(table, gen, max(i, j) + 1)[i, j])
-
-
 def multiplication_matrix(table: MomentTable, gen: GeneratingSequence, n: int) -> np.ndarray:
     """Dense n x n matrix of <psi_i, z psi_j>, sharing one Gram-Schmidt run.
 
     Index n - 1 must be a position of the ordering, which
     ``GeneratingSequence._index`` checks.
     """
-    exps = _exponents(gen, int_argument("n", n, 1) - 1)
-    c = _gram_schmidt(table, exps)
+    exps, c = gram_schmidt_laurent(table, gen, int_argument("n", n, 1) - 1)
     return c.conj().T @ table._gram(exps, shift=1) @ c

@@ -62,7 +62,8 @@ class SchurSequence:
 
     def _degree(self, n) -> int:
         """``n`` as a Szego degree: phi_n reads alpha_0 .. alpha_{n-1}."""
-        if int_argument("n", n) > len(self.alphas):
+        n = int_argument("n", n)
+        if n > len(self.alphas):
             raise ValueError(f"degree {n} needs {n} Schur parameters, have {len(self.alphas)}")
         return n
 

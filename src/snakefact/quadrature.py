@@ -65,13 +65,12 @@ from .errors import (
     unitarity_defect,
 )
 from .schur import SchurSequence
-from .snake import SnakeFactorization, _snake_product, materialize_window
+from .snake import SnakeFactorization, _snake_product
 
 __all__ = [
     "ParaUnitaryTruncation",
     "QuadratureRule",
     "truncate_para_unitary",
-    "principal_truncation",
     "eigen_unitary",
     "szego_quadrature",
     "apply_rule",
@@ -123,12 +122,6 @@ def truncate_para_unitary(snake: SnakeFactorization, n: int, theta: float) -> Pa
     snake.gen._index(n - 1)  # the shape must place factor n - 1, the corner
     theta, blocks = _corner_blocks(snake.schur, n, theta)
     return ParaUnitaryTruncation(n, theta, _snake_product(snake, blocks)[:n, :n])
-
-
-def principal_truncation(snake: SnakeFactorization, n: int) -> np.ndarray:
-    """Leading n x n block of the infinite matrix (not unitary)."""
-    n = int_argument("n", n, 2)
-    return materialize_window(snake, n - 1)[:n, :n]
 
 
 def eigen_unitary(matrix: np.ndarray):

@@ -79,7 +79,8 @@ class GeneratingSequence:
 
     def s(self, n: int) -> int:
         """Bit s_n for 1 <= n <= m."""
-        if not 1 <= int_argument("n", n) <= len(self.bits):
+        n = int_argument("n", n)
+        if not 1 <= n <= len(self.bits):
             raise IndexError(f"s_{n} undefined; stored bits cover 1..{len(self.bits)}")
         return self.bits[n - 1]
 
@@ -88,7 +89,8 @@ class GeneratingSequence:
 
         The one statement of the shape's index range; past it raises ``ShapeIndexError``.
         """
-        if int_argument("n", n) > len(self.bits):
+        n = int_argument("n", n)
+        if n > len(self.bits):
             raise ShapeIndexError(f"index {n} exceeds the {len(self.bits)} stored shape bits")
         return n
 

@@ -698,6 +698,16 @@ class TestErrors:
             "matrix is beyond float64 at this range\n"
         )
 
+    def test_verify_builds_the_table_before_the_rule(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a rule was computed for a table that cannot be built")
+
+        monkeypatch.setattr("snakefact.quadrature.szego_quadrature", unreachable)
+        code, out, err = run(capsys, "quadrature", "--measure", '{"type": "geronimus", "a": [0.999, 0]}',
+                             "--n", "200", "--verify")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: moment recursion overflows at jmax=199")
+
     def test_verify_grid_past_its_atoms(self, capsys):
         # the oracle-equivalence suite reads moments up to n + 1 = 3 of 3 atoms
         grid = '{"type":"grid","points":[[-2.0,0.25],[0.0,0.5],[2.0,0.25]]}'

@@ -31,10 +31,9 @@ PUBLIC_NAMES = [
     "QuadratureRule", "SchurSequence", "ShapeError", "SnakeFactorization", "apply_rule",
     "bandwidths", "cmv_shape", "dual", "eigen_unitary", "entry", "evaluate_phi",
     "exactness_defect", "expand_dense", "gram_schmidt_laurent", "hessenberg_shape",
-    "inner_product", "laurent_basis", "materialize_window", "matrix_entry_oracle", "moments",
-    "multiplication_matrix", "path", "polynomial_pair", "principal_truncation",
-    "schur_from_moments", "schur_parameters", "shape_from_monomials", "szego_quadrature",
-    "szego_step", "truncate_para_unitary",
+    "laurent_basis", "materialize_window", "moments", "multiplication_matrix", "path",
+    "polynomial_pair", "schur_from_moments", "schur_parameters", "shape_from_monomials",
+    "szego_quadrature", "szego_step", "truncate_para_unitary",
 ]
 
 

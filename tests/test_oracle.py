@@ -16,8 +16,6 @@ from snakefact.oracle import (
     Lebesgue,
     MomentTable,
     gram_schmidt_laurent,
-    inner_product,
-    matrix_entry_oracle,
     moments,
     multiplication_matrix,
     schur_from_moments,
@@ -241,74 +239,29 @@ def test_property_grid_atom_bound(grid_atoms, jmax):
             pass
 
 
-class TestInnerProduct:
-    def test_normalization(self):
-        table = moments(BernsteinSzego([0.6]), 4)
-        assert inner_product(table, {0: 1.0}, {0: 1.0}) == pytest.approx(1.0)
-
-    def test_lebesgue_monomials(self):
-        table = moments(Lebesgue(), 6)
-        for a in range(-3, 4):
-            for b in range(-3, 4):
-                want = 1.0 if a == b else 0.0
-                assert inner_product(table, {a: 1.0}, {b: 1.0}) == pytest.approx(want)
-
-    def test_hermitian_symmetry(self):
-        rng = np.random.default_rng(12)
-        table = moments(BernsteinSzego([0.5, -0.4j, 0.2]), 8)
-        for _ in range(10):
-            f = {int(e): complex(*rng.normal(size=2)) for e in rng.integers(-3, 4, size=3)}
-            g = {int(e): complex(*rng.normal(size=2)) for e in rng.integers(-3, 4, size=3)}
-            assert inner_product(table, f, g) == pytest.approx(
-                np.conj(inner_product(table, g, f))
-            )
-
-    def test_conjugate_linear_first_argument(self):
-        table = moments(BernsteinSzego([0.6]), 4)
-        f, g = {1: 1.0 + 0.5j}, {0: 0.3, 1: -0.2j}
-        c = 0.7 - 0.4j
-        scaled = {e: c * v for e, v in f.items()}
-        assert inner_product(table, scaled, g) == pytest.approx(
-            np.conj(c) * inner_product(table, f, g)
-        )
-
-    def test_range_exceeded(self):
-        table = moments(Lebesgue(), 2)
-        with pytest.raises(MomentError, match="moments up to"):
-            inner_product(table, {3: 1.0}, {-3: 1.0})
-
-    @pytest.mark.parametrize("bad", [None, True, "x", [1.0]])
-    def test_coefficient_not_a_number_names_its_exponent(self, bad):
-        table = moments(Lebesgue(), 4)
-        for f, g in (({-2: bad}, {0: 1.0}), ({0: 1.0}, {1: 0.5, -2: bad})):
-            with pytest.raises(TypeError, match=r"^coefficient of z\^-2 must be a number"):
-                inner_product(table, f, g)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
-    def test_non_finite_coefficient_rejected(self, bad):
-        table = moments(Lebesgue(), 4)
-        for f, g in (({3: bad}, {0: 1.0}), ({0: 1.0}, {3: bad})):
-            with pytest.raises(ValueError, match=r"^coefficient of z\^3 = .* is not finite$"):
-                inner_product(table, f, g)
-
-    @pytest.mark.parametrize("bad", [[1.0, 2.0], 1.0, None, "z"], ids=repr)
-    def test_polynomials_must_be_mappings(self, bad):
-        table = moments(Lebesgue(), 4)
-        for name, f, g in (("f", bad, {0: 1.0}), ("g", {0: 1.0}, bad)):
-            message = f"{name} must be a mapping {{exponent: coefficient}}, got {type(bad).__name__} {bad!r}"
-            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
-                inner_product(table, f, g)
-
-    def test_empty_polynomial_is_zero_after_checks(self):
-        table = moments(Lebesgue(), 4)
-        assert inner_product(table, {}, {1: 2.0}) == 0j
-        with pytest.raises(TypeError, match="exponent must be an integer"):
-            inner_product(table, {}, {1.0: 2.0})
-
-
 def range_message(span, jmax):
     """The one message of a moment read past the table, as a pattern."""
     return re.escape(f"needs moments up to |j| = {span}; the table has jmax = {jmax}")
+
+
+@pytest.mark.parametrize("measure", [Lebesgue(), BernsteinSzego([0.5, -0.4j, 0.2])],
+                         ids=["lebesgue", "bernstein-szego"])
+@pytest.mark.parametrize("rows, cols", [([3], [-1]), ([-1], [3]), ([-2, 1], [0, 2]),
+                                        (range(-2, 3), range(-2, 3))],
+                         ids=["above", "below", "sparse", "square"])
+def test_gram_is_the_moment_convention(measure, rows, cols):
+    # <z^a, z^b> = mu_{a-b}: Hermitian, the identity on Lebesgue monomials,
+    # and read only while every |a - b| lies inside the table
+    rows, cols = list(rows), list(cols)
+    span = max(abs(a - b) for a in rows for b in cols)
+    table = moments(measure, span)
+    gram = table._gram(rows, cols)
+    np.testing.assert_array_equal(gram, [[table.mu(a - b) for b in cols] for a in rows])
+    np.testing.assert_array_equal(gram, table._gram(cols, rows).conj().T)
+    if isinstance(measure, Lebesgue):
+        np.testing.assert_array_equal(gram, np.equal.outer(rows, cols))
+    with pytest.raises(MomentError, match=range_message(span, span - 1)):
+        moments(measure, span - 1)._gram(rows, cols)
 
 
 class TestMomentRange:
@@ -321,8 +274,10 @@ class TestMomentRange:
         gen = GeneratingSequence(self.SHAPES[shape])
         n = len(gen)
         measure = BernsteinSzego(SIX_PARAMETERS)
-        wide = gram_schmidt_laurent(moments(measure, 2 * n + 2), gen, n)
-        assert gram_schmidt_laurent(moments(measure, n), gen, n) == wide
+        exps, c = gram_schmidt_laurent(moments(measure, n), gen, n)
+        wide_exps, wide_c = gram_schmidt_laurent(moments(measure, 2 * n + 2), gen, n)
+        assert exps == wide_exps
+        np.testing.assert_array_equal(c, wide_c)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_gram_schmidt_one_moment_short(self, shape):
@@ -351,17 +306,6 @@ class TestMomentRange:
         with pytest.raises(MomentError, match=range_message(5, 4)):
             schur_from_moments(moments(Lebesgue(), 4), 5)
 
-    @pytest.mark.parametrize("f, g, span", [
-        ({3: 1.0}, {-1: 1.0}, 4),
-        ({-1: 1.0}, {3: 1.0}, 4),
-        ({-2: 1.0, 1: 0.5}, {0: 1.0, 2: 0.5j}, 4),
-    ])
-    def test_inner_product_one_moment_short(self, f, g, span):
-        table = moments(BernsteinSzego([0.6]), span)
-        assert inner_product(table, f, g) == pytest.approx(np.conj(inner_product(table, g, f)))
-        with pytest.raises(MomentError, match=range_message(span, span - 1)):
-            inner_product(moments(BernsteinSzego([0.6]), span - 1), f, g)
-
     def test_mu_outside_the_table(self):
         table = moments(Lebesgue(), 3)
         assert table.mu(-3) == 0.0
@@ -374,28 +318,25 @@ class TestGramSchmidt:
         rng = np.random.default_rng(13)
         gen = GeneratingSequence(random_bits(rng, 6))
         table = moments(Lebesgue(), 16)
-        basis = gram_schmidt_laurent(table, gen, 6)
-        for n, psi in enumerate(basis):
-            exponent = -gen.p[n] if (n >= 1 and gen.s(n) == 1) else n - gen.p[n]
-            assert psi[exponent] == pytest.approx(1.0, abs=1e-12)
-            others = sum(abs(c) for e, c in psi.items() if e != exponent)
-            assert others <= 1e-12
+        exps, c = gram_schmidt_laurent(table, gen, 6)
+        assert exps == [-gen.p[n] if (n >= 1 and gen.s(n) == 1) else n - gen.p[n] for n in range(7)]
+        assert np.max(np.abs(c - np.eye(7))) <= 1e-12
 
     def test_bernstein_szego_degree_one(self):
         table = moments(BernsteinSzego([0.6]), 6)
-        basis = gram_schmidt_laurent(table, hessenberg_shape(1), 1)
-        assert basis[1][0] == pytest.approx(-0.75, abs=1e-10)
-        assert basis[1][1] == pytest.approx(1.25, abs=1e-10)
+        exps, c = gram_schmidt_laurent(table, hessenberg_shape(1), 1)
+        assert exps == [0, 1]
+        assert np.max(np.abs(c[:, 1] - [-0.75, 1.25])) <= 1e-10
 
     def test_orthonormality(self):
+        # C^H G C = I, with C upper triangular and its diagonal, the
+        # coefficient of each new monomial, real and positive
         table = moments(BernsteinSzego([0.5, -0.4j, 0.2]), 20)
         for gen in (hessenberg_shape(8), cmv_shape(8)):
-            basis = gram_schmidt_laurent(table, gen, 8)
-            for a in range(9):
-                for b in range(9):
-                    want = 1.0 if a == b else 0.0
-                    got = inner_product(table, basis[a], basis[b])
-                    assert got == pytest.approx(want, abs=1e-10)
+            exps, c = gram_schmidt_laurent(table, gen, 8)
+            assert np.max(np.abs(c.conj().T @ table._gram(exps) @ c - np.eye(9))) <= 1e-10
+            np.testing.assert_array_equal(c, np.triu(c))
+            assert np.all(np.diag(c).real > 0) and np.all(np.diag(c).imag == 0)
 
     def test_matches_recursion_form(self):
         # Gram-Schmidt output must be the power-shifted Szego polynomial or
@@ -403,12 +344,11 @@ class TestGramSchmidt:
         table = moments(BernsteinSzego([0.5, -0.4j, 0.2]), 20)
         schur = schur_from_moments(table, 8)
         for gen in (cmv_shape(8), GeneratingSequence(MIXED_BITS[:8])):
-            basis = gram_schmidt_laurent(table, gen, 8)
+            exps, c = gram_schmidt_laurent(table, gen, 8)
             for n in range(9):
                 want = psi_coefficients(schur, gen, n)
-                got = basis[n]
-                for e in set(want) | set(got):
-                    assert got.get(e, 0j) == pytest.approx(want.get(e, 0j), abs=1e-9)
+                assert set(want) == set(exps[: n + 1])
+                assert np.max(np.abs(c[: n + 1, n] - [want[e] for e in exps[: n + 1]])) <= 1e-9
 
     def test_moment_range_precondition(self):
         table = moments(Lebesgue(), 3)
@@ -480,25 +420,26 @@ class TestSchurParameters:
 
 
 class TestMatrixEntryOracle:
+    # Entries <psi_i, z psi_j> of the oracle's multiplication_matrix
     def test_lebesgue_shift(self):
         table = moments(Lebesgue(), 4)
-        assert matrix_entry_oracle(table, hessenberg_shape(2), 1, 0) == pytest.approx(1.0)
+        assert multiplication_matrix(table, hessenberg_shape(2), 2)[1, 0] == pytest.approx(1.0)
 
     def test_corner_entry(self):
         table = moments(BernsteinSzego([0.6]), 4)
-        got = matrix_entry_oracle(table, hessenberg_shape(2), 0, 0)
+        got = multiplication_matrix(table, hessenberg_shape(2), 1)[0, 0]
         assert got == pytest.approx(0.6, abs=1e-9)
 
     def test_non_monotone_entries_vanish(self):
         rng = np.random.default_rng(15)
         gen = GeneratingSequence(random_bits(rng, 6))
-        table = moments(BernsteinSzego(random_schur(rng, 3)), 10)
+        matrix = multiplication_matrix(moments(BernsteinSzego(random_schur(rng, 3)), 10), gen, 7)
         found = 0
         for i in range(7):
             for j in range(7):
                 if not path(gen, i, j).monotone:
                     found += 1
-                    assert abs(matrix_entry_oracle(table, gen, i, j)) <= 1e-10
+                    assert abs(matrix[i, j]) <= 1e-10
         assert found > 0
 
     def test_matches_closed_form_small(self):
@@ -522,9 +463,6 @@ class TestMatrixEntryOracle:
         padded = SchurSequence(list(prefix.alphas) + [0.0] * 9)
         gen = cmv_shape(12)
         psis = [psi_coefficients(padded, gen, n) for n in range(13)]
-        for a in range(13):
-            for b in range(13):
-                want = 1.0 if a == b else 0.0
-                assert inner_product(table, psis[a], psis[b]) == pytest.approx(
-                    want, abs=1e-10
-                )
+        exps = sorted(set().union(*psis))
+        dense = np.array([[psi.get(e, 0j) for psi in psis] for e in exps])
+        assert np.max(np.abs(dense.conj().T @ table._gram(exps) @ dense - np.eye(13))) <= 1e-10

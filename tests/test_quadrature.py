@@ -16,7 +16,7 @@ from helpers import (
 from snakefact import quadrature
 from snakefact.errors import NumericalError, ShapeError, ShapeIndexError, unitarity_defect
 from snakefact.expand import entry, expand_dense
-from snakefact.oracle import BernsteinSzego, Lebesgue, inner_product, moments, schur_from_moments
+from snakefact.oracle import BernsteinSzego, Lebesgue, moments, schur_from_moments
 from snakefact.quadrature import (
     QuadratureRule,
     _corner_blocks,
@@ -28,7 +28,6 @@ from snakefact.quadrature import (
     _takagi_blocks,
     apply_rule,
     eigen_unitary,
-    principal_truncation,
     szego_quadrature,
     truncate_para_unitary,
 )
@@ -128,6 +127,8 @@ class TestTruncation:
 
 
 class TestPrincipalTruncation:
+    # The leading n x n block of the infinite matrix, which is not unitary:
+    # the window through factor n - 1, cut to n x n.
     def test_equals_leading_block(self):
         rng = np.random.default_rng(21)
         for _ in range(6):
@@ -135,7 +136,7 @@ class TestPrincipalTruncation:
             gen = GeneratingSequence(random_bits(rng, m))
             snake = SnakeFactorization(random_schur(rng, m + 1), gen)
             for n in (2, m, m + 1):
-                block = principal_truncation(snake, n)
+                block = materialize_window(snake, n - 1)[:n, :n]
                 assert np.max(np.abs(block - expand_dense(snake, n))) <= 1e-13
 
     def test_eigenvalues_inside_disk(self):
@@ -144,7 +145,7 @@ class TestPrincipalTruncation:
             snake = SnakeFactorization(
                 random_schur(rng, 9, lo=0.05, hi=0.9), GeneratingSequence(random_bits(rng, 8))
             )
-            values = np.linalg.eigvals(principal_truncation(snake, 8))
+            values = np.linalg.eigvals(materialize_window(snake, 7)[:8, :8])
             assert np.max(np.abs(values)) < 1.0
 
     def test_eigenvalues_are_polynomial_zeros(self):
@@ -152,7 +153,7 @@ class TestPrincipalTruncation:
         schur = random_schur(rng, 9)
         snake = SnakeFactorization(schur, hessenberg_shape(8))
         for n in (4, 8):
-            values = np.linalg.eigvals(principal_truncation(snake, n))
+            values = np.linalg.eigvals(materialize_window(snake, n - 1)[:n, :n])
             phi, _ = evaluate_phi(schur, n, values)
             assert np.max(np.abs(phi)) <= 1e-8
 
@@ -161,7 +162,7 @@ class TestPrincipalTruncation:
         schur = random_schur(rng, 9)
         spectra = []
         for gen in (hessenberg_shape(8), cmv_shape(8), GeneratingSequence(MIXED_BITS[:8])):
-            values = np.linalg.eigvals(principal_truncation(SnakeFactorization(schur, gen), 8))
+            values = np.linalg.eigvals(materialize_window(SnakeFactorization(schur, gen), 7)[:8, :8])
             spectra.append(np.sort_complex(values))
         assert np.max(np.abs(spectra[0] - spectra[1])) <= 1e-10
         assert np.max(np.abs(spectra[0] - spectra[2])) <= 1e-10
@@ -181,7 +182,7 @@ class TestTruncationWindow:
         blocks = snake.schur._blocks
         for n in range(2, m + 2):
             want = _snake_product(snake, blocks[:n])[:n, :n]
-            np.testing.assert_array_equal(principal_truncation(snake, n), want)
+            np.testing.assert_array_equal(materialize_window(snake, n - 1)[:n, :n], want)
             theta = float(rng.uniform(-np.pi, np.pi))
             corner = [[np.exp(1j * theta), 0.0], [0.0, 0.0]]
             want = _snake_product(snake, np.concatenate((blocks[: n - 1], [corner])))[:n, :n]
@@ -195,10 +196,9 @@ class TestTruncationWindow:
                "random": GeneratingSequence(random_bits(rng, m))}[shape]
         snake = SnakeFactorization(random_schur(rng, m + 1), gen)
         message = rf"^index {m + 1} exceeds the {m} stored shape bits$"
-        for truncation in (principal_truncation, lambda s, n: truncate_para_unitary(s, n, 0.3)):
-            truncation(snake, m + 1)
-            with pytest.raises(ShapeIndexError, match=message):
-                truncation(snake, m + 2)
+        truncate_para_unitary(snake, m + 1, 0.3)
+        with pytest.raises(ShapeIndexError, match=message):
+            truncate_para_unitary(snake, m + 2, 0.3)
         with pytest.raises(ShapeIndexError, match=message):
             materialize_window(snake, m + 1)
 
@@ -773,7 +773,7 @@ class TestSzegoQuadrature:
             int(e): complex(*rng.normal(size=2))
             for e in range(-(n - 1), n)
         }
-        want = inner_product(table, {0: 1.0}, coeffs)
+        want = sum(c * table.mu(-e) for e, c in coeffs.items())
         assert apply_rule(rule, coeffs) == pytest.approx(want, abs=1e-10)
 
 
@@ -786,7 +786,7 @@ class TestApplyRule:
         rule = szego_quadrature(free_snake(7), 8, 0.0)
         assert apply_rule(rule, {3: 1.0}) == pytest.approx(0.0, abs=1e-14)
 
-    @pytest.mark.parametrize("bad", ["1", None, [1.0], True], ids=repr)
+    @pytest.mark.parametrize("bad", ["1", "x", None, [1.0], True], ids=repr)
     def test_coefficient_not_a_number_names_its_exponent(self, bad):
         rule = szego_quadrature(free_snake(7), 8, 0.0)
         with pytest.raises(TypeError, match=r"^coefficient of z\^-2 must be a number"):
@@ -798,12 +798,18 @@ class TestApplyRule:
         with pytest.raises(ValueError, match=r"^coefficient of z\^3 = .* is not finite$"):
             apply_rule(rule, {3: bad})
 
-    @pytest.mark.parametrize("bad", [[1.0, 2.0], [(0, 1.0)], 1.0, None, "z^2", {0, 1}], ids=repr)
+    @pytest.mark.parametrize("bad", [[1.0, 2.0], [(0, 1.0)], 1.0, None, "z", "z^2", {0, 1}], ids=repr)
     def test_polynomial_must_be_a_mapping(self, bad):
         rule = szego_quadrature(free_snake(7), 8, 0.0)
         message = f"f must be a mapping {{exponent: coefficient}}, got {type(bad).__name__} {bad!r}"
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             apply_rule(rule, bad)
+
+    def test_empty_polynomial_is_zero_after_checks(self):
+        rule = szego_quadrature(free_snake(7), 8, 0.0)
+        assert apply_rule(rule, {}) == 0j
+        with pytest.raises(TypeError, match="^exponent must be an integer"):
+            apply_rule(rule, {1.0: 2.0})
 
 
 class TestQuadratureRuleValidation:

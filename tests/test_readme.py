@@ -1,5 +1,6 @@
 """The README's examples run: every ``snakefact`` line of the command-line
-block exits 0 through ``cli.main``, and the library example executes."""
+block exits 0 through ``cli.main``, and the library example executes.  Every
+public name of the package appears in it."""
 
 import re
 import shlex
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import snakefact
 from snakefact.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -36,3 +38,8 @@ def test_command_example_exits_0(capsys, argv):
 
 def test_library_example_runs():
     exec(compile(_block("Library example", "python"), "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("name", snakefact.__all__)
+def test_public_name_documented(name):
+    assert re.search(rf"\b{name}\b", README)

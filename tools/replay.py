@@ -24,8 +24,8 @@ Its ``platform`` section goes through NumPy and LAPACK:
   float64 to some of its weights;
 - ``expand/n=<n> <shape>``: ``expand_dense`` of the leading n x n block of
   a Hessenberg, a CMV and a random snake, n in {1, 2, 17, 96};
-- ``window``, ``truncation`` (matrix and defect) and ``principal`` of the
-  three n = 17 snakes;
+- ``window`` and ``truncation`` (matrix and defect) of the three n = 17
+  snakes;
 - ``phi`` and ``laurent``: ``evaluate_phi`` and ``laurent_basis`` of the
   random n = 17 snake at eight points, from one array call and from one
   call per point, which can differ in the last bit;
@@ -220,7 +220,6 @@ def platform_entries() -> dict:
                for o in ("moments", "schur_from_moments", "multiplication_matrix", "exactness_defect")},
             **{f"window/{k}": lambda k=k: data(materialize_window(snake(17, k), 17)) for k in SHAPES},
             **{f"truncation/{k}": lambda k=k: truncation(k) for k in SHAPES},
-            **{f"principal/{k}": lambda k=k: data(q.principal_truncation(snake(17, k), 17)) for k in SHAPES},
             **{f"{f} {call}": lambda f=f, call=call: szego_values(f, call == "scalar")
                for f in ("phi", "laurent") for call in ("array", "scalar")},
             **{f"apply_rule/{f}": lambda f=f: applied(f) for f in FAMILIES},
