@@ -291,14 +291,20 @@ def cmd_bandwidth(args) -> int:
 def cmd_quadrature(args) -> int:
     import numpy as np
 
-    from .oracle import BernsteinSzego, moments
+    from .oracle import BernsteinSzego, GridMeasure, moments, schur_from_moments
     from .quadrature import _principal_argument, _rule_size, exactness_defect, szego_quadrature
 
     n = _rule_size(args.n)
     alphas, measure = _schur_source(args)
-    schur = _schur_sequence(alphas, measure, n - 1)
-    if args.verify:  # the table first, so that one which cannot be built costs no rule
-        table = moments(BernsteinSzego(schur.alphas[: n - 1]) if measure is None else measure, n - 1)
+    # The table comes before the rule, so that one which cannot be built
+    # costs no rule; a grid's parameters are read off that same table.
+    if args.verify and isinstance(measure, GridMeasure):
+        table = moments(measure, n - 1)
+        schur = schur_from_moments(table, n - 1)
+    else:
+        schur = _schur_sequence(alphas, measure, n - 1)
+        if args.verify:
+            table = moments(BernsteinSzego(schur.alphas[: n - 1]) if measure is None else measure, n - 1)
     rule = szego_quadrature(schur, n, args.theta)
     record = {"n": n, "theta": args.theta, "nodes": rule.nodes.tolist(), "weights": rule.weights.tolist()}
     if args.verify:

@@ -13,13 +13,31 @@ The path is monotone exactly when the bits strictly between i and j are
 all 0 (i < j) or all 1 (i > j), so the nonzeros of row i fill one
 contiguous column range bounded by the runs of equal bits next to i; the
 generating sequence stores that range for every row.  ``entry`` costs
-O(|i - j| + 1).  ``expand_dense`` lists the nnz structural nonzeros of an
-n x n block as flat arrays and evaluates the rule for all of them in a few
-whole-array passes, in O(n + nnz) time and memory besides the n^2 output
-and a table of running rho products.  That table has n rows of at most
-L + 1 entries, L the longest run of equal bits, so it is never larger than
-the output.  Each product is multiplied up from 1.0, because a ratio of
-prefix products would be 0/0 once the products underflow.
+O(|i - j| + 1).
+
+``expand_dense`` splits the rule along the paper's line: the shape alone
+fixes where each nonzero goes and which block entries and rho's it reads,
+and the Schur parameters only fill those in.  Its layout (``_plan``) lists
+the nnz structural nonzeros of the n x n block in one read-only (4, nnz)
+integer array, 32 bytes a nonzero: their output positions, the flat
+positions of their factors x and y among the blocks, and their positions in
+a table of running rho products.  Its key is the bits s_1 .. s_{n-1},
+which fix n, so shapes that share them share one layout.  A first call
+builds the layout in O(n + nnz) time and memory, besides the n^2 output
+and the table; a repeat costs a hash of the n - 1 bits and the fill alone:
+one gather of the factors x and y, their product, the table and its
+gather, one more product and one scatter.  The table has n rows
+of at most L + 1 entries, L the longest run of equal bits, so it is never
+larger than the output.  Each product is multiplied up from 1.0, because a
+ratio of prefix products would be 0/0 once the products underflow.
+
+The memo keeps the 8 most recently used layouts, at most 32 MiB in all,
+each charged its array, its key and 4 KiB for its Python objects; a layout
+too large for that is built, used and not kept.  The Hessenberg layout
+takes 152 KB at n = 96 and 16.8 MB at n = 1024, so no two of the latter
+fit.  The memo is shared by every thread, under one lock, and its arrays
+are read-only.  Only a repeated shape gains from it: one that is new at
+every call pays the first-call cost every time.
 
 ``path`` and ``entry`` load no NumPy: ``entry`` multiplies the Schur
 sequence's scalar blocks as Python complex numbers, x_r times y_t and then
@@ -29,7 +47,8 @@ sequence caches in O(m).  Only ``expand_dense`` imports NumPy.
 
 from __future__ import annotations
 
-from collections import namedtuple
+import threading
+from collections import OrderedDict, namedtuple
 
 from .errors import int_argument
 from .shape import GeneratingSequence, bandwidths
@@ -89,56 +108,128 @@ def entry(snake: SnakeFactorization, i: int, j: int) -> complex:
     return value
 
 
+# The memo of layouts, key -> (layout, charge), least recently used first.
+_MEMO_LAYOUTS = 8
+_MEMO_BYTES = 32 << 20
+_ENTRY_BYTES = 4096
+_memo: OrderedDict = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def _plan(bits: bytes, n: int):
+    """The layout of an n x n block, (at, width), for the bits s_1 .. s_{n-1}.
+
+    The structural nonzeros form one flat list, row i covering the columns
+    lo_i .. min(hi_i, n - 1) of the shape's row profile.  Row 0 of the
+    read-only (4, nnz) array ``at`` holds their flat positions in the n x n
+    output, rows 1 and 2 the positions of their factors x and y in a 1
+    followed by the first n Schur blocks, flattened, and row 3 their
+    positions in the running-product table, whose rows are ``width`` + 2
+    long.  No path has an inner segment when ``width`` < 1, and row 3 is
+    then unused.
+    """
+    import numpy as np
+
+    # Index k lies on segment k - 1 on the column side when s_k = 1 and on
+    # the row side when s_k = 0, and otherwise on segment k.
+    col_bit = np.frombuffer(b"\0" + bits + b"\0", dtype=np.uint8).astype(np.intp)
+    # The shape's row profile, capped at column n - 1: lo_i is the last
+    # k < i with col_bit_k = 0, and end_i = hi_i + 1 the least k + 1 over
+    # k > i with col_bit_k = 1, or n; the appended col_bit_n = 0 gives n.
+    end = np.minimum.accumulate(np.where(col_bit, np.arange(1, n + 2), n)[::-1])[-2::-1]
+    col_bit = col_bit[:-1]
+    index = np.arange(n)
+    row_bit = 1 - col_bit
+    row_bit[0] = 0
+    lo = np.zeros(n, dtype=np.intp)
+    np.maximum.accumulate((index * row_bit)[:-1], out=lo[1:])
+    # Row i holds columns lo_i .. hi_i, so nonzero k, counted over all rows,
+    # lies in column k + shift_i, shift_i being hi_i + 1 less the count so far.
+    counts = end - lo
+    total = np.add.accumulate(counts)
+    shift = end - total
+    # A fresh array of nnz entries costs page faults at large n, so the
+    # arithmetic runs in place wherever it can.
+    at = np.empty((4, total[-1]), dtype=np.intp)
+    pos, x, y, inner = at
+    i = np.repeat(index, counts)
+    j = np.arange(at.shape[1])
+    j += shift.take(i, out=pos)
+    seg_r, seg_t = index - row_bit, index - col_bit
+    r, t = seg_r.take(i), seg_t.take(j)
+    # With s = sign(t - r), x = B_r[i - r, (1 + s) / 2] and y = B_t[(1 - s) / 2, j - t]
+    # where t != r, while x = B_r[i - r, j - t] and y = 1 where t = r.  The 1
+    # is at position 0 and B_k[a, b] at 1 + 4k + 2a + b, and i - r = row_bit_i
+    # and j - t = col_bit_j, so x is at (4(i + r) + j - t + 3 + s) // 2 and
+    # y at (3t + j + 2 - s) |s|.
+    d = t - r
+    s = np.sign(d)
+    np.multiply(i, n, out=pos)
+    pos += j
+    np.add(i, r, out=x)
+    x *= 4
+    x += j
+    x -= t
+    x += s
+    x += 3
+    x >>= 1
+    np.multiply(t, 3, out=y)
+    y += j
+    y -= s
+    y += 2
+    y *= np.abs(s, out=s)
+    # The rhos strictly between segments a = min(r, t) and a + delta, where
+    # delta = |t - r|, are rho_{a+1} .. rho_{a+delta-1}: entry (a, delta).
+    delta = np.abs(d, out=d)
+    width = int(delta.max()) - 1
+    np.minimum(r, t, out=inner)
+    inner *= width + 2
+    inner += delta
+    at.setflags(write=False)
+    return at, width
+
+
+def _layout(gen: GeneratingSequence, n: int):
+    """``_plan`` of the bits s_1 .. s_{n-1}, from the memo when it holds them."""
+    key = bytes(gen.bits[: n - 1])
+    with _memo_lock:
+        if (kept := _memo.get(key)) is not None:
+            _memo.move_to_end(key)
+            return kept[0]
+    layout = _plan(key, n)
+    charge = layout[0].nbytes + len(key) + _ENTRY_BYTES
+    if charge <= _MEMO_BYTES:  # a larger one would only evict the rest
+        with _memo_lock:
+            _memo[key] = layout, charge
+            while len(_memo) > _MEMO_LAYOUTS or sum(c for _, c in _memo.values()) > _MEMO_BYTES:
+                _memo.popitem(last=False)
+    return layout
+
+
 def expand_dense(snake: SnakeFactorization, n: int):
     """Dense n x n matrix of closed-form entries.
 
-    The structural nonzeros form one flat list, row i covering the columns
-    lo_i .. min(hi_i, n - 1) of the shape's row profile.  A few whole-array
-    passes over that list gather each entry's segments r and t, its block
-    entries x and y and its inner rho product, and one scatter writes the
-    values into the zero matrix.  Row a of the product table holds 1, 1
-    and then the running products rho_{a+1}, rho_{a+1} rho_{a+2}, ..., as
-    many as the longest inner run needs.  Each is multiplied up from 1.0
-    and never taken as a ratio of prefix products, which is 0/0 once the
-    products underflow.  The per-row and per-column tables have length n
-    and the other arrays length nnz, so the fixed cost at small n is a few
-    dozen numpy calls.
+    The shape's layout, from the memo or built by ``_plan``, gives every
+    structural nonzero's output position, the positions of its factors x
+    and y and its place in the product table; the parameters fill them in.
+    Row a of the product table holds 1, 1 and then the running products
+    rho_{a+1}, rho_{a+1} rho_{a+2}, ..., as many as the longest inner run
+    needs.  Each is multiplied up from 1.0 and never taken as a ratio of
+    prefix products, which is 0/0 once the products underflow.  A bad ``n``
+    raises before the memo is consulted.
     """
     import numpy as np
 
     n = int_argument("n", n, 1)
     gen = snake.gen
     gen._index(n - 1)
+    at, width = _layout(gen, n)
     blocks = snake.schur._blocks[:n]
-    # Index k lies on segment k - 1 on the column side when s_k = 1 and on
-    # the row side when s_k = 0, and otherwise on segment k.
-    col_bit = np.array((0, *gen.bits[: n - 1]))
-    row_bit = 1 - col_bit
-    row_bit[0] = 0
-    index = np.arange(n)
-    seg_r = index - row_bit
-    seg_t = index - col_bit
-    # Row i holds columns lo_i .. hi_i, so nonzero k, counted over all rows,
-    # lies in column k + shift_i, shift_i being lo_i less the earlier count.
-    lo = np.array(gen._lo[:n])
-    counts = np.minimum(gen._hi[:n], n - 1) - lo + 1
-    shift = lo - counts.cumsum() + counts
-    i = np.repeat(index, counts)
-    j = shift[i] + np.arange(i.size)
-    r, t = seg_r[i], seg_t[j]
-    # With s = sign(t - r), x = B_r[i - r, (1 + s) / 2] and y = B_t[(1 - s) / 2, j - t]
-    # where t != r, while x = B_r[i - r, j - t] and y = 1 where t = r.  Row
-    # i's x slots (x0, x0, x1, x1) at 1 + s + (j - t) and column j's y slots
-    # (y0, 1, y1) at 1 - s cover all three cases.
-    s = np.sign(t - r)
-    x = blocks[seg_r, row_bit].repeat(2, axis=1)
-    y = np.ones((n, 3), dtype=complex)
-    y[:, ::2] = blocks[seg_t, :, col_bit]
-    values = x.take(4 * i + 1 + s + col_bit[j]) * y.take(3 * j + 1 - s)
-    # The rhos strictly between segments a = min(r, t) and a + delta, where
-    # delta = |t - r|, are rho_{a+1} .. rho_{a+delta-1}: entry (a, delta).
-    delta = np.abs(t - r)
-    width = int(delta.max()) - 1
+    flat = np.empty(4 * n + 1, dtype=complex)
+    flat[0] = 1
+    flat[1:] = blocks.reshape(-1)
+    x, y = flat.take(at[1:3])
+    values = x * y
     if width > 0:
         rho = np.ones(n - 1 + width)
         rho[: n - 1] = blocks[1:, 0, 1].real
@@ -146,7 +237,7 @@ def expand_dense(snake: SnakeFactorization, n: int):
         # Row a of the windows is a view of rho[a : a + width], rho_{a+1} on.
         windows = np.ndarray((n, width), buffer=rho, strides=(rho.itemsize,) * 2)
         np.cumprod(windows, axis=1, out=table[:, 2:])
-        values *= table.take(np.minimum(r, t) * (width + 2) + delta)
+        values *= table.take(at[3])
     out = np.zeros((n, n), dtype=complex)
-    out.reshape(-1)[n * i + j] = values
+    out.reshape(-1)[at[0]] = values
     return out

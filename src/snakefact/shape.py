@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
 from .errors import _INTEGER_TYPES, ShapeError, ShapeIndexError, _all_numbers, int_argument
 
@@ -43,6 +44,11 @@ class GeneratingSequence:
     i = 0 .. m + 1.  ``_lo[i]`` is the last index below i with s = 0 (0
     when there is none) and ``_hi[i]`` the first index above i with s = 1
     (m + 1 when there is none).
+
+    The bits are checked when the sequence is built; ``p``, ``_lo`` and
+    ``_hi`` are computed on first use, in O(m) each, so a shape that is
+    only expanded, or rebuilt for every call, never pays for them.
+    ``expand.expand_dense`` reads the same row profile from its own arrays.
     """
 
     def __init__(self, bits):
@@ -53,17 +59,26 @@ class GeneratingSequence:
             n, b = next((n, b) for n, b in enumerate(raw, start=1)
                         if not (_all_numbers([b], _INTEGER_TYPES) and b in (0, 1)))
             raise ShapeError(f"shape bit s_{n} = {b!r}; bits must be 0 or 1")
-        self.bits = bits = tuple(map(int, raw))
-        self.p = tuple(itertools.accumulate(bits, initial=0))
-        m = len(bits)
-        lo = [0] * (m + 2)
-        for i in range(2, m + 2):
-            lo[i] = lo[i - 1] if bits[i - 2] else i - 1
+        self.bits = tuple(map(int, raw))
+
+    @cached_property
+    def p(self) -> tuple:
+        return tuple(itertools.accumulate(self.bits, initial=0))
+
+    @cached_property
+    def _lo(self) -> tuple:
+        lo = [0] * (len(self.bits) + 2)
+        for i in range(2, len(lo)):
+            lo[i] = lo[i - 1] if self.bits[i - 2] else i - 1
+        return tuple(lo)
+
+    @cached_property
+    def _hi(self) -> tuple:
+        m = len(self.bits)
         hi = [m + 1] * (m + 2)
         for i in range(m - 1, -1, -1):
-            hi[i] = i + 1 if bits[i] else hi[i + 1]
-        self._lo = tuple(lo)
-        self._hi = tuple(hi)
+            hi[i] = i + 1 if self.bits[i] else hi[i + 1]
+        return tuple(hi)
 
     def __len__(self) -> int:
         return len(self.bits)

@@ -11,6 +11,8 @@ snake, loads no NumPy: a factor and a window import it when they run.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import ShapeError, check, int_argument, number_array, unitarity_defect
 from .parameters import SchurSequence, _one_parameter
 from .shape import (
@@ -62,7 +64,8 @@ class SnakeFactorization:
     The generating sequence supplies bits s_1 .. s_m and the Schur sequence
     must supply exactly the m + 1 parameters alpha_0 .. alpha_m; length
     mismatches are rejected rather than padded.  ``left_order`` and
-    ``right_order`` are the shape's ``multiplication_orders``.
+    ``right_order`` are the shape's ``multiplication_orders``, computed on
+    first use: expanding a snake reads neither.
     """
 
     def __init__(self, schur: SchurSequence, gen: GeneratingSequence):
@@ -73,7 +76,14 @@ class SnakeFactorization:
             )
         self.schur = schur
         self.gen = gen
-        self.left_order, self.right_order = multiplication_orders(gen)
+
+    @cached_property
+    def left_order(self) -> tuple[int, ...]:
+        return multiplication_orders(self.gen)[0]
+
+    @cached_property
+    def right_order(self) -> tuple[int, ...]:
+        return multiplication_orders(self.gen)[1]
 
     def factor(self, k: int) -> GivensFactor:
         """Canonical factor G_{k,k+1}, the Schur sequence's block k."""

@@ -17,6 +17,7 @@ from helpers import grid64
 from snakefact import verify as verify_mod
 from snakefact.cli import main
 from snakefact.expand import entry
+from snakefact.oracle import moments
 from snakefact.schur import SchurSequence
 from snakefact.snake import GeneratingSequence, SnakeFactorization
 
@@ -707,6 +708,22 @@ class TestErrors:
                              "--n", "200", "--verify")
         assert (code, out) == (3, "")
         assert err.startswith("error: moment recursion overflows at jmax=199")
+
+    def test_verify_builds_a_grid_table_once(self, capsys, monkeypatch):
+        # the grid's Schur parameters and the exactness check read one table
+        calls = []
+
+        def counted(measure, jmax):
+            calls.append(jmax)
+            return moments(measure, jmax)
+
+        monkeypatch.setattr("snakefact.oracle.moments", counted)
+        grid = json.dumps({"type": "grid", "points": np.column_stack(grid64()).tolist()})
+        code, out, err = run(capsys, "quadrature", "--measure", grid, "--n", "48", "--verify",
+                             "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["exactness_defect"] <= 1e-9
+        assert calls == [47]
 
     def test_verify_grid_past_its_atoms(self, capsys):
         # the oracle-equivalence suite reads moments up to n + 1 = 3 of 3 atoms

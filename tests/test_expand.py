@@ -1,4 +1,7 @@
 import itertools
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from helpers import (
     random_bits,
     random_schur,
 )
+from snakefact import expand
 from snakefact.expand import PathDescriptor, bandwidths, entry, expand_dense, path
 from snakefact.schur import SchurSequence
 from snakefact.snake import (
@@ -346,6 +350,84 @@ class TestExpandDense:
         entries = np.array([[entry(snake, i, j) for j in range(n)] for i in range(n)])
         assert np.max(np.abs(dense - entries)) <= 1e-15
         assert np.max(np.abs(dense - materialize_window(snake, n - 1)[:n, :n])) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 96])
+    @pytest.mark.parametrize("kind", ["hessenberg", "cmv", "random"])
+    def test_cold_and_warm_layouts_give_the_same_bytes(self, kind, n):
+        gen = {"hessenberg": hessenberg_shape(96), "cmv": cmv_shape(96),
+               "random": GeneratingSequence(random_bits(np.random.default_rng(n), 96))}[kind]
+        snake = SnakeFactorization(random_schur(np.random.default_rng(30 + n), 97), gen)
+        expand._memo.clear()
+        cold = expand_dense(snake, n)
+        assert len(expand._memo) == 1
+        assert cold.tobytes() == expand_dense(snake, n).tobytes()
+
+    def test_shapes_that_share_the_first_bits_share_a_layout(self):
+        # n = 5 reads s_1 .. s_4 alone
+        short, long = GeneratingSequence([0, 1, 1, 0]), GeneratingSequence([0, 1, 1, 0, 1, 0, 0])
+        assert expand._layout(short, 5) is expand._layout(long, 5)
+        assert expand._layout(hessenberg_shape(4), 5) is expand._layout(hessenberg_shape(30), 5)
+        assert expand._layout(short, 4) is not expand._layout(short, 5)
+
+    def test_layout_is_read_only(self):
+        at, _ = expand._layout(cmv_shape(9), 10)
+        with pytest.raises(ValueError, match="read-only"):
+            at[1, 0] = 0
+
+    def test_threads_expanding_the_same_snakes_agree(self):
+        # 36 keys against a memo of 8: the threads build, find and evict
+        # layouts at once
+        rng = np.random.default_rng(40)
+        schur = random_schur(rng, 65)
+        shapes = [hessenberg_shape(64), cmv_shape(64)]
+        shapes += [GeneratingSequence(random_bits(rng, 64)) for _ in range(10)]
+        snakes = [SnakeFactorization(schur, gen) for gen in shapes]
+
+        def expand_all():
+            return [expand_dense(snake, n).tobytes() for _ in range(3) for snake in snakes
+                    for n in (17, 40, 65)]
+
+        want = expand_all()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(expand_all) for _ in range(4)]
+                got = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(g == want for g in got)
+        assert len(expand._memo) <= 8
+
+    def test_memo_retains_at_most_32_mib(self, monkeypatch):
+        # Six distinct 1024 x 1024 shapes, one 1 among 1023 zero bits, have
+        # layouts of 8.5 to 16.1 MB, 67 MB in all: the memo keeps the most
+        # recent that fit in 32 MiB.
+        n = 1024
+        schur = random_schur(np.random.default_rng(41), n)
+        schur._blocks
+        expand._memo.clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            retained = []
+            for k in (1000, 900, 800, 700, 600, 511):
+                bits = [0] * (n - 1)
+                bits[k] = 1
+                expand_dense(SnakeFactorization(schur, GeneratingSequence(bits)), n)
+                retained.append(tracemalloc.get_traced_memory()[0] - base)
+        finally:
+            tracemalloc.stop()
+        assert max(retained) <= 32 * 2**20
+        assert max(retained) > 24 * 2**20
+        # a layout larger than the whole memo is built and used, and evicts nothing
+        monkeypatch.setattr(expand, "_MEMO_BYTES", 100_000)
+        expand._memo.clear()
+        kept = expand._layout(cmv_shape(96), 96)
+        snake = SnakeFactorization(random_schur(np.random.default_rng(42), 97), hessenberg_shape(96))
+        want = materialize_window(snake, 96)[:96, :96]
+        assert np.max(np.abs(expand_dense(snake, 96) - want)) <= 1e-13
+        assert len(expand._memo) == 1 and expand._layout(cmv_shape(96), 96) is kept
 
 
 class TestUnitNorms:

@@ -106,12 +106,15 @@ class TestImportGuards:
         assert loaded_after(cli_run("verify", "--suite", suite), ["numpy.random"]) == {"numpy.random": draws}
 
     def test_library_entry_loads_no_numpy(self):
+        # the shape's profile and orders, computed on first use, need none either
         code = ("import snakefact.snake, snakefact.expand\n"
                 "from snakefact.parameters import SchurSequence\n"
                 "snake = snakefact.snake.SnakeFactorization(SchurSequence([0.1, 0.2j, 0.3]),\n"
                 "                                           snakefact.snake.cmv_shape(2))\n"
                 "assert snakefact.expand.entry(snake, 1, 2) != 0\n"
-                "assert snake.schur.rho(1) < 1")
+                "assert snake.schur.rho(1) < 1\n"
+                "assert snake.gen.p == (0, 0, 1) and snake.left_order == (2,)\n"
+                "assert snakefact.expand.bandwidths(snake.gen) == (2, 2)")
         assert loaded_after(code, ["numpy"]) == {"numpy": False}
 
     @pytest.mark.parametrize("argv, module", [

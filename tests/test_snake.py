@@ -28,6 +28,18 @@ from snakefact.snake import (
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=20)
 
 
+def defined_profile(bits):
+    """p, _lo, _hi and the left and right orders of a shape, each by its definition."""
+    m = len(bits)
+    p = tuple(sum(bits[:n]) for n in range(m + 1))
+    lo = tuple(max([k for k in range(1, i) if bits[k - 1] == 0], default=0) for i in range(m + 2))
+    hi = tuple(min([k for k in range(i + 1, m + 1) if bits[k - 1] == 1], default=m + 1)
+               for i in range(m + 2))
+    left = tuple(k for k in range(m, 0, -1) if bits[k - 1] == 1)
+    right = (0, *(k for k in range(1, m + 1) if bits[k - 1] == 0))
+    return p, lo, hi, left, right
+
+
 class TestGeneratingSequence:
     def test_rejects_non_bits(self):
         with pytest.raises(ShapeError):
@@ -72,12 +84,19 @@ class TestGeneratingSequence:
     def test_row_profile_is_the_givens_windows_zero_pattern(self):
         # Every shape with m <= 10 (2,047 of them): row i of the window on the
         # snake extended by one 0 bit is nonzero in columns _lo[i] .. _hi[i]
-        # (capped at m + 1) and nowhere else.
+        # (capped at m + 1) and nowhere else.  Up to m = 8 the attributes
+        # computed on first use equal their definitions.
         shapes = 0
         for m in range(11):
             alphas = SchurSequence([0.4 * np.exp(0.7j * k) for k in range(m + 2)])
             for bits in itertools.product((0, 1), repeat=m):
                 gen = GeneratingSequence(bits)
+                if m <= 8:
+                    snake = SnakeFactorization(SchurSequence(alphas.alphas[: m + 1]), gen)
+                    assert not {"p", "_lo", "_hi"} & vars(gen).keys()
+                    assert not {"left_order", "right_order"} & vars(snake).keys()
+                    assert (gen.p, gen._lo, gen._hi, snake.left_order, snake.right_order) == \
+                        defined_profile(bits), bits
                 extended = SnakeFactorization(alphas, GeneratingSequence(bits + (0,)))
                 window = materialize_window(extended, m + 1)[: m + 2, : m + 2] != 0
                 want = np.zeros_like(window)
