@@ -10,7 +10,8 @@ accuracy contract derive from ``NumericalError``.  A size follows one
 rule, ``int_argument``, which states its type and both ends of its range.
 Numbers follow one type rule, ``complex_argument`` and ``real_argument``
 for one and ``number_array`` for an array, which also states the array's
-shape, and one finiteness rule, ``finite``.  A contract holds when its
+shape, and one finiteness rule, ``finite``; an argument that must be a
+sequence follows ``sequence_argument``.  A contract holds when its
 measured defect is ``<= bound``, a test that NaN fails; ``CaseResult``
 states that test once, and ``check`` and the verify suites both apply it.
 
@@ -193,13 +194,31 @@ def complex_argument(name: str, value) -> complex:
     return _converted(name, complex, _number(name, value))
 
 
-def complex_arguments(name: str, values) -> tuple:
+def sequence_argument(name: str, values, what: str) -> tuple:
+    """The entries of ``values``, any iterable but a str, as a tuple.
+
+    A str, a number, a 0-d array, None or any other value that cannot be
+    iterated raises ``TypeError("<name> must be a sequence of <what>, got
+    <type> <value>")``, before any entry is read.
+    """
+    if not isinstance(values, str):
+        try:
+            entries = iter(values)
+        except TypeError:
+            pass
+        else:
+            return tuple(entries)
+    raise TypeError(f"{name} must be a sequence of {what}, got {type(values).__name__} {values!r}")
+
+
+def complex_arguments(name: str, values, sequence: str = "values") -> tuple:
     """Each of ``values`` as a complex; the errors name "<name> <index>".
 
-    Each distinct type is checked once, so a long sequence costs little more
-    than its conversion, and no NumPy is loaded.
+    ``values`` must be a sequence, which ``sequence_argument`` checks under
+    the name ``sequence``.  Each distinct type is checked once, so a long
+    sequence costs little more than its conversion, and no NumPy is loaded.
     """
-    values = _numbers(name, tuple(values))
+    values = _numbers(name, sequence_argument(sequence, values, "numbers"))
     return _converted(name, lambda v: tuple(map(complex, v)), values, values)
 
 
@@ -221,7 +240,9 @@ def number_array(name: str, values, real: bool = False, shape: tuple | None = No
     arrays included, has each distinct element type checked once, and the
     ``TypeError`` names "<name> <index>", the index counted in row-major
     order, or ``name`` alone for a scalar; an int outside the float range
-    raises a ``ValueError`` named the same way.  Whether the numbers are
+    raises a ``ValueError`` named the same way.  A masked entry of a
+    ``numpy.ma.MaskedArray`` is refused by the same ``TypeError``, which
+    reports it as ``MaskedConstant masked``.  Whether the numbers are
     finite is for ``finite`` to check.
 
     ``shape``, when given, holds one entry per dimension: an int is a fixed
@@ -233,6 +254,12 @@ def number_array(name: str, values, real: bool = False, shape: tuple | None = No
     import numpy as np
 
     kinds, dtype = (_REAL_TYPES, float) if real else (_NUMBER_TYPES, complex)
+    # A masked entry is refused, not read: numpy.asarray would drop the mask.
+    # numpy.ma is looked up, not imported, as NumPy is by _is_number_type.
+    ma = sys.modules.get("numpy.ma")
+    if ma is not None and isinstance(values, ma.MaskedArray) and (masked := ma.getmaskarray(values)).any():
+        where = f"{name} {np.flatnonzero(masked)[0]}" if values.ndim else name
+        _number(where, ma.masked, kinds)
     if isinstance(values, np.ndarray) and values.dtype.kind in kinds[2]:
         array = np.asarray(values, dtype=dtype)  # no such dtype holds an int outside the float range
     else:

@@ -28,7 +28,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MomentError, NumericalError, check, int_argument, number_array, real_arguments
+from .errors import (
+    MomentError,
+    NumericalError,
+    check,
+    int_argument,
+    number_array,
+    real_arguments,
+    sequence_argument,
+)
 from .schur import SchurSequence, _coefficients, _one_parameter, evaluate_phi
 from .shape import GeneratingSequence
 
@@ -66,11 +74,9 @@ class BernsteinSzego:
     """
 
     def __init__(self, prefix):
-        if isinstance(prefix, str) or not np.iterable(prefix):
-            raise TypeError(
-                f"prefix must be a sequence of Schur parameters, got {type(prefix).__name__} {prefix!r}"
-            )
-        self.prefix = prefix if isinstance(prefix, SchurSequence) else SchurSequence(prefix)
+        if not isinstance(prefix, SchurSequence):
+            prefix = SchurSequence(sequence_argument("prefix", prefix, "Schur parameters"))
+        self.prefix = prefix
 
     def density(self, thetas: np.ndarray) -> np.ndarray:
         z = np.exp(1j * real_arguments("theta", thetas))

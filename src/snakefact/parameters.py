@@ -37,7 +37,7 @@ class SchurSequence:
     """
 
     def __init__(self, alphas):
-        alphas = complex_arguments("parameter", alphas)
+        alphas = complex_arguments("parameter", alphas, "alphas")
         if not alphas:
             raise ValueError("a Schur sequence needs at least one parameter")
         for k, a in enumerate(alphas):

@@ -21,7 +21,14 @@ import itertools
 import math
 from functools import cached_property
 
-from .errors import _INTEGER_TYPES, ShapeError, ShapeIndexError, _all_numbers, int_argument
+from .errors import (
+    _INTEGER_TYPES,
+    ShapeError,
+    ShapeIndexError,
+    _all_numbers,
+    int_argument,
+    sequence_argument,
+)
 
 __all__ = [
     "GeneratingSequence",
@@ -52,7 +59,7 @@ class GeneratingSequence:
     """
 
     def __init__(self, bits):
-        raw = tuple(bits)
+        raw = sequence_argument("bits", bits, "shape bits")
         # Integers, NumPy ones included, with each distinct type checked once:
         # a float 1.0 or a bool equals a bit but is refused.
         if not (_all_numbers(raw, _INTEGER_TYPES) and set(raw) <= {0, 1}):

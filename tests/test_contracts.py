@@ -1,8 +1,10 @@
-"""The numerical-contract check and every library site that applies it.
+"""The numerical-contract check, and the routes a rule takes when one of its contracts fails.
 
 A contract holds when its measured defect is ``<= bound``, so a NaN defect
-fails it; each site must reject NaN and +-inf input with its documented
-exception type and a message that names the contract.
+fails it.  A pencil pass of the Szego rule that fails its residual or
+orthonormality bound, or refuses, falls back to the general eigensolver,
+and a failed fallback keeps the pencil's reason as its context.  Each
+site's own refusal is a row of the refusal table, ``refusals.ROWS``.
 """
 
 import numpy as np
@@ -10,25 +12,9 @@ import pytest
 
 from helpers import count_eig_calls, parameter_family
 from snakefact import quadrature, verify
-from snakefact.errors import (
-    CaseResult,
-    ConvergenceError,
-    MomentError,
-    NumericalError,
-    ShapeError,
-    check,
-    unitarity_defect,
-)
-from snakefact.oracle import GridMeasure, Lebesgue, MomentTable, _gram_schmidt, moments
-from snakefact.quadrature import (
-    ParaUnitaryTruncation,
-    QuadratureRule,
-    eigen_unitary,
-    szego_quadrature,
-    truncate_para_unitary,
-)
-from snakefact.schur import PolynomialPair, SchurSequence, dual
-from snakefact.snake import GivensFactor, SnakeFactorization, hessenberg_shape, shape_from_monomials
+from snakefact.errors import CaseResult, ConvergenceError, NumericalError, check, unitarity_defect
+from snakefact.quadrature import szego_quadrature
+from snakefact.schur import SchurSequence
 
 
 class TestCheck:
@@ -73,113 +59,6 @@ class TestUnitarityDefect:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_is_nan(self, value):
         assert np.isnan(unitarity_defect(np.array([[value, 0], [0, 1]], dtype=complex)))
-
-
-def _gram_schmidt_site(value, monkeypatch):
-    # A MomentTable rejects non-finite moments, so the value is planted in a
-    # valid table to reach the orthonormality check behind it.
-    table = moments(Lebesgue(), 4)
-    table._mu[table.jmax + 1] = value
-    table._mu[table.jmax - 1] = np.conj(value)
-    _gram_schmidt(table, np.arange(3))
-
-
-def _eigen_residual_site(value, monkeypatch):
-    # The input check passes a finite unitary matrix, so the value reaches
-    # the residual check through a faulty general eigensolver, the only one
-    # that eigen_unitary runs: a NaN eigenvalue fails the residual of its
-    # eigenpairs.  Only NaN is planted: an infinite eigenvalue makes the
-    # residual arithmetic itself compute 0 * inf, whose RuntimeWarning the
-    # test settings turn into an error before the check can run.
-    vecs = np.exp(0.25j * np.pi) * np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    values = np.array([value, 1.0], dtype=complex)
-    monkeypatch.setattr(quadrature.np.linalg, "eig", lambda m: (values, vecs))
-    eigen_unitary(np.eye(2, dtype=complex))
-
-
-def _rule_blocks_site(value, monkeypatch):
-    # Canonical blocks of validated parameters are unitary by construction,
-    # so the value is planted in the blocks that the rule builds.
-    build = quadrature._corner_blocks
-
-    def planted(schur, n, theta):
-        theta, blocks = build(schur, n, theta)
-        blocks[0, 0, 0] = value
-        return theta, blocks
-
-    monkeypatch.setattr(quadrature, "_corner_blocks", planted)
-    snake = SnakeFactorization(SchurSequence([0.3, 0.2, 0.1]), hessenberg_shape(2))
-    szego_quadrature(snake, 3, 0.0)
-
-
-def _truncation_theta_site(value, monkeypatch):
-    snake = SnakeFactorization(SchurSequence([0.3, 0.2, 0.1]), hessenberg_shape(2))
-    truncate_para_unitary(snake, 3, value)
-
-
-# (site, call(value, monkeypatch), exception, keyword or {value id: keyword})
-SITES = [
-    ("PolynomialPair.phi", lambda v, mp: PolynomialPair([v, 1.0], [1.0, 0.0]),
-     ValueError, "finite"),
-    ("PolynomialPair.phi_star", lambda v, mp: PolynomialPair([0.5, 1.0], [1.0, v]),
-     ValueError, "dual"),
-    ("GivensFactor", lambda v, mp: GivensFactor(0, np.array([[v, 0], [0, 1]], dtype=complex)),
-     ValueError, "unitary"),
-    ("GridMeasure.weights", lambda v, mp: GridMeasure([0.0, 1.0], [0.5, v]),
-     ValueError, {"nan": "positive", "inf": "mass", "-inf": "positive"}),
-    ("GridMeasure.angles", lambda v, mp: GridMeasure([0.0, v], [0.5, 0.5]),
-     ValueError, "pi"),
-    ("MomentTable.mu_0", lambda v, mp: MomentTable([v, 0.1]), MomentError, "finite"),
-    ("MomentTable.mu_1", lambda v, mp: MomentTable([1.0, v]), MomentError, "finite"),
-    ("_gram_schmidt", _gram_schmidt_site, NumericalError, "defect"),
-    ("ParaUnitaryTruncation",
-     lambda v, mp: ParaUnitaryTruncation(2, 0.0, np.array([[v, 0], [0, 1]], dtype=complex)),
-     NumericalError, "unitary"),
-    ("truncate_para_unitary.theta", _truncation_theta_site, ValueError, "theta"),
-    ("szego_quadrature.blocks", _rule_blocks_site, NumericalError, "blocks are not unitary"),
-    ("eigen_unitary.input",
-     lambda v, mp: eigen_unitary(np.array([[v, 0], [0, 1]], dtype=complex)),
-     ValueError, "unitary"),
-    ("eigen_unitary.residual", _eigen_residual_site, NumericalError, "residual"),
-    ("QuadratureRule.nodes", lambda v, mp: QuadratureRule([1.0, v], [0.5, 0.5]),
-     NumericalError, "circle"),
-    ("QuadratureRule.weights", lambda v, mp: QuadratureRule([1.0, -1.0], [0.5, v]),
-     NumericalError, {"nan": "positive", "inf": "sum", "-inf": "positive"}),
-]
-
-
-VALUES = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
-
-
-@pytest.mark.parametrize(
-    "call, exc, keyword, value",
-    [
-        pytest.param(call, exc, kw if isinstance(kw, str) else kw[vid], value, id=f"{site}-{vid}")
-        for site, call, exc, kw in SITES
-        for vid, value in VALUES.items()
-        if site != "eigen_unitary.residual" or vid == "nan"
-    ],
-)
-def test_non_finite_input_fails_the_contract(call, exc, keyword, value, monkeypatch):
-    with pytest.raises(exc, match=keyword):
-        call(value, monkeypatch)
-
-
-def test_rule_blocks_not_unitary(monkeypatch):
-    # a finite defect above the bound, not only a non-finite one, fails the rule
-    with pytest.raises(NumericalError) as err:
-        _rule_blocks_site(0.5, monkeypatch)
-    assert str(err.value) == "truncation blocks are not unitary (defect 1.600e-01 > 1e-12)"
-
-
-def test_eigenvectors_not_orthonormal(monkeypatch):
-    # Any vectors are eigenvectors of the identity, so the residual check
-    # passes and only the orthonormality check can catch vectors that the
-    # orthonormalizing QR step failed to fix.
-    vecs = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-    monkeypatch.setattr(quadrature.np.linalg, "qr", lambda m: (vecs, np.eye(2)))
-    with pytest.raises(NumericalError, match="orthonormal"):
-        eigen_unitary(np.eye(2, dtype=complex))
 
 
 def test_cayley_residual_selects_the_fallback(monkeypatch):
@@ -254,52 +133,3 @@ def test_a_failed_fallback_carries_the_pencil_reason():
     reason = err.value.__context__
     assert type(reason) is NumericalError
     assert str(reason).startswith("weights of the Cayley pass underflow to 0 (defect ")
-
-
-# Each public constructor's refusal of a malformed input: (call, exception, message)
-MALFORMED = {
-    "QuadratureRule lengths": (lambda: QuadratureRule([1.0, -1.0], [1.0]), ValueError,
-                               "weight must be a nonempty array of shape (2,), got shape (1,)"),
-    "QuadratureRule empty": (lambda: QuadratureRule([], []), ValueError,
-                             "node must be a nonempty array of shape (n,), got shape (0,)"),
-    "PolynomialPair lengths": (lambda: PolynomialPair([0.5, 1.0], [1.0]), ValueError,
-                               "phi_star must be a nonempty array of shape (2,), got shape (1,)"),
-    "GivensFactor 3x3": (lambda: GivensFactor(0, np.eye(3)), ValueError,
-                         "block must be a nonempty array of shape (2, 2), got shape (3, 3)"),
-    "shape_from_monomials empty": (lambda: shape_from_monomials([]), ShapeError,
-                                   "empty monomial order"),
-    "MomentTable empty": (lambda: MomentTable([]), ValueError,
-                          "moment must be a nonempty array of shape (jmax + 1,), got shape (0,)"),
-    "MomentTable 2-d": (lambda: MomentTable([[1.0, 0.1]]), ValueError,
-                        "moment must be a nonempty array of shape (jmax + 1,), got shape (1, 2)"),
-    "GridMeasure lengths": (lambda: GridMeasure([0.0, 1.0], [1.0]), ValueError,
-                            "grid weight must be a nonempty array of shape (2,), got shape (1,)"),
-    "GridMeasure empty": (lambda: GridMeasure([], []), ValueError,
-                          "grid angle must be a nonempty array of shape (n,), got shape (0,)"),
-    "dual scalar": (lambda: dual(5), ValueError,
-                    "coeffs must be a nonempty array of shape (n + 1,), got shape ()"),
-    "dual 2-d": (lambda: dual([[1, 2], [3, 4]]), ValueError,
-                 "coeffs must be a nonempty array of shape (n + 1,), got shape (2, 2)"),
-    "eigen_unitary 2x3": (lambda: eigen_unitary(np.ones((2, 3))), ValueError,
-                          "matrix must be a nonempty array of shape (n, n), got shape (2, 3)"),
-    "eigen_unitary size": (lambda: eigen_unitary(np.eye(1025)), ValueError,
-                           "matrix size = 1025 exceeds the supported 1024"),
-    "szego_quadrature size": (lambda: szego_quadrature(SchurSequence([0.3]), 1025, 0.0), ValueError,
-                              "n = 1025 exceeds the supported 1024"),
-    "run_suites bandwidth m": (lambda: verify.run_suites(["bandwidth"], m=17), ValueError,
-                               "the bandwidth suite's m = 17 exceeds the supported 16"),
-    "run_suites unitarity m": (lambda: verify.run_suites(["unitarity"], m=1024), ValueError,
-                               "the unitarity suite's m = 1024 exceeds the supported 1023"),
-    "run_suites unknown": (lambda: verify.run_suites(["bogus"]), ValueError,
-                           "unknown suite 'bogus'; choose from ['bandwidth', 'exactness', "
-                           "'oracle-equivalence', 'round-trip', 'unitarity']"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(MALFORMED))
-def test_malformed_input_is_refused(name):
-    call, exc, message = MALFORMED[name]
-    with pytest.raises(exc) as err:
-        call()
-    assert type(err.value) is exc
-    assert str(err.value) == message
