@@ -12,17 +12,24 @@ documents; the call then mirrors what the command runs, so both give the
 same message.  ``patch(monkeypatch, bad)``, when given, runs before the
 call: rows that need a failing solver plant it so.
 
-``test_refusals.py`` runs every row in process and through ``cli.main``,
-and ``test_readme.py`` checks the rows against the README's table.  The
-site tables ``INTEGER_SITES``, ``EXPONENT_SITES`` and ``ARRAY_SITES`` also
-serve ``test_rule_properties.py``, which checks what each site accepts.
+``refused`` checks one case, a row and one of its bad inputs, in process
+and through ``cli.main``.  A case that was a test of its own before the
+table still runs under that test's id, from the module that held it:
+``refusal_ids.json`` maps each such id to its case, and ``earlier_test``
+makes the test of one earlier name.  ``test_refusals.py`` runs every other case, and
+``test_readme.py`` checks the rows against the README's table.  The
+site tables ``INTEGER_SITES``, ``EXPONENT_SITES``, ``PAST_THE_SHAPE`` and
+``ARRAY_SITES`` also serve ``test_integer_arguments.py`` and
+``test_number_rule.py``, which check what each site accepts.
 """
 
 import json
 import re
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+import pytest
 
 from helpers import grid64
 from snakefact import quadrature
@@ -34,6 +41,7 @@ from snakefact.oracle import (BernsteinSzego, Geronimus, GridMeasure, Lebesgue, 
                               schur_parameters)
 from snakefact.quadrature import (ParaUnitaryTruncation, QuadratureRule, apply_rule, eigen_unitary,
                                   szego_quadrature, truncate_para_unitary)
+from snakefact.cli import main
 from snakefact.schur import PolynomialPair, SchurSequence, dual, evaluate_phi, laurent_basis, polynomial_pair
 from snakefact.snake import (GeneratingSequence, GivensFactor, SnakeFactorization, cmv_shape, hessenberg_shape,
                              materialize_window, shape_from_monomials)
@@ -521,3 +529,67 @@ ROWS = [
         "oracle-equivalence and exactness; the selected suites ({v}) would ignore it", "`run_suites` | ",
         ("verify", "--suite", "@", "--measure", "lebesgue"), 2),
 ]
+
+
+def case_id(row, bad) -> str:
+    """The id of a case: its row's site and the bad input's repr, or its type's name if that is long."""
+    text = repr(bad)
+    if len(text) > 25 or "\n" in text:
+        text = type(bad).__name__
+    return f"{row.site} <- {text}"
+
+
+CASES = {case_id(row, bad): (row, bad) for row in ROWS for bad in row.bad}
+# earlier test id (file::[class::]function[param]): the id of the case it checks
+EARLIER = json.loads((Path(__file__).parent / "refusal_ids.json").read_text())
+assert set(EARLIER.values()) <= set(CASES), set(EARLIER.values()) - set(CASES)
+
+
+def earlier_test(test):
+    """The test that runs the case or cases of the earlier test ``test``,
+    named as it was, for the module or class that ``test`` names: with one
+    parameter per earlier id where it had parameters."""
+    params = {test_id[len(test) + 1:-1]: CASES[case] for test_id, case in EARLIER.items()
+              if test_id.startswith(test + "[")}
+    if params:
+        @pytest.mark.parametrize("case", list(params.values()), ids=list(params))
+        def run(monkeypatch, capsys, case):
+            refused(monkeypatch, capsys, *case)
+    else:
+        def run(monkeypatch, capsys):
+            refused(monkeypatch, capsys, *CASES[EARLIER[test]])
+    run.__name__ = test.split("::")[-1]
+    return staticmethod(run) if test.count("::") == 2 else run
+
+
+def _check(message, row, bad):
+    want = row.message
+    if isinstance(want, re.Pattern):
+        assert want.search(message), message
+    else:
+        assert message == want.format(v=bad, r=repr(bad), t=type(bad).__name__)
+
+
+def _token(bad) -> str:
+    """The bad input as a command-line token; a float in JSON's spelling, which a descriptor needs."""
+    return json.dumps(bad) if isinstance(bad, float) else str(bad)
+
+
+def refused(monkeypatch, capsys, row, bad):
+    """Check one case.  In process, the row's call must raise exactly its
+    exception type with its message.  Where a flag reaches the site,
+    ``snakefact`` called with the row's arguments must exit with the row's
+    code, write nothing to stdout and write ``error: <the same message>``
+    to stderr."""
+    if row.patch:
+        row.patch(monkeypatch, bad)
+    with pytest.raises(row.exc) as err:
+        row.call(bad)
+    assert type(err.value) is row.exc
+    _check(str(err.value), row, bad)
+    if row.argv:
+        code = main([arg.replace("@", _token(bad)) for arg in row.argv])
+        out, text = capsys.readouterr()
+        assert (code, out) == (row.exit, "")
+        assert text.startswith("error: ") and text.endswith("\n") and text.count("\n") == 1
+        _check(text[len("error: "):-1], row, bad)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import snakefact
 from helpers import grid64
+from refusals import earlier_test
 from snakefact import verify as verify_mod
 from snakefact.cli import main
 from snakefact.expand import entry
@@ -91,6 +92,8 @@ class TestBuild:
         assert "right: 0,1,2,3" in out
         left_line = next(line for line in out.splitlines() if line.startswith("left:"))
         assert left_line == "left: "
+
+    test_invalid_monomials = earlier_test("test_cli.py::TestBuild::test_invalid_monomials")
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "build", "--shape", "cmv", "--m", "5", "--format", "json")
@@ -179,6 +182,9 @@ class TestEntry:
         assert run(capsys, "entry", *argv) == (0, text, "")
         assert run(capsys, "entry", *argv, "--format", "json") == (
             0, json.dumps(json.loads(compact), indent=2) + "\n", "")
+
+    test_out_of_range = earlier_test("test_cli.py::TestEntry::test_out_of_range")
+    test_nan_alpha_rejected = earlier_test("test_cli.py::TestEntry::test_nan_alpha_rejected")
 
 
 class TestQuadrature:
@@ -323,6 +329,10 @@ class TestExpandAndBandwidth:
         assert code == 0
         assert json.loads(out) == {"lower": 2, "upper": 2}
 
+    test_expand_too_large = earlier_test("test_cli.py::TestExpandAndBandwidth::test_expand_too_large")
+    test_expand_size_below_one = earlier_test(
+        "test_cli.py::TestExpandAndBandwidth::test_expand_size_below_one")
+
 
 class TestVerify:
     def test_single_suite_table(self, capsys):
@@ -367,12 +377,17 @@ class TestVerify:
                               measure=verify_mod.BernsteinSzego([0.3]))
         assert asked == [6, 4]
 
+    test_corrupted_alpha = earlier_test("test_cli.py::TestVerify::test_corrupted_alpha")
+    test_alphas_too_short = earlier_test("test_cli.py::TestVerify::test_alphas_too_short")
+
     def test_both_schur_sources_rejected(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "round-trip", "--alphas", "0.1,0.2",
                              "--measure", "lebesgue")
         assert code == 2
         assert out == ""
         assert "give exactly one Schur source" in err
+
+    test_m_disagrees_with_alphas = earlier_test("test_cli.py::TestVerify::test_m_disagrees_with_alphas")
 
     def test_seed_reproducibility(self, capsys, monkeypatch):
         monkeypatch.setenv("SNAKE_SEED", "777")
@@ -381,6 +396,9 @@ class TestVerify:
         assert code1 == code2 == 0
         assert out1 == out2
         assert json.loads(out1)["seed"] == 777
+
+    test_sizes_below_the_minimum = earlier_test("test_cli.py::TestVerify::test_sizes_below_the_minimum")
+    test_bandwidth_suite_m_capped = earlier_test("test_cli.py::TestVerify::test_bandwidth_suite_m_capped")
 
     def test_bandwidth_suite_m_16_accepted(self, capsys, monkeypatch):
         seen = []
@@ -407,6 +425,8 @@ class TestVerify:
         assert code == 0
         cases = [r["case"] for r in json.loads(out)["results"]]
         assert len(cases) == 6 and all(f"/n={size}/" in c for c in cases)
+
+    test_n_below_two_without_suite = earlier_test("test_cli.py::TestVerify::test_n_below_two_without_suite")
 
     def test_default_run_passes(self, capsys):
         code, out, _ = run(capsys, "verify")
@@ -523,6 +543,9 @@ def test_abbreviated_flag_rejected(capsys, argv):
 
 
 class TestErrors:
+    test_numerical_failure_exit_code = earlier_test(
+        "test_cli.py::TestErrors::test_numerical_failure_exit_code")
+
     @pytest.mark.parametrize(
         "descriptor, field",
         [({"type": "geronimus"}, "'a'"), ({"type": "grid", "points": 5}, "'points'")],
@@ -532,6 +555,8 @@ class TestErrors:
         code, _, err = run(capsys, "quadrature", "--measure", json.dumps(descriptor), "--n", "4")
         assert code == 2
         assert f"field {field}" in err
+
+    test_non_finite_theta_named = earlier_test("test_cli.py::TestErrors::test_non_finite_theta_named")
 
     @pytest.mark.parametrize("argv, flag, value", [
         (["entry", "--s", "1,0", "--i", "0", "--j", "0"], "--alphas", "-0.3,0.2,0.1"),
@@ -582,6 +607,9 @@ class TestErrors:
         if exit_code == 2:
             assert "64 distinct atoms" in err
 
+    test_grid_within_its_atoms_names_float64_sums = earlier_test(
+        "test_cli.py::TestErrors::test_grid_within_its_atoms_names_float64_sums")
+
     def test_verify_builds_the_table_before_the_rule(self, capsys, monkeypatch):
         def unreachable(*args):
             raise AssertionError("a rule was computed for a table that cannot be built")
@@ -608,6 +636,8 @@ class TestErrors:
         assert json.loads(out)["exactness_defect"] <= 1e-9
         assert calls == [47]
 
+    test_verify_grid_past_its_atoms = earlier_test("test_cli.py::TestErrors::test_verify_grid_past_its_atoms")
+
     def test_verify_grid_within_its_atoms(self, capsys):
         grid = '{"type":"grid","points":[[-2.5,0.2],[-1.0,0.3],[0.5,0.3],[2.0,0.2]]}'
         code, out, err = run(capsys, "verify", "--suite", "oracle-equivalence", "--measure", grid,
@@ -616,6 +646,8 @@ class TestErrors:
         assert "overall: PASS" in out
         code, out, err = run(capsys, "verify", "--suite", "exactness", "--measure", grid, "--n", "3")
         assert code == 0, err
+
+    test_geronimus_parameter_named = earlier_test("test_cli.py::TestErrors::test_geronimus_parameter_named")
 
     @pytest.mark.parametrize("atoms", [5, 8, 16])
     def test_grid_gives_one_parameter_fewer_than_atoms(self, capsys, atoms):
@@ -771,6 +803,10 @@ class TestErrors:
         (["bandwidth", "--shape", "bits"], "--shape bits needs --s"),
         (["bandwidth", "--shape", "monomials"], "--shape monomials needs --monomials"),
         (["bandwidth"], "no shape source given"),
+        (["expand", "--s", "1,0", "--alphas", "0.1,0.2"],
+         "a shape with 2 bits needs exactly 3 Schur parameters, got 2"),
+        (["build", "--s", "1,0", "--alphas", "0.1,0.2,0.3,0.4"],
+         "a shape with 2 bits needs exactly 3 Schur parameters, got 4"),
         (["entry", "--s", "1,0", "--alphas", "0.1,0.2,1.5,0.4", "--i", "0", "--j", "0"],
          "|alpha| = 1.5 >= 1; parameter 2 must lie strictly inside the open unit disk"),
         (["expand", "--s", "1,0", "--alphas", ","], "empty alpha list"),
@@ -778,9 +814,19 @@ class TestErrors:
          "measure descriptor must be a JSON object with a 'type' field"),
         (["quadrature", "--n", "4", "--measure", '{"type": "cauchy"}'],
          "unknown measure type 'cauchy'"),
+        *((["verify", "--suite", suite, "--alphas", "0.5,0.3"],
+           "a Schur sequence (--alphas) is read only by unitarity; "
+           f"the selected suites ({suite}) would ignore it")
+          for suite in ("oracle-equivalence", "exactness", "round-trip", "bandwidth")),
+        *((["verify", "--suite", suite, "--measure", "lebesgue"],
+           "a measure (--measure) is read only by oracle-equivalence and exactness; "
+           f"the selected suites ({suite}) would ignore it")
+          for suite in ("unitarity", "bandwidth", "round-trip")),
     ], ids=["cmv-with-s", "cmv-without-size", "bits-without-s", "monomials-without-list",
-            "no-shape", "bad-parameter-before-count", "empty-alphas", "descriptor-not-object",
-            "unknown-type"])
+            "no-shape", "alphas-count", "build-alphas-count", "bad-parameter-before-count",
+            "empty-alphas", "descriptor-not-object", "unknown-type",
+            "alphas-oracle-equivalence", "alphas-exactness", "alphas-round-trip",
+            "alphas-bandwidth", "measure-unitarity", "measure-bandwidth", "measure-round-trip"])
     def test_input_branch_names_its_cause(self, capsys, argv, cause):
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -797,32 +843,6 @@ class TestErrors:
                              "--verify", "--format", "json")
         assert code == 0, err
         assert json.loads(out)["exactness_defect"] <= 1e-12
-
-
-FIVE = "0.3,0.2j,-0.1,0.4,0.1-0.2j"
-FLAG_VALUE = st.one_of(st.integers(-4, 12).map(str), st.sampled_from(["2.5", "x", "", "1e3", "-0"]))
-COMMANDS = [
-    lambda m, n, i, j: ["build", "--shape", "hessenberg", "--m", m],
-    lambda m, n, i, j: ["bandwidth", "--shape", "cmv", "--m", m],
-    lambda m, n, i, j: ["entry", "--shape", "cmv", "--m", "5", "--alphas", FIVE, "--i", i, "--j", j],
-    lambda m, n, i, j: ["expand", "--shape", "cmv", "--m", m, "--alphas", FIVE, "--n", n],
-    lambda m, n, i, j: ["expand", "--s", "0,1,1,0", "--alphas", FIVE, "--n", n],
-    lambda m, n, i, j: ["quadrature", "--measure", "lebesgue", "--n", n],
-    lambda m, n, i, j: ["quadrature", "--shape", "cmv", "--m", m, "--measure", "lebesgue", "--n", n],
-    lambda m, n, i, j: ["verify", "--suite", "round-trip", "--m", m, "--n", n],
-]
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(COMMANDS), FLAG_VALUE, FLAG_VALUE, FLAG_VALUE, FLAG_VALUE)
-def test_property_cli_sizes_exit_cleanly(command, m, n, i, j):
-    argv = command(m, n, i, j)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage error
-            code = exc.code
-    assert code in (0, 1, 2, 3), argv
 
 
 HUGE_INT = st.sampled_from([10**400, -(10**400), 2**1024])

@@ -4,13 +4,16 @@ A contract holds when its measured defect is ``<= bound``, so a NaN defect
 fails it.  A pencil pass of the Szego rule that fails its residual or
 orthonormality bound, or refuses, falls back to the general eigensolver,
 and a failed fallback keeps the pencil's reason as its context.  Each
-site's own refusal is a row of the refusal table, ``refusals.ROWS``.
+site's own refusal is a row of the refusal table, ``refusals.ROWS``; the
+cases that were tests of this module before the table run here under
+those tests' ids.
 """
 
 import numpy as np
 import pytest
 
 from helpers import count_eig_calls, parameter_family
+from refusals import earlier_test
 from snakefact import quadrature, verify
 from snakefact.errors import CaseResult, ConvergenceError, NumericalError, check, unitarity_defect
 from snakefact.quadrature import szego_quadrature
@@ -59,6 +62,12 @@ class TestUnitarityDefect:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_is_nan(self, value):
         assert np.isnan(unitarity_defect(np.array([[value, 0], [0, 1]], dtype=complex)))
+
+
+test_non_finite_input_fails_the_contract = earlier_test(
+    "test_contracts.py::test_non_finite_input_fails_the_contract")
+test_rule_blocks_not_unitary = earlier_test("test_contracts.py::test_rule_blocks_not_unitary")
+test_eigenvectors_not_orthonormal = earlier_test("test_contracts.py::test_eigenvectors_not_orthonormal")
 
 
 def test_cayley_residual_selects_the_fallback(monkeypatch):
@@ -133,3 +142,6 @@ def test_a_failed_fallback_carries_the_pencil_reason():
     reason = err.value.__context__
     assert type(reason) is NumericalError
     assert str(reason).startswith("weights of the Cayley pass underflow to 0 (defect ")
+
+
+test_malformed_input_is_refused = earlier_test("test_contracts.py::test_malformed_input_is_refused")

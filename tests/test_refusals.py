@@ -1,57 +1,34 @@
-"""Every row of the refusal table ``refusals.ROWS``, one case per bad input.
+"""Every case of the refusal table ``refusals.ROWS`` that runs under no earlier test id.
 
-In process, the row's call must raise exactly its exception type with its
-message.  Where a flag reaches the site, ``snakefact`` called with the row's
-arguments must exit with the row's code, write nothing to stdout and write
-``error: <the same message>`` to stderr.
+Each case is one row and one of its bad inputs, checked by
+``refusals.refused``.  The cases named in ``refusal_ids.json`` run under
+those ids instead, from the modules that hold them; the last test here
+checks that each of those ids is a test.
 """
 
-import json
-import re
+import importlib
 
 import pytest
 
-from refusals import ROWS
-from snakefact.cli import main
+from refusals import CASES, EARLIER, ROWS, refused
 
-CASES = [(row, bad) for row in ROWS for bad in row.bad]
-
-
-def _id(row, bad):
-    text = repr(bad)
-    if len(text) > 25 or "\n" in text:
-        text = type(bad).__name__
-    return f"{row.site} <- {text}"
+TAKEN = set(EARLIER.values())
+OWN = {case_id: case for case_id, case in CASES.items() if case_id not in TAKEN}
 
 
-def _check(message, row, bad):
-    want = row.message
-    if isinstance(want, re.Pattern):
-        assert want.search(message), message
-    else:
-        assert message == want.format(v=bad, r=repr(bad), t=type(bad).__name__)
-
-
-def _token(bad) -> str:
-    """The bad input as a command-line token; a float in JSON's spelling, which a descriptor needs."""
-    return json.dumps(bad) if isinstance(bad, float) else str(bad)
-
-
-@pytest.mark.parametrize("row, bad", CASES, ids=[_id(*case) for case in CASES])
-def test_refusal(monkeypatch, capsys, row, bad):
-    if row.patch:
-        row.patch(monkeypatch, bad)
-    with pytest.raises(row.exc) as err:
-        row.call(bad)
-    assert type(err.value) is row.exc
-    _check(str(err.value), row, bad)
-    if row.argv:
-        code = main([arg.replace("@", _token(bad)) for arg in row.argv])
-        out, text = capsys.readouterr()
-        assert (code, out) == (row.exit, "")
-        assert text.startswith("error: ") and text.endswith("\n") and text.count("\n") == 1
-        _check(text[len("error: "):-1], row, bad)
+@pytest.mark.parametrize("case", OWN.values(), ids=OWN)
+def test_refusal(monkeypatch, capsys, case):
+    refused(monkeypatch, capsys, *case)
 
 
 def test_sites_are_unique():
     assert len({row.site for row in ROWS}) == len(ROWS)
+
+
+def test_every_earlier_id_is_a_test():
+    for test_id in EARLIER:
+        path, *names = test_id.split("[")[0].split("::")
+        test = importlib.import_module(path.removesuffix(".py"))
+        for name in names:
+            test = getattr(test, name)
+        assert callable(test) and test.__name__ == names[-1], test_id

@@ -1,28 +1,22 @@
-"""What the boundary rules accept, and their properties over arbitrary inputs.
+"""Properties of the two boundary rules over arbitrary inputs.
 
 ``errors.number_array`` either returns, bit for bit, what ``numpy.asarray``
 gives with its dtype, in a shape that meets the ``shape`` spec, or raises
 a ``TypeError`` or ``ValueError`` whose message begins with the argument's
 name; nothing else escapes it.  ``errors.int_argument`` returns an
 integer from ``lo`` to ``hi`` as that exact Python int, and refuses any
-other value with its documented message.  Each site of the refusal table
-``refusals`` accepts every integer type, every number type and every
-position that it should, with the same result as the plain value.
+other value with its documented message.
 """
 
 import math
 import warnings
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from refusals import ARRAY_SITES, EXPONENT_SITES, INTEGER_SITES, OPTIONAL, PAST_THE_SHAPE, SNAKE3
-from snakefact.errors import ShapeError, ShapeIndexError, int_argument, number_array, real_argument, real_arguments
-from snakefact.oracle import GridMeasure
-from snakefact.quadrature import truncate_para_unitary
+from snakefact.errors import int_argument, number_array
 
 HUGE = st.sampled_from([10**400, -(10**400), 2**1024, -(2**1024) + 1])
 ENTRY = st.one_of(
@@ -94,153 +88,3 @@ def test_int_argument_returns_the_int_in_range_or_refuses_it(value, lo, hi):
     else:
         assert is_integer and lo <= value <= hi
         assert type(got) is int and got == value
-
-
-class Index:
-    """An integer type with nothing but ``__index__``."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __index__(self):
-        return self.value
-
-
-INTEGER_KINDS = (np.int64, np.int32, np.uint8, Index)
-
-
-@pytest.mark.parametrize("name", INTEGER_SITES)
-def test_numpy_integer_accepted(name):
-    call, _, _, good, _ = INTEGER_SITES[name]
-    for kind in INTEGER_KINDS:
-        np.testing.assert_array_equal(call(kind(good)), call(good))
-
-
-@pytest.mark.parametrize("name", EXPONENT_SITES)
-def test_numpy_integer_exponent_accepted(name):
-    call, _ = EXPONENT_SITES[name]
-    for kind in INTEGER_KINDS:
-        np.testing.assert_array_equal(call(kind(1)), call(1))
-
-
-@pytest.mark.parametrize("name", PAST_THE_SHAPE)
-def test_last_position_of_the_shape_is_accepted(name):
-    call, first, _ = PAST_THE_SHAPE[name]
-    call(first - 1)
-
-
-def test_int_argument_returns_a_python_int():
-    value = int_argument("n", np.int32(7))
-    assert value == 7 and type(value) is int
-
-
-def test_shape_index_error_is_an_index_and_a_shape_error():
-    assert issubclass(ShapeIndexError, IndexError) and issubclass(ShapeIndexError, ShapeError)
-
-
-BELOW = st.sampled_from(sorted(INTEGER_SITES)).flatmap(
-    lambda name: st.tuples(st.just(name), st.integers(max_value=INTEGER_SITES[name][2] - 1))
-)
-NOT_AN_INTEGER = st.one_of(st.floats(allow_nan=True), st.booleans(), st.text(max_size=4), st.none())
-
-
-@settings(max_examples=60, deadline=None)
-@given(BELOW)
-def test_property_below_minimum(case):
-    name, value = case
-    call, param, lo, _, _ = INTEGER_SITES[name]
-    with pytest.raises(ValueError, match=f"^{param} = {value}; must be at least {lo}$"):
-        call(value)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(INTEGER_SITES)), NOT_AN_INTEGER)
-def test_property_non_integer(name, bad):
-    call, param, _, _, _ = INTEGER_SITES[name]
-    if bad is None and name in OPTIONAL:
-        return
-    with pytest.raises(TypeError, match=f"^{param} must be an integer"):
-        call(bad)
-
-
-REAL_DTYPES = (np.int8, np.int64, np.uint16, np.float32, np.float64)
-COMPLEX_DTYPES = (np.complex64, np.complex128)
-
-
-def _accepted_forms(valid, real):
-    """The valid integers as a list, a list of NumPy scalars and each ndarray dtype that holds them."""
-    natural = np.asarray(valid)
-    scalars = natural.astype(np.float32 if real else np.complex64)
-    forms = {"list": valid,
-             "numpy scalars": np.array(list(scalars.flat), dtype=object).reshape(natural.shape).tolist()}
-    for dtype in REAL_DTYPES + (() if real else COMPLEX_DTYPES):
-        if np.array_equal(cast := natural.astype(dtype), natural):
-            forms[np.dtype(dtype).name] = cast
-    return forms
-
-
-@pytest.mark.parametrize("site", ARRAY_SITES)
-def test_number_forms_pass_bit_for_bit(site):
-    call, _, real, valid, read, _ = ARRAY_SITES[site]
-    forms = _accepted_forms(valid, real)
-    assert {"list", "numpy scalars", "int64", "float64"} <= set(forms)
-    for form, value in forms.items():
-        # the conversion every site made before the one rule
-        want = read(call(np.asarray(value, dtype=float if real else complex)))
-        got = read(call(value))
-        assert [(a.dtype, a.shape, a.tobytes()) for a in got] == \
-               [(a.dtype, a.shape, a.tobytes()) for a in want], form
-
-
-def test_array_of_the_right_dtype_is_not_copied():
-    nodes = np.array([1.0, -1.0], dtype=complex)
-    assert number_array("node", nodes) is nodes
-
-
-@pytest.mark.parametrize("thetas, weights", [
-    ([np.float32(-1.0), 0, np.int64(1)], [0.25, np.float16(0.5), 0.25]),
-    (np.array([-1, 0, 1], dtype=np.int8), np.array([0.25, 0.5, 0.25], dtype=np.float32)),
-], ids=["scalars", "arrays"])
-def test_grid_accepts_real_types(thetas, weights):
-    grid = GridMeasure(thetas, weights)
-    assert grid.thetas.dtype == grid.weights.dtype == np.float64
-    np.testing.assert_array_equal(grid.thetas, [-1.0, 0.0, 1.0])
-
-
-@pytest.mark.parametrize("theta", [0, np.int32(1), np.float32(0.5), 0.7])
-def test_corner_phase_real_types(theta):
-    truncation = truncate_para_unitary(SNAKE3, 3, theta)
-    assert type(truncation.theta) is float and truncation.theta == float(theta)
-
-
-def test_real_argument_returns_a_python_float():
-    assert type(real_argument("x", np.float32(0.5))) is float
-
-
-REAL = st.one_of(
-    st.integers(-10**12, 10**12),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.floats(-1e3, 1e3).map(np.float32),
-    st.integers(-100, 100).map(np.int16),
-).map(lambda v: (v, True))
-NOT_REAL = st.one_of(
-    st.booleans(),
-    st.booleans().map(np.bool_),
-    st.complex_numbers(max_magnitude=10.0),
-    st.text(max_size=3),
-    st.none(),
-).map(lambda v: (v, False))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.one_of(REAL, NOT_REAL), max_size=6))
-def test_property_real_arguments(tagged):
-    values = [v for v, _ in tagged]
-    bad = [k for k, (_, real) in enumerate(tagged) if not real]
-    if bad:
-        with pytest.raises(TypeError, match=f"^grid weight {bad[0]} must be a real number"):
-            GridMeasure(np.zeros(len(values)), values)
-    else:
-        got = real_arguments("grid weight", values)
-        np.testing.assert_array_equal(got, np.array([float(v) for v in values]))
-        assert got.dtype == np.float64 and got.shape == (len(values),)
