@@ -211,14 +211,13 @@ def sequence_argument(name: str, values, what: str) -> tuple:
     raise TypeError(f"{name} must be a sequence of {what}, got {type(values).__name__} {values!r}")
 
 
-def complex_arguments(name: str, values, sequence: str = "values") -> tuple:
+def complex_arguments(name: str, values) -> tuple:
     """Each of ``values`` as a complex; the errors name "<name> <index>".
 
-    ``values`` must be a sequence, which ``sequence_argument`` checks under
-    the name ``sequence``.  Each distinct type is checked once, so a long
-    sequence costs little more than its conversion, and no NumPy is loaded.
+    Each distinct type is checked once, so a long sequence costs little more
+    than its conversion, and no NumPy is loaded.
     """
-    values = _numbers(name, sequence_argument(sequence, values, "numbers"))
+    values = _numbers(name, tuple(values))
     return _converted(name, lambda v: tuple(map(complex, v)), values, values)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .errors import InvalidSchurParameter, complex_argument, complex_arguments, int_argument
+from .errors import InvalidSchurParameter, complex_argument, complex_arguments, int_argument, sequence_argument
 
 __all__ = ["SchurSequence"]
 
@@ -37,7 +37,7 @@ class SchurSequence:
     """
 
     def __init__(self, alphas):
-        alphas = complex_arguments("parameter", alphas, "alphas")
+        alphas = complex_arguments("parameter", sequence_argument("alphas", alphas, "numbers"))
         if not alphas:
             raise ValueError("a Schur sequence needs at least one parameter")
         for k, a in enumerate(alphas):

@@ -15,9 +15,9 @@ call: rows that need a failing solver plant it so.
 ``refused`` checks one case, a row and one of its bad inputs, in process
 and through ``cli.main``.  A case that was a test of its own before the
 table still runs under that test's id, from the module that held it:
-``refusal_ids.json`` maps each such id to its case, and ``earlier_test``
-makes the test of one earlier name.  ``test_refusals.py`` runs every other case, and
-``test_readme.py`` checks the rows against the README's table.  The
+``refusal_ids.json`` maps each such id to its case, and that module ends
+with ``keep_earlier_ids(globals())``.  ``test_refusals.py`` runs every
+other case, and ``test_readme.py`` checks the rows against the README's table.  The
 site tables ``INTEGER_SITES``, ``EXPONENT_SITES``, ``PAST_THE_SHAPE`` and
 ``ARRAY_SITES`` also serve ``test_integer_arguments.py`` and
 ``test_number_rule.py``, which check what each site accepts.
@@ -540,26 +540,37 @@ def case_id(row, bad) -> str:
 
 
 CASES = {case_id(row, bad): (row, bad) for row in ROWS for bad in row.bad}
+assert len(CASES) == sum(len(row.bad) for row in ROWS), "two cases of one row share an id"
 # earlier test id (file::[class::]function[param]): the id of the case it checks
 EARLIER = json.loads((Path(__file__).parent / "refusal_ids.json").read_text())
 assert set(EARLIER.values()) <= set(CASES), set(EARLIER.values()) - set(CASES)
 
 
-def earlier_test(test):
-    """The test that runs the case or cases of the earlier test ``test``,
-    named as it was, for the module or class that ``test`` names: with one
-    parameter per earlier id where it had parameters."""
-    params = {test_id[len(test) + 1:-1]: CASES[case] for test_id, case in EARLIER.items()
-              if test_id.startswith(test + "[")}
-    if params:
-        @pytest.mark.parametrize("case", list(params.values()), ids=list(params))
-        def run(monkeypatch, capsys, case):
-            refused(monkeypatch, capsys, *case)
-    else:
-        def run(monkeypatch, capsys):
-            refused(monkeypatch, capsys, *CASES[EARLIER[test]])
-    run.__name__ = test.split("::")[-1]
-    return staticmethod(run) if test.count("::") == 2 else run
+def keep_earlier_ids(namespace):
+    """Give each case of ``refusal_ids.json`` that was a test of the module
+    whose globals are ``namespace`` a test under its earlier id: in the class
+    the id names, if any, with one parameter per earlier id where it had
+    parameters."""
+    tests = {}
+    for test_id, case in EARLIER.items():
+        path, _, param = test_id.partition("[")
+        module, *owner, name = path.split("::")
+        if module == Path(namespace["__file__"]).name:
+            tests.setdefault((*owner, name), {})[param[:-1]] = CASES[case]
+
+    for (*owner, name), params in tests.items():
+        if list(params) == [""]:
+            def run(monkeypatch, capsys, case=params[""]):
+                refused(monkeypatch, capsys, *case)
+        else:
+            @pytest.mark.parametrize("case", list(params.values()), ids=list(params))
+            def run(monkeypatch, capsys, case):
+                refused(monkeypatch, capsys, *case)
+        run.__name__ = name
+        if owner:
+            setattr(namespace[owner[0]], name, staticmethod(run))
+        else:
+            namespace[name] = run
 
 
 def _check(message, row, bad):

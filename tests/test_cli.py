@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import snakefact
 from helpers import grid64
-from refusals import earlier_test
+from refusals import keep_earlier_ids
 from snakefact import verify as verify_mod
 from snakefact.cli import main
 from snakefact.expand import entry
@@ -92,8 +92,6 @@ class TestBuild:
         assert "right: 0,1,2,3" in out
         left_line = next(line for line in out.splitlines() if line.startswith("left:"))
         assert left_line == "left: "
-
-    test_invalid_monomials = earlier_test("test_cli.py::TestBuild::test_invalid_monomials")
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "build", "--shape", "cmv", "--m", "5", "--format", "json")
@@ -182,9 +180,6 @@ class TestEntry:
         assert run(capsys, "entry", *argv) == (0, text, "")
         assert run(capsys, "entry", *argv, "--format", "json") == (
             0, json.dumps(json.loads(compact), indent=2) + "\n", "")
-
-    test_out_of_range = earlier_test("test_cli.py::TestEntry::test_out_of_range")
-    test_nan_alpha_rejected = earlier_test("test_cli.py::TestEntry::test_nan_alpha_rejected")
 
 
 class TestQuadrature:
@@ -329,10 +324,6 @@ class TestExpandAndBandwidth:
         assert code == 0
         assert json.loads(out) == {"lower": 2, "upper": 2}
 
-    test_expand_too_large = earlier_test("test_cli.py::TestExpandAndBandwidth::test_expand_too_large")
-    test_expand_size_below_one = earlier_test(
-        "test_cli.py::TestExpandAndBandwidth::test_expand_size_below_one")
-
 
 class TestVerify:
     def test_single_suite_table(self, capsys):
@@ -377,17 +368,12 @@ class TestVerify:
                               measure=verify_mod.BernsteinSzego([0.3]))
         assert asked == [6, 4]
 
-    test_corrupted_alpha = earlier_test("test_cli.py::TestVerify::test_corrupted_alpha")
-    test_alphas_too_short = earlier_test("test_cli.py::TestVerify::test_alphas_too_short")
-
     def test_both_schur_sources_rejected(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "round-trip", "--alphas", "0.1,0.2",
                              "--measure", "lebesgue")
         assert code == 2
         assert out == ""
         assert "give exactly one Schur source" in err
-
-    test_m_disagrees_with_alphas = earlier_test("test_cli.py::TestVerify::test_m_disagrees_with_alphas")
 
     def test_seed_reproducibility(self, capsys, monkeypatch):
         monkeypatch.setenv("SNAKE_SEED", "777")
@@ -396,9 +382,6 @@ class TestVerify:
         assert code1 == code2 == 0
         assert out1 == out2
         assert json.loads(out1)["seed"] == 777
-
-    test_sizes_below_the_minimum = earlier_test("test_cli.py::TestVerify::test_sizes_below_the_minimum")
-    test_bandwidth_suite_m_capped = earlier_test("test_cli.py::TestVerify::test_bandwidth_suite_m_capped")
 
     def test_bandwidth_suite_m_16_accepted(self, capsys, monkeypatch):
         seen = []
@@ -425,8 +408,6 @@ class TestVerify:
         assert code == 0
         cases = [r["case"] for r in json.loads(out)["results"]]
         assert len(cases) == 6 and all(f"/n={size}/" in c for c in cases)
-
-    test_n_below_two_without_suite = earlier_test("test_cli.py::TestVerify::test_n_below_two_without_suite")
 
     def test_default_run_passes(self, capsys):
         code, out, _ = run(capsys, "verify")
@@ -543,9 +524,6 @@ def test_abbreviated_flag_rejected(capsys, argv):
 
 
 class TestErrors:
-    test_numerical_failure_exit_code = earlier_test(
-        "test_cli.py::TestErrors::test_numerical_failure_exit_code")
-
     @pytest.mark.parametrize(
         "descriptor, field",
         [({"type": "geronimus"}, "'a'"), ({"type": "grid", "points": 5}, "'points'")],
@@ -555,8 +533,6 @@ class TestErrors:
         code, _, err = run(capsys, "quadrature", "--measure", json.dumps(descriptor), "--n", "4")
         assert code == 2
         assert f"field {field}" in err
-
-    test_non_finite_theta_named = earlier_test("test_cli.py::TestErrors::test_non_finite_theta_named")
 
     @pytest.mark.parametrize("argv, flag, value", [
         (["entry", "--s", "1,0", "--i", "0", "--j", "0"], "--alphas", "-0.3,0.2,0.1"),
@@ -607,9 +583,6 @@ class TestErrors:
         if exit_code == 2:
             assert "64 distinct atoms" in err
 
-    test_grid_within_its_atoms_names_float64_sums = earlier_test(
-        "test_cli.py::TestErrors::test_grid_within_its_atoms_names_float64_sums")
-
     def test_verify_builds_the_table_before_the_rule(self, capsys, monkeypatch):
         def unreachable(*args):
             raise AssertionError("a rule was computed for a table that cannot be built")
@@ -636,8 +609,6 @@ class TestErrors:
         assert json.loads(out)["exactness_defect"] <= 1e-9
         assert calls == [47]
 
-    test_verify_grid_past_its_atoms = earlier_test("test_cli.py::TestErrors::test_verify_grid_past_its_atoms")
-
     def test_verify_grid_within_its_atoms(self, capsys):
         grid = '{"type":"grid","points":[[-2.5,0.2],[-1.0,0.3],[0.5,0.3],[2.0,0.2]]}'
         code, out, err = run(capsys, "verify", "--suite", "oracle-equivalence", "--measure", grid,
@@ -646,8 +617,6 @@ class TestErrors:
         assert "overall: PASS" in out
         code, out, err = run(capsys, "verify", "--suite", "exactness", "--measure", grid, "--n", "3")
         assert code == 0, err
-
-    test_geronimus_parameter_named = earlier_test("test_cli.py::TestErrors::test_geronimus_parameter_named")
 
     @pytest.mark.parametrize("atoms", [5, 8, 16])
     def test_grid_gives_one_parameter_fewer_than_atoms(self, capsys, atoms):
@@ -921,3 +890,7 @@ def test_moment_overflow_exits_3_without_warnings():
 def test_cli_import_leaves_scipy_out():
     proc = _python("-c", "import sys, snakefact.cli; assert 'scipy' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
+
+
+# The refusal-table cases that were tests of this module before the table, under their ids.
+keep_earlier_ids(globals())

@@ -6,14 +6,14 @@ orthonormality bound, or refuses, falls back to the general eigensolver,
 and a failed fallback keeps the pencil's reason as its context.  Each
 site's own refusal is a row of the refusal table, ``refusals.ROWS``; the
 cases that were tests of this module before the table run here under
-those tests' ids.
+those tests' ids, by ``keep_earlier_ids`` at the end.
 """
 
 import numpy as np
 import pytest
 
 from helpers import count_eig_calls, parameter_family
-from refusals import earlier_test
+from refusals import keep_earlier_ids
 from snakefact import quadrature, verify
 from snakefact.errors import CaseResult, ConvergenceError, NumericalError, check, unitarity_defect
 from snakefact.quadrature import szego_quadrature
@@ -62,12 +62,6 @@ class TestUnitarityDefect:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_is_nan(self, value):
         assert np.isnan(unitarity_defect(np.array([[value, 0], [0, 1]], dtype=complex)))
-
-
-test_non_finite_input_fails_the_contract = earlier_test(
-    "test_contracts.py::test_non_finite_input_fails_the_contract")
-test_rule_blocks_not_unitary = earlier_test("test_contracts.py::test_rule_blocks_not_unitary")
-test_eigenvectors_not_orthonormal = earlier_test("test_contracts.py::test_eigenvectors_not_orthonormal")
 
 
 def test_cayley_residual_selects_the_fallback(monkeypatch):
@@ -144,4 +138,4 @@ def test_a_failed_fallback_carries_the_pencil_reason():
     assert str(reason).startswith("weights of the Cayley pass underflow to 0 (defect ")
 
 
-test_malformed_input_is_refused = earlier_test("test_contracts.py::test_malformed_input_is_refused")
+keep_earlier_ids(globals())

@@ -1,32 +1,22 @@
 """Angles, weights and corner phases are real numbers, checked at the boundary
 by ``errors.real_argument`` and ``errors.real_arguments``: ints, floats and
 NumPy integer and floating values pass, while a bool, a complex, a string
-or None raises a TypeError that names the parameter."""
+or None is refused with a message that names the parameter.
+
+Each refusal is a case of the refusal table ``refusals.ROWS``; the cases
+that were tests of this module before the table run here under those
+tests' ids, by ``keep_earlier_ids`` at the end.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refusals import SNAKE3, keep_earlier_ids
 from snakefact.errors import real_argument, real_arguments
-from snakefact.oracle import BernsteinSzego, GridMeasure
-from snakefact.quadrature import szego_quadrature, truncate_para_unitary
-from snakefact.schur import SchurSequence
-from snakefact.snake import SnakeFactorization, hessenberg_shape
-
-SNAKE = SnakeFactorization(SchurSequence([0.3, 0.2j, -0.1]), hessenberg_shape(2))
-
-
-@pytest.mark.parametrize("thetas, weights, name", [
-    ([0.0], [True], "grid weight 0"),
-    ([0.0], ["1"], "grid weight 0"),
-    ([0.0, 1.0], [0.5, 0.5 + 0j], "grid weight 1"),
-    ([None], [1.0], "grid angle 0"),
-    (np.array([False]), [1.0], "grid angle 0"),
-], ids=["bool-weight", "str-weight", "complex-weight", "none-angle", "bool-array-angle"])
-def test_grid_refuses_non_real(thetas, weights, name):
-    with pytest.raises(TypeError, match=f"^{name} must be a real number"):
-        GridMeasure(thetas, weights)
+from snakefact.oracle import GridMeasure
+from snakefact.quadrature import truncate_para_unitary
 
 
 @pytest.mark.parametrize("thetas, weights", [
@@ -39,30 +29,9 @@ def test_grid_accepts_real_types(thetas, weights):
     np.testing.assert_array_equal(grid.thetas, [-1.0, 0.0, 1.0])
 
 
-def test_grid_shape_still_checked():
-    with pytest.raises(ValueError, match="must be a nonempty array of shape"):
-        GridMeasure(0.0, 1.0)
-    with pytest.raises(ValueError, match="must be a nonempty array of shape"):
-        GridMeasure([[0.0]], [[1.0]])
-
-
-@pytest.mark.parametrize("prefix", [0.5, 0.5j, None, "0.5"], ids=repr)
-def test_bernstein_szego_prefix_is_a_sequence(prefix):
-    with pytest.raises(TypeError, match="^prefix must be a sequence"):
-        BernsteinSzego(prefix)
-
-
-@pytest.mark.parametrize("theta", ["0.5", True, 0.5j, None], ids=repr)
-def test_corner_phase_is_real(theta):
-    with pytest.raises(TypeError, match="^theta must be a real number"):
-        truncate_para_unitary(SNAKE, 3, theta)
-    with pytest.raises(TypeError, match="^theta must be a real number"):
-        szego_quadrature(SNAKE, 3, theta)
-
-
 @pytest.mark.parametrize("theta", [0, np.int32(1), np.float32(0.5), 0.7])
 def test_corner_phase_real_types(theta):
-    truncation = truncate_para_unitary(SNAKE, 3, theta)
+    truncation = truncate_para_unitary(SNAKE3, 3, theta)
     assert type(truncation.theta) is float and truncation.theta == float(theta)
 
 
@@ -97,3 +66,6 @@ def test_property_real_arguments(tagged):
         got = real_arguments("grid weight", values)
         np.testing.assert_array_equal(got, np.array([float(v) for v in values]))
         assert got.dtype == np.float64 and got.shape == (len(values),)
+
+
+keep_earlier_ids(globals())
